@@ -138,7 +138,7 @@ def run_fit(cfg: dict, out: str):
     write_csv(
         os.path.join(out, "coefficients.csv"),
         [f"c{j}" for j in range(train.n)],
-        model.W.tolist(),
+        model.W,
     )
 
 

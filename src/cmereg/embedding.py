@@ -118,7 +118,7 @@ def _losses(model: EmbeddingModel, test: TrainingSet) -> np.ndarray:
     A = alpha_batch(model, test.xs)  # (m, n)
     diag = np.array([eval_kernel(model.lspec, y, y) for y in test.ys])
     Lc = cross_gram(model.lspec, model.train.ys, test.ys).entries  # (n, m)
-    quad = np.einsum("ti,ij,tj->t", A, model.lgram.entries, A)
+    quad = np.sum((A @ model.lgram.entries) * A, axis=1)
     vals = diag - 2.0 * np.sum(A * Lc.T, axis=1) + quad
     return np.array([_clamp_loss(v) for v in vals])
 

@@ -21,14 +21,6 @@ class SingularMatrixError(NumericalError):
         super().__init__(message or f"non-positive pivot at index {pivot_index}")
 
 
-class ConvergenceError(NumericalError):
-    """Iterative method failed to converge; carries the last estimate."""
-
-    def __init__(self, last_estimate, message=None):
-        self.last_estimate = last_estimate
-        super().__init__(message or f"failed to converge (last estimate {last_estimate})")
-
-
 class DivergenceError(NumericalError):
     """Iterates became non-finite (bad step size or corrupted input)."""
 

@@ -118,7 +118,9 @@ def cross_gram(spec: KernelSpec, rows, cols) -> GramMatrix:
 
 def median_bandwidth(points, max_points: int = 500, seed: int = 0) -> float:
     """Median pairwise distance heuristic for picking a gaussian bandwidth."""
-    arr = np.atleast_2d(np.asarray(points, dtype=float))
+    arr = np.asarray(points, dtype=float)
+    if arr.ndim < 2:  # scalar points, as in _as_array
+        arr = arr.reshape(-1, 1)
     n = arr.shape[0]
     if n > max_points:
         idx = np.random.default_rng(seed).choice(n, size=max_points, replace=False)

@@ -121,12 +121,18 @@ class Policy:
     values: np.ndarray  # value per training output state
     greedy_torque: np.ndarray  # greedy action per training output state
     sweep_deltas: list = field(default_factory=list)
+    # coefficients.T @ values: the greedy scores (coefficients @ Kq).T @ values
+    # equal Kq.T @ weights, so each step costs O(n |grid|) instead of O(n^2 |grid|)
+    weights: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights = self.coefficients.T @ self.values
 
     def act(self, s: State, rng=None) -> float:
         grid = self.params.torque_grid
         pts = np.array([features(s, u) for u in grid])
         Kq = cross_gram(self.model.kspec, self.model.train.xs, pts).entries
-        scores = (self.coefficients @ Kq).T @ self.values
+        scores = Kq.T @ self.weights
         return float(grid[int(np.argmax(scores))])  # ties -> smallest torque
 
 

@@ -87,6 +87,20 @@ class TestFit:
                                       "y_kernel": {"variant": "linear"}})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    def test_clustered_spectrum_fit_exits_zero(self, tmp_path):
+        # W W^T of this fit has its top eigenvalues within ~1e-5 of each other
+        from cmereg.pendulum import PendulumParams, collect_dataset
+
+        data = collect_dataset(PendulumParams(), 400, 0)
+        path = write_dataset(tmp_path / "pend.csv", data.inputs, data.outputs)
+        cfg = write_config(tmp_path, {"dataset": path, "lambda": 1e-3,
+                                      "x_kernel": {"variant": "gaussian", "bandwidth": 2.0},
+                                      "y_kernel": {"variant": "gaussian", "bandwidth": 1.5}})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert read_rows(out / "summary.csv")[0]["bound_ok"] == "1"
+        assert len(read_rows(out / "coefficients.csv")) == 400
+
 
 class TestCv:
     def base_cfg(self, dataset):
@@ -257,6 +271,12 @@ class TestPlumbing:
         path = str(tmp_path / "x.csv")
         write_csv(path, ["a", "b"], [[1, 0.5], [True, 1e-9]])
         assert open(path).read() == "a,b\n1,0.5\n1,1e-09\n"
+
+    def test_write_csv_ndarray_rows_match_lists(self, tmp_path):
+        M = np.random.default_rng(3).standard_normal((4, 3)) * 10.0 ** np.arange(-6, 6).reshape(4, 3)
+        write_csv(str(tmp_path / "a.csv"), ["p", "q", "r"], M)
+        write_csv(str(tmp_path / "b.csv"), ["p", "q", "r"], M.tolist())
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_write_csv_atomic_no_stray_tempfiles(self, tmp_path):
         path = str(tmp_path / "y.csv")

@@ -57,14 +57,14 @@ class TestFit:
     def test_operator_norm_bound(self):
         model = small_model(lam=0.05)
         n = model.train.n
-        opnorm = np.sqrt(sym_eig_max(model.W @ model.W.T, tol=1e-12))
+        opnorm = np.sqrt(sym_eig_max(model.W @ model.W.T))
         assert opnorm <= 1.0 / (model.lam * n) + 1e-8
 
     def test_ridge_monotonicity_of_norm(self):
         m1 = small_model(lam=0.05)
         m2 = small_model(lam=0.5)
-        n1 = np.sqrt(sym_eig_max(m1.W @ m1.W.T, tol=1e-12))
-        n2 = np.sqrt(sym_eig_max(m2.W @ m2.W.T, tol=1e-12))
+        n1 = np.sqrt(sym_eig_max(m1.W @ m1.W.T))
+        n2 = np.sqrt(sym_eig_max(m2.W @ m2.W.T))
         assert n2 <= n1 + 1e-12
 
     def test_bad_lambda(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmereg.errors import InputError
-from cmereg.kernels import KernelSpec, cross_gram, eval_kernel, gram
+from cmereg.kernels import KernelSpec, cross_gram, eval_kernel, gram, median_bandwidth
 
 
 def test_spec_validation():
@@ -142,3 +142,9 @@ def test_reproducing_consistency():
     for i, y in enumerate(ys):
         for j, yp in enumerate(ys):
             assert g.entries[i, j] == pytest.approx(eval_kernel(spec, y, yp), abs=1e-15)
+
+
+def test_median_bandwidth_scalar_points():
+    # a 1-d array is n scalar points: pairwise distances 1, 1, 1, 2, 2, 3
+    assert median_bandwidth(np.array([0.0, 1.0, 2.0, 3.0])) == 1.5
+    assert median_bandwidth([0.0, 1.0, 2.0, 3.0]) == median_bandwidth([[0.0], [1.0], [2.0], [3.0]])

@@ -5,13 +5,15 @@ import pytest
 
 from cmereg.embedding import fit
 from cmereg.errors import InputError
-from cmereg.kernels import KernelSpec, median_bandwidth
+from cmereg.kernels import KernelSpec, cross_gram, median_bandwidth
 from cmereg.pendulum import (
     PendulumParams,
+    Policy,
     RandomTorquePolicy,
     State,
     collect_dataset,
     evaluate_policy,
+    features,
     policy_iteration,
     reward,
     step,
@@ -129,6 +131,37 @@ class TestPolicyIteration:
         model = fit_transition_model(params, n=20, seed=4)
         with pytest.raises(InputError):
             policy_iteration(model, params, sweeps=0)
+
+
+class TestPolicyAct:
+    @staticmethod
+    def direct_torque(policy, s):
+        grid = policy.params.torque_grid
+        pts = np.array([features(s, u) for u in grid])
+        Kq = cross_gram(policy.model.kspec, policy.model.train.xs, pts).entries
+        return float(grid[int(np.argmax((policy.coefficients @ Kq).T @ policy.values))])
+
+    @staticmethod
+    def random_states(count, seed):
+        rng = np.random.default_rng(seed)
+        return [State(rng.uniform(-math.pi, math.pi), rng.uniform(-7, 7)) for _ in range(count)]
+
+    def test_matches_direct_scores(self, params):
+        model = fit_transition_model(params, n=100, seed=6)
+        policy = policy_iteration(model, params, sweeps=60)
+        for s in self.random_states(250, 9):
+            assert policy.act(s) == self.direct_torque(policy, s)
+
+    def test_nonsymmetric_coefficients(self, params):
+        # a sparse replacement M need not be symmetric: the weights are M^T V
+        model = fit_transition_model(params, n=100, seed=6)
+        rng = np.random.default_rng(10)
+        M = model.W * (rng.uniform(size=model.W.shape) < 0.5)
+        policy = Policy(model=model, coefficients=M, params=params,
+                        values=rng.uniform(0, 5, model.train.n),
+                        greedy_torque=np.zeros(model.train.n))
+        for s in self.random_states(200, 11):
+            assert policy.act(s) == self.direct_torque(policy, s)
 
 
 class TestEvaluatePolicy:
