@@ -75,6 +75,8 @@ def read_dataset(path: str) -> embedding.TrainingSet:
     if not xcols or not ycols or not rows:
         raise ConfigError(f"dataset {path} needs x*/y* columns and at least one row")
     arr = np.asarray(rows)
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"dataset {path} has a non-finite value")
     return embedding.TrainingSet(arr[:, xcols], arr[:, ycols])
 
 
@@ -171,7 +173,8 @@ def run_cv(cfg: dict, out: str):
 
 
 def _sweep_rows(rows):
-    return [[r.gamma, r.nnz_fraction, r.row_occupancy, r.kl_distance, r.test_risk, r.iterations]
+    return [[r.gamma, r.nnz_fraction, r.row_occupancy, r.kl_distance, r.test_risk, r.iterations,
+             int(r.converged)]
             for r in rows]
 
 
@@ -203,7 +206,8 @@ def run_sparsify(cfg: dict, out: str):
         max_iter=int(cfg.get("max_iter", 20000)), tol=float(cfg.get("tol", 1e-8)),
     )
     write_csv(os.path.join(out, "sparsify.csv"),
-              ["gamma", "nnz_fraction", "row_occupancy", "kl_distance", "test_risk", "iterations"],
+              ["gamma", "nnz_fraction", "row_occupancy", "kl_distance", "test_risk", "iterations",
+               "converged"],
               _sweep_rows(rows))
 
 
@@ -255,7 +259,7 @@ def run_compare(cfg: dict, out: str):
         if rank > train.n:
             raise ConfigError(f"compare: rank {rank} exceeds n={train.n}")
         ic = lowrank.incomplete_cholesky(model.kgram, rank)
-        M = lowrank.subset_refit(train, ic.pivots, kspec, lspec, lam)
+        M = lowrank.subset_refit(train, ic.pivots, kspec, lam)
         problem = sparse.SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
         rows.append([
             "cholesky", rank,

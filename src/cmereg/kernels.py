@@ -4,7 +4,8 @@ Conventions:
   * gaussian: k(a, b) = exp(-||a - b||^2 / (2 sigma^2)), sigma = bandwidth.
   * linear:   k(a, b) = <a, b>.
   * delta:    k(a, b) = 1 if the symbols are equal, else 0. Points are
-    hashable symbols from a finite alphabet; domain_dim is ignored.
+    hashable symbols from a finite alphabet, or the rows of a 2-d array
+    (equal when every entry is); domain_dim is ignored.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def eval_kernel(spec: KernelSpec, a, b) -> float:
             raise InputError(
                 f"delta kernel points must share a type, got {type(a).__name__} vs {type(b).__name__}"
             )
+        if isinstance(a, np.ndarray):  # a data row, as in _symbols
+            return float(np.array_equal(a, b))
         return 1.0 if a == b else 0.0
     av = _as_array(spec, [a])[0]
     bv = _as_array(spec, [b])[0]
@@ -73,8 +76,17 @@ def eval_kernel(spec: KernelSpec, a, b) -> float:
     return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
 
 
+def _symbols(points):
+    """Delta-kernel points as hashable symbols: data rows (a 2-d array or a
+    sequence of 1-d arrays) become tuples, in one pass; other points pass as is."""
+    if isinstance(points[0], np.ndarray):
+        return list(map(tuple, np.asarray(points).tolist()))
+    return points
+
+
 def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     if spec.variant == "delta":
+        rows, cols = _symbols(rows), _symbols(cols)
         first = type(next(iter(rows)))
         codes = {}
         def encode(pts):

@@ -54,7 +54,11 @@ def sym_eig_max(A) -> float:
 
 
 def soft_threshold(z, t):
-    """Shrink toward zero: sign(z) * max(|z| - t, 0). Works elementwise on arrays."""
-    if np.any(np.asarray(t) < 0):
+    """Shrink toward zero: sign(z) * max(|z| - t, 0). Works elementwise on arrays.
+
+    Computed as z - clip(z, -t, t), which gives the same values in two passes.
+    """
+    t = np.asarray(t)
+    if np.any(t < 0):
         raise InputError("threshold must be nonnegative")
-    return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
+    return z - np.clip(z, -t, t)

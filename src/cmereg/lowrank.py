@@ -59,9 +59,7 @@ def incomplete_cholesky(K: GramMatrix, max_rank: int, tol: float = 0.0) -> Incom
     )
 
 
-def subset_refit(
-    train: TrainingSet, pivots, kspec: KernelSpec, lspec: KernelSpec, lam: float
-) -> np.ndarray:
+def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> np.ndarray:
     """Refit the ridge estimator on the pivot subset only; returns an n x n
     coefficient matrix with non-pivot rows (and columns) zero."""
     pivots = list(pivots)

@@ -33,6 +33,13 @@ class PendulumParams:
     torque_levels: int = 9
 
     def __post_init__(self):
+        for name in ("mass", "length", "gravity", "dt", "omega_max"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InputError(f"{name} must be a positive finite number")
+        if not 0.0 <= self.friction < math.inf:
+            raise InputError("friction must be a nonnegative finite number")
+        if not -math.inf < self.torque_min <= self.torque_max < math.inf:
+            raise InputError("torques must be finite with torque_min <= torque_max")
         if not 0.0 < self.discount < 1.0:
             raise InputError("discount must lie in (0, 1)")
         if self.torque_levels < 1:

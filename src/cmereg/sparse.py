@@ -56,6 +56,7 @@ class SparseSolution:
     step: float
     nnz_fraction: float
     kl_distance: float
+    converged: bool  # the relative-objective rule fired before max_iter ran out
 
 
 def penalty_value(penalty: str, M: np.ndarray) -> float:
@@ -120,36 +121,58 @@ def kl_distance(problem: SparseProblem, M: np.ndarray) -> float:
     return float(np.sqrt(max(smooth_part(problem, M), 0.0)))
 
 
-def fista_solve(problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8) -> SparseSolution:
-    """Accelerated proximal gradient descent from M = 0.
+def fista_solve(
+    problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8, start=None
+) -> SparseSolution:
+    """Accelerated proximal gradient descent from M = start (zero by default).
 
-    Stops when the relative objective change drops below tol or max_iter is
-    reached; deterministic.
+    Each iteration forms one product K Z L for the new iterate Z and
+    extrapolates K Q L from it with the same weight that extrapolates Q, so
+    the gradient 2 (K Q L - K W L) and the objective need no other n x n
+    products. Stops when the relative objective change drops below tol
+    (converged) or max_iter is reached; deterministic.
     """
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     if not tol > 0:
         raise InputError("tol must be positive")
     K, L, W = problem.K.entries, problem.L.entries, problem.W
+    if start is None:
+        Z = np.zeros_like(W)
+    else:
+        Z = np.array(start, dtype=float)
+        if Z.shape != W.shape:
+            raise InputError("start has wrong shape")
+        if not np.all(np.isfinite(Z)):
+            raise InputError("start must be finite-valued")
     lip = 2.0 * sym_eig_max(K) * sym_eig_max(L)
     step = 1.0 / lip if lip > 0 else 1.0
+    thresh = problem.gamma * step
     KWL = K @ W @ L
-    Z = np.zeros_like(W)
-    Q = Z
+    KZL = K @ Z @ L
+
+    def objective(Z, KZL):
+        # tr((Z - W)^T K (Z - W) L) = <Z - W, KZL - KWL>
+        return float(np.vdot(Z - W, KZL - KWL)) + problem.gamma * penalty_value(problem.penalty, Z)
+
+    Q, KQL = Z, KZL
     theta = 1.0
-    obj_prev = lasso_objective(problem, Z)
-    obj = obj_prev
+    obj = obj_prev = objective(Z, KZL)
+    converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        G = 2.0 * (K @ Q @ L - KWL)
-        Z_new = prox(problem.penalty, Q - step * G, problem.gamma * step)
+        Z_new = prox(problem.penalty, Q - (2.0 * step) * (KQL - KWL), thresh)
+        KZL_new = K @ Z_new @ L
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        Q = Z_new + ((theta - 1.0) / theta_new) * (Z_new - Z)
-        Z, theta = Z_new, theta_new
-        obj = lasso_objective(problem, Z)
+        beta = (theta - 1.0) / theta_new
+        Q = Z_new + beta * (Z_new - Z)
+        KQL = KZL_new + beta * (KZL_new - KZL)
+        Z, KZL, theta = Z_new, KZL_new, theta_new
+        obj = objective(Z, KZL)
         if not np.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         if obj == obj_prev or abs(obj - obj_prev) <= tol * abs(obj_prev):
+            converged = True
             break
         obj_prev = obj
     nnz = float(np.count_nonzero(np.abs(Z) > _NNZ_EPS)) / Z.size
@@ -160,6 +183,7 @@ def fista_solve(problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8
         step=step,
         nnz_fraction=nnz,
         kl_distance=kl_distance(problem, Z),
+        converged=converged,
     )
 
 
@@ -176,6 +200,7 @@ class SweepRow:
     kl_distance: float
     test_risk: float
     iterations: int
+    converged: bool
 
 
 def sparsity_sweep(
@@ -186,20 +211,27 @@ def sparsity_sweep(
     max_iter: int = 20000,
     tol: float = 1e-8,
 ) -> list[SweepRow]:
-    """Solve the sparse problem at each gamma and score each solution as a
-    drop-in replacement for W on a held-out test set."""
+    """Solve the sparse problem along the gamma path and score each solution
+    as a drop-in replacement for W on a held-out test set.
+
+    The path runs from the largest gamma, solved from zero, down to the
+    smallest, each solve starting from the previous solution; rows come back
+    in ascending gamma order.
+    """
     gammas = [float(g) for g in gammas]
     if any(b < a for a, b in zip(gammas, gammas[1:])):
         raise InputError("gammas must be sorted ascending")
     rows = []
-    for g in gammas:
+    M = None
+    for g in reversed(gammas):
         problem = SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=g, penalty=penalty)
         try:
-            sol = fista_solve(problem, max_iter=max_iter, tol=tol)
+            sol = fista_solve(problem, max_iter=max_iter, tol=tol, start=M)
             risk = empirical_risk(model.with_coefficients(sol.M), test)
         except Exception as exc:
             exc.args = (f"gamma={g}: {exc}",)
             raise
+        M = sol.M
         rows.append(
             SweepRow(
                 gamma=g,
@@ -208,6 +240,7 @@ def sparsity_sweep(
                 kl_distance=sol.kl_distance,
                 test_risk=risk,
                 iterations=sol.iterations,
+                converged=sol.converged,
             )
         )
-    return rows
+    return rows[::-1]

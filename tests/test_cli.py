@@ -101,6 +101,24 @@ class TestFit:
         assert read_rows(out / "summary.csv")[0]["bound_ok"] == "1"
         assert len(read_rows(out / "coefficients.csv")) == 400
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_dataset_exits_two(self, tmp_path, bad):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,y0\n0.0,0.1\n1.0,{bad}\n2.0,1.9\n")
+        cfg = write_config(tmp_path, {"dataset": str(path), "lambda": 0.1,
+                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_delta_kernels_on_csv(self, tmp_path):
+        rows = np.random.default_rng(5).integers(0, 2, size=(30, 3)).astype(float)
+        path = write_dataset(tmp_path / "sym.csv", rows[:, :2], rows[:, 2:])
+        delta = {"variant": "delta"}
+        cfg = write_config(tmp_path, {"dataset": path, "lambda": 0.1,
+                                      "x_kernel": delta, "y_kernel": delta})
+        out = tmp_path / "out"
+        assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
+        assert read_rows(out / "summary.csv")[0]["bound_ok"] == "1"
+
 
 class TestCv:
     def base_cfg(self, dataset):
@@ -162,6 +180,20 @@ class TestSparsify:
         assert [float(r["gamma"]) for r in rows] == [0.001, 0.01, 0.1]
         kls = [float(r["kl_distance"]) for r in rows]
         assert kls == sorted(kls)
+        assert [r["converged"] for r in rows] == ["1", "1", "1"]
+
+    def test_converged_column_reports_cap(self, tmp_path):
+        data = random_dataset(tmp_path / "d.csv", n=20, seed=2)
+        cfg = write_config(tmp_path, {
+            "dataset": data, "lambda": 0.1, "gammas": [0.001, 0.01],
+            "x_kernel": {"variant": "gaussian", "bandwidth": 0.3},
+            "y_kernel": {"variant": "gaussian", "bandwidth": 0.3},
+            "max_iter": 1,
+        })
+        out = tmp_path / "out"
+        assert main(["sparsify", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out / "sparsify.csv")
+        assert [(r["iterations"], r["converged"]) for r in rows] == [("1", "0"), ("1", "0")]
 
     def test_unsorted_gammas(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -181,6 +213,7 @@ class TestCompare:
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "compare.csv")
+        assert list(rows[0]) == ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk"]
         assert {r["method"] for r in rows} == {"lasso", "cholesky"}
         for r in rows:
             assert float(r["kl_distance"]) <= 1e-6
@@ -238,6 +271,10 @@ class TestPendulum:
         assert len(policy) == 40
         returns = {r["policy"]: float(r["mean_return"]) for r in read_rows(out / "returns.csv")}
         assert set(returns) == {"learned", "random"}
+
+    def test_negative_dt_exits_two(self, tmp_path):
+        cfg = write_config(tmp_path, {"n": 20, "seed": 0, "dt": -1})
+        assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 30, "seed": 0, "sweeps": 5,

@@ -148,3 +148,13 @@ def test_median_bandwidth_scalar_points():
     # a 1-d array is n scalar points: pairwise distances 1, 1, 1, 2, 2, 3
     assert median_bandwidth(np.array([0.0, 1.0, 2.0, 3.0])) == 1.5
     assert median_bandwidth([0.0, 1.0, 2.0, 3.0]) == median_bandwidth([[0.0], [1.0], [2.0], [3.0]])
+
+
+def test_delta_gram_of_array_rows_is_row_equality():
+    rows = np.random.default_rng(3).integers(0, 2, size=(25, 3)).astype(float)
+    K = gram(KernelSpec("delta"), rows).entries
+    np.testing.assert_array_equal(K, np.all(rows[:, None, :] == rows[None, :, :], axis=2))
+    C = cross_gram(KernelSpec("delta"), rows, rows[:4]).entries
+    np.testing.assert_array_equal(C, K[:, :4])
+    np.testing.assert_array_equal(cross_gram(KernelSpec("delta"), rows, [rows[2]]).entries, K[:, 2:3])
+    assert eval_kernel(KernelSpec("delta"), rows[0], rows[0]) == 1.0

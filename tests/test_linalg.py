@@ -103,3 +103,9 @@ class TestSoftThreshold:
         out = float(soft_threshold(z, t))
         assert abs(out) <= abs(z)
         assert out == 0.0 or np.sign(out) == np.sign(z)
+
+    def test_matches_sign_max_form(self):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((40, 30)) * 3.0
+        for t in (0.0, 0.7, 2.5, rng.uniform(0, 2, size=(40, 30))):
+            np.testing.assert_array_equal(soft_threshold(z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0))

@@ -88,29 +88,29 @@ class TestSubsetRefit:
 
     def test_all_pivots_reproduce_dense(self):
         model = self.make_model()
-        M = subset_refit(model.train, range(model.train.n), model.kspec, model.lspec, model.lam)
+        M = subset_refit(model.train, range(model.train.n), model.kspec, model.lam)
         np.testing.assert_allclose(M, model.W, atol=1e-8)
 
     def test_single_pivot_single_row(self):
         model = self.make_model()
-        M = subset_refit(model.train, [3], model.kspec, model.lspec, model.lam)
+        M = subset_refit(model.train, [3], model.kspec, model.lam)
         nz_rows = np.where(np.any(M != 0, axis=1))[0]
         assert list(nz_rows) == [3]
 
     def test_empty_pivots_rejected(self):
         model = self.make_model()
         with pytest.raises(InputError):
-            subset_refit(model.train, [], model.kspec, model.lspec, model.lam)
+            subset_refit(model.train, [], model.kspec, model.lam)
 
     def test_out_of_range_pivot(self):
         model = self.make_model()
         with pytest.raises(InputError):
-            subset_refit(model.train, [99], model.kspec, model.lspec, model.lam)
+            subset_refit(model.train, [99], model.kspec, model.lam)
 
     def test_nonpivot_rows_zero(self):
         model = self.make_model()
         pivots = [1, 4, 7]
-        M = subset_refit(model.train, pivots, model.kspec, model.lspec, model.lam)
+        M = subset_refit(model.train, pivots, model.kspec, model.lam)
         mask = np.ones(model.train.n, dtype=bool)
         mask[pivots] = False
         assert np.all(M[mask] == 0.0)

@@ -34,6 +34,17 @@ def fit_transition_model(params, n=60, seed=0, lam=1e-3):
     return fit(train, kspec, lspec, lam)
 
 
+class TestParams:
+    @pytest.mark.parametrize("bad", [
+        {"dt": -1.0}, {"dt": 0.0}, {"mass": 0.0}, {"length": -1.0}, {"gravity": 0.0},
+        {"omega_max": 0.0}, {"friction": -0.1}, {"torque_min": 1.0, "torque_max": -1.0},
+        {"dt": float("nan")}, {"dt": float("inf")},
+    ])
+    def test_invalid_params_rejected(self, bad):
+        with pytest.raises(InputError):
+            PendulumParams(**bad)
+
+
 class TestDynamics:
     def test_upright_fixed_point(self, params):
         s = step(params, State(0.0, 0.0), 0.0)

@@ -143,8 +143,9 @@ class TestFista:
 
     def test_objective_field_consistent(self):
         prob, _ = make_problem(seed=11, gamma=0.02)
-        sol = fista_solve(prob)
-        assert sol.objective == pytest.approx(lasso_objective(prob, sol.M), rel=1e-10)
+        for start in (None, np.random.default_rng(8).standard_normal(prob.W.shape)):
+            sol = fista_solve(prob, start=start)
+            assert sol.objective == pytest.approx(lasso_objective(prob, sol.M), rel=1e-10)
 
     def test_deterministic(self):
         prob, _ = make_problem(seed=12, gamma=0.04)
@@ -167,6 +168,29 @@ class TestFista:
         assert np.all(np.abs(G[zero]) <= prob.gamma + eps)
         nz = ~zero
         assert np.all(np.abs(G[nz] + prob.gamma * np.sign(sol.M[nz])) <= eps)
+
+    def test_converged_flag(self):
+        prob, _ = make_problem(seed=16, n=5, gamma=0.02)
+        assert not fista_solve(prob, max_iter=1).converged
+        K, L, W = prob.K.entries, prob.L.entries, prob.W
+        above = SparseProblem(prob.K, prob.L, W, 2.0 * np.max(np.abs(K @ W @ L)) + 1e-6)
+        assert fista_solve(above).converged
+
+    def test_start_shape_rejected(self):
+        prob, _ = make_problem(seed=17, n=4)
+        with pytest.raises(InputError):
+            fista_solve(prob, start=np.zeros((3, 3)))
+
+    def test_warm_path_matches_cold_solves(self):
+        prob, _ = make_problem(seed=19, n=6)
+        M = None
+        for gamma in (0.2, 0.05, 0.01, 0.002):
+            p = SparseProblem(prob.K, prob.L, prob.W, gamma)
+            warm = fista_solve(p, tol=1e-12, start=M)
+            cold = fista_solve(p, tol=1e-12)
+            assert warm.converged and cold.converged
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
+            M = warm.M
 
 
 class TestKlDistance:
@@ -215,3 +239,14 @@ class TestSweep:
         model, test = self.make_model()
         with pytest.raises(InputError):
             sparsity_sweep(model, test, [0.1, 0.01])
+
+    def test_rows_follow_descending_warm_path(self):
+        model, test = self.make_model(seed=3)
+        gammas = [0.001, 0.003, 0.01, 0.1]
+        rows = sparsity_sweep(model, test, gammas)
+        assert [r.gamma for r in rows] == gammas
+        M = None
+        for g, row in reversed(list(zip(gammas, rows))):
+            sol = fista_solve(SparseProblem(model.kgram, model.lgram, model.W, g), start=M)
+            assert (row.kl_distance, row.iterations, row.converged) == (sol.kl_distance, sol.iterations, True)
+            M = sol.M
