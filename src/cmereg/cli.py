@@ -3,9 +3,11 @@
 Commands: fit | cv | sparsify | compare | rate | pendulum.
 Exit codes: 0 success, 2 config error, 3 numeric failure.
 
-All randomness is seeded from the config (or --seed), so rerunning a command
-with the same config yields byte-identical CSVs. Output files are written
-atomically (temp file + rename).
+main checks each config against the command's table in SCHEMAS: unknown
+keys, missing required keys and values of the wrong type or range are config
+errors, and absent optional keys get their defaults. All randomness is seeded
+from the config (or --seed), so reruns with the same config yield
+byte-identical CSVs. Output files are written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -14,49 +16,159 @@ import argparse
 import csv
 import json
 import os
+import reprlib
 import sys
 import tempfile
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import embedding, lowrank, pendulum, ratecheck, sparse
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, median_bandwidth
+from .kernels import VARIANTS, KernelSpec, median_bandwidth
+from .linalg import sym_eig_max
 
 
 class ConfigError(Exception):
     pass
 
 
-# ---------------------------------------------------------------- plumbing
+# ---------------------------------------------------------------- schema
+# A table maps each key to (check, default); REQUIRED marks a key without a
+# default. A check returns the value as the command uses it, or raises
+# ValueError saying what is wrong with it.
+
+REQUIRED = object()
 
 
-def _check_keys(cfg: dict, allowed, required, where: str):
-    unknown = set(cfg) - set(allowed)
+def _is(test, what):
+    def check(v):
+        if not test(v):
+            raise ValueError(f"{reprlib.repr(v)} is not {what}")
+        return v
+    return check
+
+
+def _real(low=-float("inf"), strict=False):
+    """A finite number (never a bool) >= low, or > low if strict; as a float."""
+    def check(v):
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+            raise ValueError(f"{reprlib.repr(v)} is not a finite number")
+        if v < low or (strict and v == low):
+            raise ValueError(f"{reprlib.repr(v)} is not {'>' if strict else '>='} {low}")
+        return float(v)
+    return check
+
+
+def _integer(low):
+    """An integral-valued finite number >= low (1e4 passes, 2.7 does not); as an int."""
+    real, integral = _real(low), _is(float.is_integer, "an integer")
+    return lambda v: int(integral(real(v)))
+
+
+def _list(item, ascending=False, distinct=False):
+    """A nonempty list whose items pass `item`."""
+    def check(v):
+        out = [item(x) for x in _is(lambda v: isinstance(v, list) and v, "a nonempty list")(v)]
+        if ascending and out != sorted(out):
+            raise ValueError(f"{reprlib.repr(v)} is not ascending")
+        if distinct and len(set(out)) != len(out):
+            raise ValueError(f"{reprlib.repr(v)} has repeated items")
+        return out
+    return check
+
+
+def _rows(v):
+    """A rectangular matrix of finite numbers, as a list of rows."""
+    return _is(lambda rows: len({len(r) for r in rows}) == 1, "rectangular")(_list(_list(_real()))(v))
+
+
+def _fill(cfg, table) -> dict:
+    """cfg checked against table, with every absent optional key at its default."""
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{reprlib.repr(cfg)} is not an object")
+    unknown = sorted(set(cfg) - set(table))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = set(required) - set(cfg)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+        raise ValueError(f"unknown keys {unknown}")
+    out = {}
+    for key, (check, default) in table.items():
+        if key in cfg:
+            try:
+                out[key] = check(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        elif default is REQUIRED:
+            raise ValueError(f"missing required key {key!r}")
+        else:
+            out[key] = default
+    return out
 
 
-def _positive(cfg, key, where):
-    v = cfg[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not v > 0:
-        raise ConfigError(f"{where}: {key} must be a positive number")
-    return float(v)
-
-
-def _kernel_spec(cfg, domain_dim: int, where: str) -> KernelSpec:
-    _check_keys(cfg, {"variant", "bandwidth"}, {"variant"}, where)
+def _validate(cfg, table, where: str) -> dict:
     try:
-        return KernelSpec(
-            variant=cfg["variant"],
-            bandwidth=cfg.get("bandwidth"),
-            domain_dim=domain_dim,
-        )
-    except InputError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        return _fill(cfg, table)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _table(table):
+    return lambda v: _fill(v, table)
+
+
+def _one_of(options):
+    return _is(lambda v: v in options, f"one of {list(options)}")
+
+
+_STRING = _is(lambda v: isinstance(v, str), "a string")
+_SYMBOL = _is(lambda v: isinstance(v, (str, int)) and not isinstance(v, bool), "a string or an integer")
+_POSITIVE = _real(0.0, strict=True)
+_COUNT = _integer(1)
+_SEED = _integer(0)
+# (check, default) of a bandwidth key: a number > 0, or "median" for median_bandwidth
+_BANDWIDTH = (lambda v: v if v == "median" else _POSITIVE(v), "median")
+_KERNEL = _table({"variant": (_one_of(VARIANTS), REQUIRED), "bandwidth": (_POSITIVE, None)})
+_DATA = {"dataset": (_STRING, REQUIRED), "x_kernel": (_KERNEL, REQUIRED), "y_kernel": (_KERNEL, REQUIRED)}
+_SWEEP = {
+    "gammas": (_list(_real(0.0), ascending=True), REQUIRED),
+    "penalty": (_one_of(sparse.PENALTIES), "entrywise_l1"),
+    "max_iter": (_COUNT, 20000),
+    "tol": (_POSITIVE, 1e-8),
+}
+# The PendulumParams fields a config may set; PendulumParams checks their ranges.
+_PARAMS = {"dt": (_real(), pendulum.PendulumParams.dt),
+           "discount": (_real(), pendulum.PendulumParams.discount),
+           "friction": (_real(), pendulum.PendulumParams.friction),
+           "torque_levels": (_COUNT, pendulum.PendulumParams.torque_levels)}
+_SCHEDULE = {"a": (_POSITIVE, 1.0), "beta": (_real(), 0.5)}
+
+SCHEMAS = {
+    "fit": {**_DATA, "lambda": (_POSITIVE, REQUIRED), "seed": (_SEED, 0)},
+    "cv": {**_DATA, "lambdas": (_list(_POSITIVE), REQUIRED), "bandwidths": (_list(_POSITIVE), [None]),
+           "folds": (_integer(2), REQUIRED), "seed": (_SEED, REQUIRED)},
+    "sparsify": {**_DATA, **_SWEEP, "test_dataset": (_STRING, None), "lambda": (_POSITIVE, REQUIRED),
+                 "seed": (_SEED, 0)},
+    "compare": {
+        **_SWEEP,
+        "pendulum": (_table({**_PARAMS, "n": (_COUNT, REQUIRED), "n_test": (_COUNT, REQUIRED)}), None),
+        "dataset": (_table({"train": (_STRING, REQUIRED), "test": (_STRING, REQUIRED)}), None),
+        "lambda": (_POSITIVE, REQUIRED), "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
+        "ranks": (_list(_COUNT), REQUIRED), "seed": (_SEED, REQUIRED),
+    },
+    "rate": {
+        "x_symbols": (_list(_SYMBOL, distinct=True), None), "y_symbols": (_list(_SYMBOL, distinct=True), None),
+        "px": (_list(_real()), REQUIRED), "pyx": (_rows, REQUIRED),
+        "n_grid": (_list(_COUNT), REQUIRED), "seeds": (_list(_SEED), REQUIRED),
+        "schedule": (_table(_SCHEDULE), _fill({}, _SCHEDULE)), "seed": (_SEED, 0),
+    },
+    "pendulum": {
+        **_PARAMS, "n": (_COUNT, REQUIRED), "seed": (_SEED, REQUIRED), "lambda": (_POSITIVE, 1e-4),
+        "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
+        "sweeps": (_COUNT, 50), "episodes": (_COUNT, 100), "horizon": (_integer(0), 100),
+    },
+}
+
+
+# ---------------------------------------------------------------- plumbing
 
 
 def read_dataset(path: str) -> embedding.TrainingSet:
@@ -88,15 +200,15 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: str, header, rows):
-    """Write atomically; fixed column order, '.' decimals, trailing newline."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+@contextmanager
+def _atomic(path: str):
+    """Text file handle whose contents replace path only if the block succeeds."""
+    folder = os.path.dirname(path) or "."
+    os.makedirs(folder, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -104,29 +216,32 @@ def write_csv(path: str, header, rows):
         raise
 
 
-def _resolve_bandwidth(value, points, where: str) -> float:
-    if value is None or value == "median":
-        return median_bandwidth(points)
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"{where}: bandwidth must be positive or 'median'")
-    return float(value)
+def write_csv(path: str, header, rows):
+    """Write atomically; fixed column order, '.' decimals, trailing newline."""
+    with _atomic(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _kernel(variant: str, bandwidth, points) -> KernelSpec:
+    """Kernel on the rows of points; bandwidth "median" means median_bandwidth(points)."""
+    if bandwidth == "median":
+        bandwidth = median_bandwidth(points)
+    return KernelSpec(variant, bandwidth, points.shape[1])
 
 
 # ---------------------------------------------------------------- commands
+# Each command gets its config from main, already checked against its
+# table in SCHEMAS and with every default filled.
 
 
 def run_fit(cfg: dict, out: str):
-    _check_keys(cfg, {"dataset", "lambda", "x_kernel", "y_kernel", "seed"},
-                {"dataset", "lambda", "x_kernel", "y_kernel"}, "fit")
-    lam = _positive(cfg, "lambda", "fit")
+    lam = cfg["lambda"]
     train = read_dataset(cfg["dataset"])
-    d = np.asarray(train.xs).shape[1]
-    k = np.asarray(train.ys).shape[1]
-    kspec = _kernel_spec(cfg["x_kernel"], d, "fit.x_kernel")
-    lspec = _kernel_spec(cfg["y_kernel"], k, "fit.y_kernel")
+    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
+    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    from .linalg import sym_eig_max
-
     opnorm = sym_eig_max(model.W @ model.W.T) ** 0.5
     bound = 1.0 / (lam * train.n) + 1e-8
     write_csv(
@@ -137,130 +252,59 @@ def run_fit(cfg: dict, out: str):
           lspec.bandwidth or 0.0, embedding.empirical_risk(model, train),
           opnorm, bound, int(opnorm <= bound)]],
     )
-    write_csv(
-        os.path.join(out, "coefficients.csv"),
-        [f"c{j}" for j in range(train.n)],
-        model.W,
-    )
+    write_csv(os.path.join(out, "coefficients.csv"), [f"c{j}" for j in range(train.n)], model.W)
 
 
 def run_cv(cfg: dict, out: str):
-    _check_keys(cfg, {"dataset", "lambdas", "bandwidths", "folds", "seed", "x_kernel", "y_kernel"},
-                {"dataset", "lambdas", "folds", "seed", "x_kernel", "y_kernel"}, "cv")
-    lambdas = cfg["lambdas"]
-    if not isinstance(lambdas, list) or not lambdas or any(not l > 0 for l in lambdas):
-        raise ConfigError("cv: lambdas must be a nonempty list of positive numbers")
-    bandwidths = cfg.get("bandwidths", [None])
     train = read_dataset(cfg["dataset"])
-    d = np.asarray(train.xs).shape[1]
-    k = np.asarray(train.ys).shape[1]
-    kspec = _kernel_spec(cfg["x_kernel"], d, "cv.x_kernel")
-    lspec = _kernel_spec(cfg["y_kernel"], k, "cv.y_kernel")
-    grid = [(lam, bw) for lam in lambdas for bw in bandwidths]
-    folds = cfg["folds"]
-    if not isinstance(folds, int) or folds < 2:
-        raise ConfigError("cv: folds must be an integer >= 2")
-    if folds > train.n:
-        raise ConfigError("cv: folds exceeds the number of samples")
-    report = embedding.cross_validate(train, kspec, lspec, grid, folds, int(cfg["seed"]))
-    rows = []
-    for g, (lam, bw) in enumerate(report.grid):
-        for f in range(folds):
-            rows.append([g, lam, bw if bw is not None else 0.0, f,
-                         report.fold_errors[g, f], int(g == report.best)])
+    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
+    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
+    grid = [(lam, bw) for lam in cfg["lambdas"] for bw in cfg["bandwidths"]]
+    folds = cfg["folds"]  # cross_validate rejects folds > n
+    report = embedding.cross_validate(train, kspec, lspec, grid, folds, cfg["seed"])
+    rows = [[g, lam, bw if bw is not None else 0.0, f, report.fold_errors[g, f], int(g == report.best)]
+            for g, (lam, bw) in enumerate(report.grid) for f in range(folds)]
     write_csv(os.path.join(out, "cv.csv"),
               ["grid_index", "lambda", "bandwidth", "fold", "error", "best"], rows)
 
 
-def _sweep_rows(rows):
-    return [[r.gamma, r.nnz_fraction, r.row_occupancy, r.kl_distance, r.test_risk, r.iterations,
-             int(r.converged)]
-            for r in rows]
-
-
 def run_sparsify(cfg: dict, out: str):
-    _check_keys(
-        cfg,
-        {"dataset", "test_dataset", "lambda", "x_kernel", "y_kernel", "gammas", "penalty", "max_iter", "tol", "seed"},
-        {"dataset", "lambda", "x_kernel", "y_kernel", "gammas"},
-        "sparsify",
-    )
-    lam = _positive(cfg, "lambda", "sparsify")
-    gammas = cfg["gammas"]
-    if not isinstance(gammas, list) or not gammas or any(g < 0 for g in gammas):
-        raise ConfigError("sparsify: gammas must be a nonempty list of nonnegative numbers")
-    if sorted(gammas) != gammas:
-        raise ConfigError("sparsify: gammas must be sorted ascending")
-    penalty = cfg.get("penalty", "entrywise_l1")
-    if penalty not in sparse.PENALTIES:
-        raise ConfigError(f"sparsify: unknown penalty {penalty!r}")
     train = read_dataset(cfg["dataset"])
-    test = read_dataset(cfg["test_dataset"]) if "test_dataset" in cfg else train
-    d = np.asarray(train.xs).shape[1]
-    k = np.asarray(train.ys).shape[1]
-    kspec = _kernel_spec(cfg["x_kernel"], d, "sparsify.x_kernel")
-    lspec = _kernel_spec(cfg["y_kernel"], k, "sparsify.y_kernel")
-    model = embedding.fit(train, kspec, lspec, lam)
-    rows = sparse.sparsity_sweep(
-        model, test, gammas, penalty=penalty,
-        max_iter=int(cfg.get("max_iter", 20000)), tol=float(cfg.get("tol", 1e-8)),
-    )
+    test = train if cfg["test_dataset"] is None else read_dataset(cfg["test_dataset"])
+    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
+    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
+    model = embedding.fit(train, kspec, lspec, cfg["lambda"])
+    rows = sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"], cfg["max_iter"], cfg["tol"])
     write_csv(os.path.join(out, "sparsify.csv"),
               ["gamma", "nnz_fraction", "row_occupancy", "kl_distance", "test_risk", "iterations",
                "converged"],
-              _sweep_rows(rows))
-
-
-def _compare_data(cfg: dict, seed: int):
-    if ("pendulum" in cfg) == ("dataset" in cfg):
-        raise ConfigError("compare: give exactly one of 'pendulum' or 'dataset'")
-    if "pendulum" in cfg:
-        pcfg = dict(cfg["pendulum"])
-        _check_keys(pcfg, {"n", "n_test", "dt", "discount", "friction", "torque_levels"},
-                    {"n", "n_test"}, "compare.pendulum")
-        n, n_test = int(pcfg.pop("n")), int(pcfg.pop("n_test"))
-        params = pendulum.PendulumParams(**pcfg)
-        train = pendulum.collect_dataset(params, n, seed).training_set()
-        test = pendulum.collect_dataset(params, n_test, seed + 1).training_set()
-        return train, test
-    dcfg = dict(cfg["dataset"])
-    _check_keys(dcfg, {"train", "test"}, {"train", "test"}, "compare.dataset")
-    return read_dataset(dcfg["train"]), read_dataset(dcfg["test"])
+              [[r.gamma, r.nnz_fraction, r.row_occupancy, r.kl_distance, r.test_risk, r.iterations,
+                int(r.converged)] for r in rows])
 
 
 def run_compare(cfg: dict, out: str):
-    _check_keys(
-        cfg,
-        {"pendulum", "dataset", "lambda", "x_bandwidth", "y_bandwidth", "gammas", "ranks", "penalty", "seed", "max_iter", "tol"},
-        {"lambda", "gammas", "ranks", "seed"},
-        "compare",
-    )
-    lam = _positive(cfg, "lambda", "compare")
-    seed = int(cfg["seed"])
-    gammas = cfg["gammas"]
-    ranks = cfg["ranks"]
-    if not isinstance(gammas, list) or not gammas or sorted(gammas) != gammas:
-        raise ConfigError("compare: gammas must be a nonempty ascending list")
-    if not isinstance(ranks, list) or not ranks or any(not isinstance(r, int) or r < 1 for r in ranks):
-        raise ConfigError("compare: ranks must be a nonempty list of positive integers")
-    penalty = cfg.get("penalty", "entrywise_l1")
-    train, test = _compare_data(cfg, seed)
-    d = np.asarray(train.xs).shape[1]
-    k = np.asarray(train.ys).shape[1]
-    kspec = KernelSpec("gaussian", _resolve_bandwidth(cfg.get("x_bandwidth"), train.xs, "compare"), d)
-    lspec = KernelSpec("gaussian", _resolve_bandwidth(cfg.get("y_bandwidth"), train.ys, "compare"), k)
+    pcfg, dcfg = cfg["pendulum"], cfg["dataset"]
+    if (pcfg is None) == (dcfg is None):
+        raise ConfigError("compare: give exactly one of 'pendulum' or 'dataset'")
+    if pcfg is not None:
+        params = pendulum.PendulumParams(**{k: pcfg[k] for k in _PARAMS})
+        train = pendulum.collect_dataset(params, pcfg["n"], cfg["seed"]).training_set()
+        test = pendulum.collect_dataset(params, pcfg["n_test"], cfg["seed"] + 1).training_set()
+    else:
+        train, test = read_dataset(dcfg["train"]), read_dataset(dcfg["test"])
+    if max(cfg["ranks"]) > train.n:
+        raise ConfigError(f"compare: rank {max(cfg['ranks'])} exceeds n={train.n}")
+    lam = cfg["lambda"]
+    kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
+    lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    rows = []
-    for r in sparse.sparsity_sweep(model, test, gammas, penalty=penalty,
-                                   max_iter=int(cfg.get("max_iter", 20000)),
-                                   tol=float(cfg.get("tol", 1e-8))):
-        rows.append(["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk])
-    for rank in ranks:
-        if rank > train.n:
-            raise ConfigError(f"compare: rank {rank} exceeds n={train.n}")
+    rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk]
+            for r in sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"],
+                                           cfg["max_iter"], cfg["tol"])]
+    problem = sparse.SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
+    for rank in cfg["ranks"]:
         ic = lowrank.incomplete_cholesky(model.kgram, rank)
         M = lowrank.subset_refit(train, ic.pivots, kspec, lam)
-        problem = sparse.SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
         rows.append([
             "cholesky", rank,
             float(np.count_nonzero(np.abs(M) > 1e-12)) / M.size,
@@ -272,77 +316,33 @@ def run_compare(cfg: dict, out: str):
 
 
 def run_rate(cfg: dict, out: str):
-    _check_keys(
-        cfg,
-        {"x_symbols", "y_symbols", "px", "pyx", "n_grid", "seeds", "schedule", "synthetic_excess_c", "seed"},
-        {"px", "pyx", "n_grid", "seeds"},
-        "rate",
-    )
-    px = cfg["px"]
-    pyx = cfg["pyx"]
-    xsym = tuple(cfg.get("x_symbols", [f"x{i}" for i in range(len(px))]))
-    ysym = tuple(cfg.get("y_symbols", [f"y{j}" for j in range(len(pyx[0]))]))
-    try:
-        dist = ratecheck.DiscreteDistribution(xsym, ysym, np.asarray(px), np.asarray(pyx))
-    except InputError as exc:
-        raise ConfigError(f"rate: {exc}") from exc
-    n_grid = cfg["n_grid"]
-    seeds = cfg["seeds"]
-    if not isinstance(n_grid, list) or len(n_grid) < 1:
-        raise ConfigError("rate: n_grid must be a nonempty list")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("rate: seeds must be a nonempty list of integers")
-    sched_cfg = cfg.get("schedule", {})
-    _check_keys(sched_cfg, {"a", "beta"}, set(), "rate.schedule")
-    schedule = (float(sched_cfg.get("a", 1.0)), float(sched_cfg.get("beta", 0.5)))
-    if "synthetic_excess_c" in cfg:
-        # testing hook: exact c/n excess data through the same CSV/slope path
-        c = _positive(cfg, "synthetic_excess_c", "rate")
-        results = [ratecheck.RateResult(n=int(n), excess=c / n, seed=int(s), lambda_used=0.0)
-                   for n in n_grid for s in seeds]
-    else:
-        results = ratecheck.rate_experiment(dist, n_grid, [int(s) for s in seeds], schedule)
+    px, pyx = cfg["px"], cfg["pyx"]
+    xsym = tuple(cfg["x_symbols"] or (f"x{i}" for i in range(len(px))))
+    ysym = tuple(cfg["y_symbols"] or (f"y{j}" for j in range(len(pyx[0]))))
+    dist = ratecheck.DiscreteDistribution(xsym, ysym, np.asarray(px), np.asarray(pyx))
+    schedule = (cfg["schedule"]["a"], cfg["schedule"]["beta"])
+    results = ratecheck.rate_experiment(dist, cfg["n_grid"], cfg["seeds"], schedule)
     write_csv(os.path.join(out, "rate.csv"),
               ["n", "seed", "lambda", "excess"],
               [[r.n, r.seed, r.lambda_used, r.excess] for r in results])
-    slope = ratecheck.rate_slope(results) if len(set(r.n for r in results)) >= 3 else float("nan")
-    path = os.path.join(out, "slope.txt")
-    fd, tmp = tempfile.mkstemp(dir=out, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
+    slope = ratecheck.rate_slope(results) if len(cfg["n_grid"]) >= 3 else float("nan")
+    with _atomic(os.path.join(out, "slope.txt")) as fh:
         fh.write(f"slope={slope:.12g}\n")
-    os.replace(tmp, path)
 
 
 def run_pendulum(cfg: dict, out: str):
-    _check_keys(
-        cfg,
-        {"n", "seed", "lambda", "x_bandwidth", "y_bandwidth", "sweeps", "episodes", "horizon",
-         "dt", "discount", "friction", "torque_levels"},
-        {"n", "seed"},
-        "pendulum",
-    )
-    params = pendulum.PendulumParams(
-        dt=float(cfg.get("dt", 0.1)),
-        discount=float(cfg.get("discount", 0.95)),
-        friction=float(cfg.get("friction", 0.05)),
-        torque_levels=int(cfg.get("torque_levels", 9)),
-    )
-    seed = int(cfg["seed"])
-    data = pendulum.collect_dataset(params, int(cfg["n"]), seed)
-    train = data.training_set()
-    lam = float(cfg.get("lambda", 1e-4))
-    if lam <= 0:
-        raise ConfigError("pendulum: lambda must be positive")
-    kspec = KernelSpec("gaussian", _resolve_bandwidth(cfg.get("x_bandwidth"), train.xs, "pendulum"), 4)
-    lspec = KernelSpec("gaussian", _resolve_bandwidth(cfg.get("y_bandwidth"), train.ys, "pendulum"), 3)
-    model = embedding.fit(train, kspec, lspec, lam)
-    policy = pendulum.policy_iteration(model, params, sweeps=int(cfg.get("sweeps", 50)))
-    episodes = int(cfg.get("episodes", 100))
-    horizon = int(cfg.get("horizon", 100))
+    params = pendulum.PendulumParams(**{k: cfg[k] for k in _PARAMS})
+    seed = cfg["seed"]
+    train = pendulum.collect_dataset(params, cfg["n"], seed).training_set()
+    kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
+    lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
+    model = embedding.fit(train, kspec, lspec, cfg["lambda"])
+    policy = pendulum.policy_iteration(model, params, sweeps=cfg["sweeps"])
+    episodes, horizon = cfg["episodes"], cfg["horizon"]
     learned = pendulum.evaluate_policy(policy, params, episodes, horizon, seed + 1)
     rand = pendulum.evaluate_policy(pendulum.RandomTorquePolicy(params), params, episodes, horizon, seed + 1)
     rows = []
-    for i, row in enumerate(np.asarray(train.ys)):
+    for i, row in enumerate(train.ys):
         s = pendulum.output_state(row)
         rows.append([i, s.theta, s.omega, policy.values[i], policy.greedy_torque[i]])
     write_csv(os.path.join(out, "policy.csv"),
@@ -373,18 +373,17 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError("config must be a JSON object")
-        if args.seed is not None:
+        if isinstance(cfg, dict) and args.seed is not None:
             cfg["seed"] = args.seed
+        cfg = _validate(cfg, SCHEMAS[args.command], args.command)
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](cfg, args.out)
     except (ConfigError, InputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericalError, FloatingPointError) as exc:
+    except (NumericalError, ArithmeticError) as exc:  # e.g. a bandwidth whose square overflows
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     return 0

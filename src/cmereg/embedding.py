@@ -101,11 +101,7 @@ def cond_expect(model: EmbeddingModel, h_values, x) -> float:
 
 def point_loss(model: EmbeddingModel, x, y) -> float:
     """Squared output-space distance ||L(y,.) - mu(x)||^2, by the kernel trick."""
-    a = alpha(model, x)
-    lyy = eval_kernel(model.lspec, y, y)
-    ly = cross_gram(model.lspec, model.train.ys, [y]).entries[:, 0]
-    val = lyy - 2.0 * float(a @ ly) + float(a @ model.lgram.entries @ a)
-    return _clamp_loss(val)
+    return float(_losses(model, TrainingSet([x], [y]))[0])
 
 
 def _clamp_loss(val: float) -> float:

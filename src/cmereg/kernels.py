@@ -59,21 +59,8 @@ def _as_array(spec: KernelSpec, points) -> np.ndarray:
 
 
 def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """Evaluate the kernel on a single pair of points."""
-    if spec.variant == "delta":
-        if type(a) is not type(b):
-            raise InputError(
-                f"delta kernel points must share a type, got {type(a).__name__} vs {type(b).__name__}"
-            )
-        if isinstance(a, np.ndarray):  # a data row, as in _symbols
-            return float(np.array_equal(a, b))
-        return 1.0 if a == b else 0.0
-    av = _as_array(spec, [a])[0]
-    bv = _as_array(spec, [b])[0]
-    if spec.variant == "linear":
-        return float(np.dot(av, bv))
-    d2 = float(np.sum((av - bv) ** 2))
-    return float(np.exp(-d2 / (2.0 * spec.bandwidth**2)))
+    """Evaluate the kernel on a single pair of points: the 1x1 block of _matrix."""
+    return float(_matrix(spec, [a], [b])[0, 0])
 
 
 def _symbols(points):

@@ -1,11 +1,17 @@
 import csv
+import importlib.util
 import json
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cmereg.cli import main, read_dataset, write_csv
+from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
+from cmereg.ratecheck import RateResult, rate_slope
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -247,13 +253,21 @@ class TestRate:
         slope_line = (out / "slope.txt").read_text()
         assert slope_line.startswith("slope=") and slope_line.endswith("\n")
 
-    def test_synthetic_hook_slope(self, tmp_path):
-        cfg = write_config(tmp_path, dict(self.DIST, n_grid=[10, 100, 1000], seeds=[0],
-                                          synthetic_excess_c=3.0))
+    def test_slope_matches_rate_csv(self, tmp_path):
+        cfg = write_config(tmp_path, dict(self.DIST, n_grid=[10, 20, 40], seeds=[0, 1]))
         out = tmp_path / "out"
         assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+        results = [RateResult(n=int(r["n"]), excess=float(r["excess"]), seed=int(r["seed"]),
+                              lambda_used=float(r["lambda"])) for r in read_rows(out / "rate.csv")]
+        assert sorted({r.n for r in results}) == [10, 20, 40]
         slope = float((out / "slope.txt").read_text().strip().split("=")[1])
-        assert slope == pytest.approx(-1.0, abs=1e-6)
+        assert slope == pytest.approx(rate_slope(results), abs=1e-9)
+
+    def test_out_holds_only_outputs(self, tmp_path):
+        cfg = write_config(tmp_path, dict(self.DIST, n_grid=[10, 20, 40], seeds=[0]))
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["rate.csv", "slope.txt"]
 
     def test_bad_distribution(self, tmp_path):
         cfg = write_config(tmp_path, {"px": [0.7, 0.7], "pyx": [[1.0, 0.0], [0.0, 1.0]],
@@ -291,6 +305,16 @@ class TestPlumbing:
         path.write_text("{not json")
         assert main(["fit", "--config", str(path), "--out", str(tmp_path)]) == 2
 
+    def test_non_utf8_config(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 10, "seed": 0, "x": "\xe9"}')
+        assert main(["pendulum", "--config", str(path), "--out", str(tmp_path)]) == 2
+
+    def test_deeply_nested_config(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert main(["fit", "--config", str(path), "--out", str(tmp_path)]) == 2
+
     def test_non_object_config(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")
@@ -319,3 +343,149 @@ class TestPlumbing:
         path = str(tmp_path / "y.csv")
         write_csv(path, ["a"], [[1.0]])
         assert sorted(os.listdir(tmp_path)) == ["y.csv"]
+
+    def test_write_csv_failure_leaves_nothing(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise RuntimeError("no text")
+
+        with pytest.raises(RuntimeError):
+            write_csv(str(tmp_path / "z.csv"), ["a"], [[1.0], [Unprintable()]])
+        assert os.listdir(tmp_path) == []
+
+
+def tiny_configs(data):
+    """One small valid config per command, on the dataset at path `data`."""
+    gauss = {"variant": "gaussian", "bandwidth": 1.0}
+    return {
+        "fit": {"dataset": data, "lambda": 0.1, "x_kernel": gauss, "y_kernel": dict(gauss)},
+        "cv": {"dataset": data, "lambdas": [0.1], "folds": 2, "seed": 0,
+               "x_kernel": gauss, "y_kernel": dict(gauss)},
+        "sparsify": {"dataset": data, "lambda": 0.1, "gammas": [0.01], "max_iter": 20,
+                     "x_kernel": gauss, "y_kernel": dict(gauss)},
+        "compare": {"dataset": {"train": data, "test": data}, "lambda": 0.1, "x_bandwidth": 1.0,
+                    "y_bandwidth": 1.0, "gammas": [0.01], "ranks": [2], "seed": 0, "max_iter": 20},
+        "rate": {"px": [0.5, 0.5], "pyx": [[0.9, 0.1], [0.2, 0.8]], "n_grid": [4, 8, 16],
+                 "seeds": [0], "schedule": {"a": 1.0, "beta": 0.5}},
+        "pendulum": {"n": 10, "seed": 0, "sweeps": 3, "episodes": 2, "horizon": 3},
+    }
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("contract")
+    return root, random_dataset(root / "data.csv", n=8, seed=6)
+
+
+def run_tiny(root, data, command, change, argv=()):
+    """Exit code of `command` on its tiny config after change(cfg)."""
+    cfg = tiny_configs(data)[command]
+    change(cfg)
+    path = write_config(root, cfg)
+    return main([command, "--config", path, "--out", str(root / "out"), *argv])
+
+
+def setter(*path_and_value):
+    *path, key, value = path_and_value
+
+    def change(cfg):
+        for k in path:
+            cfg = cfg[k]
+        cfg[key] = value
+    return change
+
+
+class TestContract:
+    # before the config schema each of these exited 1 with a traceback, ran on
+    # a silently coerced value or computed a wrong one, or passed a negative
+    # seed on to numpy
+    @pytest.mark.parametrize("command,change", [
+        ("cv", setter("lambdas", ["a"])),
+        ("sparsify", setter("gammas", ["x"])),
+        ("sparsify", setter("max_iter", "abc")),
+        ("sparsify", setter("test_dataset", None)),
+        ("compare", setter("seed", "x")),
+        ("compare", setter("dataset", "a")),
+        ("compare", setter("ranks", [True])),
+        ("fit", setter("x_kernel", 5)),
+        ("rate", setter("pyx", [[0.9, 0.1], [1.0]])),
+        ("rate", setter("schedule", "a", "x")),
+        ("pendulum", setter("n", "abc")),
+        ("pendulum", setter("n", 2.9)),
+        ("sparsify", setter("max_iter", 2.7)),
+        ("pendulum", setter("torque_levels", 2.5)),
+        ("pendulum", setter("horizon", -1)),
+        ("cv", setter("lambdas", [True])),
+        ("cv", setter("bandwidths", [None])),
+        ("fit", setter("seed", "x")),
+        ("rate", setter("px", [math.nan, 0.5])),
+        ("cv", setter("seed", -1)),
+        ("pendulum", setter("seed", -1)),
+        ("rate", setter("seeds", [-1])),
+        ("rate", setter("x_symbols", ["a", "a"])),
+    ])
+    def test_malformed_value_exits_two(self, contract_dir, command, change):
+        assert run_tiny(*contract_dir, command, change) == 2
+
+    def test_negative_seed_flag_exits_two(self, contract_dir):
+        assert run_tiny(*contract_dir, "pendulum", lambda cfg: None, ["--seed", "-1"]) == 2
+
+    def test_overflowing_bandwidth_exits_three(self, contract_dir):
+        # 1e300 is a valid bandwidth, but its square overflows in the kernel
+        assert run_tiny(*contract_dir, "fit", setter("x_kernel", "bandwidth", 1e300)) == 3
+
+    def test_integral_float_is_an_integer(self, contract_dir):
+        assert run_tiny(*contract_dir, "sparsify", setter("max_iter", 1e4)) == 0
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_tiny_configs_run(self, contract_dir, command):
+        assert run_tiny(*contract_dir, command, lambda cfg: None) == 0
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40) | st.text(max_size=4)
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e4]),
+    json_containers,
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_any_json_value_exits_0_2_or_3(contract_dir, command, data):
+    # numbers stay small so that a valid n or episodes cannot make a run long
+    root, dataset = contract_dir
+    base = tiny_configs(dataset)[command]
+    paths = [(key,) for key in [*SCHEMAS[command], "unknown_key"]]
+    paths += [(key, sub) for key, value in base.items() if isinstance(value, dict) for sub in value]
+    path = data.draw(st.sampled_from(paths))
+    assert run_tiny(root, dataset, command, setter(*path, data.draw(JSON_VALUES))) in (0, 2, 3)
+
+
+class TestScripts:
+    @staticmethod
+    def run_main(name, argv, monkeypatch):
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name + ".py")
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(sys, "argv", [name, *argv])
+        return module.main()
+
+    def test_run_compare(self, tmp_path, monkeypatch):
+        out = tmp_path / "compare"
+        assert self.run_main("run_compare", ["--n", "20", "--n-test", "20", "--out", str(out)],
+                             monkeypatch) == 0
+        assert {r["method"] for r in read_rows(out / "compare.csv")} == {"lasso", "cholesky"}
+
+    def test_run_rate_curves(self, tmp_path, monkeypatch):
+        out = tmp_path / "rate"
+        assert self.run_main("run_rate_curves", ["--n-grid", "10", "20", "40", "--seeds", "2",
+                                                 "--out", str(out)], monkeypatch) == 0
+        assert len(read_rows(out / "rate.csv")) == 6
+        assert (out / "slope.txt").exists()
