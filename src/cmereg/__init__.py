@@ -3,7 +3,7 @@ approximation (FISTA), an incomplete-Cholesky baseline, exact finite-alphabet
 risk oracles, and a pendulum swing-up policy-iteration experiment."""
 
 from .embedding import EmbeddingModel, TrainingSet, cross_validate, fit
-from .kernels import GramMatrix, KernelSpec, cross_gram, eval_kernel, gram
+from .kernels import KernelSpec, cross_gram, gram
 from .lowrank import IncompleteCholesky, incomplete_cholesky, subset_refit
 from .ratecheck import DiscreteDistribution, RateResult, rate_experiment, rate_slope
 from .sparse import SparseProblem, SparseSolution, fista_solve, sparsity_sweep
@@ -11,7 +11,6 @@ from .sparse import SparseProblem, SparseSolution, fista_solve, sparsity_sweep
 __all__ = [
     "DiscreteDistribution",
     "EmbeddingModel",
-    "GramMatrix",
     "IncompleteCholesky",
     "KernelSpec",
     "RateResult",
@@ -20,7 +19,6 @@ __all__ = [
     "TrainingSet",
     "cross_gram",
     "cross_validate",
-    "eval_kernel",
     "fista_solve",
     "fit",
     "gram",

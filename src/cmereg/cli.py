@@ -288,8 +288,8 @@ def run_compare(cfg: dict, out: str):
         raise ConfigError("compare: give exactly one of 'pendulum' or 'dataset'")
     if pcfg is not None:
         params = pendulum.PendulumParams(**{k: pcfg[k] for k in _PARAMS})
-        train = pendulum.collect_dataset(params, pcfg["n"], cfg["seed"]).training_set()
-        test = pendulum.collect_dataset(params, pcfg["n_test"], cfg["seed"] + 1).training_set()
+        train = pendulum.collect_dataset(params, pcfg["n"], cfg["seed"])
+        test = pendulum.collect_dataset(params, pcfg["n_test"], cfg["seed"] + 1)
     else:
         train, test = read_dataset(dcfg["train"]), read_dataset(dcfg["test"])
     if max(cfg["ranks"]) > train.n:
@@ -307,7 +307,7 @@ def run_compare(cfg: dict, out: str):
         M = lowrank.subset_refit(train, ic.pivots, kspec, lam)
         rows.append([
             "cholesky", rank,
-            float(np.count_nonzero(np.abs(M) > 1e-12)) / M.size,
+            sparse.nnz_fraction(M),
             sparse.kl_distance(problem, M),
             embedding.empirical_risk(model.with_coefficients(M), test),
         ])
@@ -333,7 +333,7 @@ def run_rate(cfg: dict, out: str):
 def run_pendulum(cfg: dict, out: str):
     params = pendulum.PendulumParams(**{k: cfg[k] for k in _PARAMS})
     seed = cfg["seed"]
-    train = pendulum.collect_dataset(params, cfg["n"], seed).training_set()
+    train = pendulum.collect_dataset(params, cfg["n"], seed)
     kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
     lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, cfg["lambda"])

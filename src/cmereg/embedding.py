@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InputError, NumericalError
-from .kernels import GramMatrix, KernelSpec, cross_gram, eval_kernel, gram
+from .kernels import KernelSpec, cross_gram, diag, gram
 from .linalg import solve_spd
 
 _CLAMP = 1e-10
@@ -54,8 +54,8 @@ class EmbeddingModel:
     lspec: KernelSpec
     lam: float
     W: np.ndarray
-    kgram: GramMatrix
-    lgram: GramMatrix
+    kgram: np.ndarray
+    lgram: np.ndarray
 
     def with_coefficients(self, M: np.ndarray) -> "EmbeddingModel":
         """Same training data and kernels, but an alternative coefficient matrix
@@ -72,21 +72,16 @@ def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) ->
         raise InputError("lam must be positive")
     n = train.n
     kg = gram(kspec, train.xs)
-    A = kg.entries + lam * n * np.eye(n)
+    A = kg + lam * n * np.eye(n)
     W = solve_spd(A, np.eye(n)).solution
     W = 0.5 * (W + W.T)  # exact symmetry
     lg = gram(lspec, train.ys)
     return EmbeddingModel(train=train, kspec=kspec, lspec=lspec, lam=lam, W=W, kgram=kg, lgram=lg)
 
 
-def alpha(model: EmbeddingModel, x) -> np.ndarray:
-    """Coefficient vector alpha(x) = W k_x over the training points."""
-    return alpha_batch(model, [x])[0]
-
-
 def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:
-    """Rows are alpha(x) for each query point x; shape (m, n)."""
-    Kq = cross_gram(model.kspec, model.train.xs, xs).entries  # (n, m)
+    """Rows are alpha(x) = W k_x for each query point x; shape (m, n)."""
+    Kq = cross_gram(model.kspec, model.train.xs, xs)  # (n, m)
     return (model.W @ Kq).T
 
 
@@ -96,12 +91,7 @@ def cond_expect(model: EmbeddingModel, h_values, x) -> float:
     h = np.asarray(h_values, dtype=float)
     if h.shape != (model.train.n,):
         raise InputError("h_values must have one entry per training point")
-    return float(alpha(model, x) @ h)
-
-
-def point_loss(model: EmbeddingModel, x, y) -> float:
-    """Squared output-space distance ||L(y,.) - mu(x)||^2, by the kernel trick."""
-    return float(_losses(model, TrainingSet([x], [y]))[0])
+    return float(alpha_batch(model, [x])[0] @ h)
 
 
 def _clamp_loss(val: float) -> float:
@@ -111,11 +101,12 @@ def _clamp_loss(val: float) -> float:
 
 
 def _losses(model: EmbeddingModel, test: TrainingSet) -> np.ndarray:
+    """Squared output-space distance ||L(y,.) - mu(x)||^2 for each test pair
+    (x, y), by the kernel trick."""
     A = alpha_batch(model, test.xs)  # (m, n)
-    diag = np.array([eval_kernel(model.lspec, y, y) for y in test.ys])
-    Lc = cross_gram(model.lspec, model.train.ys, test.ys).entries  # (n, m)
-    quad = np.sum((A @ model.lgram.entries) * A, axis=1)
-    vals = diag - 2.0 * np.sum(A * Lc.T, axis=1) + quad
+    Lc = cross_gram(model.lspec, model.train.ys, test.ys)  # (n, m)
+    quad = np.sum((A @ model.lgram) * A, axis=1)
+    vals = diag(model.lspec, test.ys) - 2.0 * np.sum(A * Lc.T, axis=1) + quad
     return np.array([_clamp_loss(v) for v in vals])
 
 
@@ -127,7 +118,7 @@ def empirical_risk(model: EmbeddingModel, test: TrainingSet) -> float:
 
 def embedding_norm_sq(model: EmbeddingModel) -> float:
     """Squared RKHS norm of the represented embedding: tr(K W L W^T)."""
-    W, K, L = model.W, model.kgram.entries, model.lgram.entries
+    W, K, L = model.W, model.kgram, model.lgram
     return float(np.trace(K @ W @ L @ W.T))
 
 

@@ -36,14 +36,6 @@ class KernelSpec:
             raise InputError("domain_dim must be a positive integer")
 
 
-@dataclass(frozen=True)
-class GramMatrix:
-    """Matrix of pairwise kernel evaluations; symmetric iff built from one point set."""
-
-    entries: np.ndarray
-    symmetric: bool
-
-
 def _as_array(spec: KernelSpec, points) -> np.ndarray:
     """Stack numeric points into an (m, d) array, checking dimensions."""
     arr = np.asarray(points, dtype=float)
@@ -56,11 +48,6 @@ def _as_array(spec: KernelSpec, points) -> np.ndarray:
             f"points have dimension {arr.shape[1]}, kernel expects {spec.domain_dim}"
         )
     return arr
-
-
-def eval_kernel(spec: KernelSpec, a, b) -> float:
-    """Evaluate the kernel on a single pair of points: the 1x1 block of _matrix."""
-    return float(_matrix(spec, [a], [b])[0, 0])
 
 
 def _symbols(points):
@@ -93,7 +80,7 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     return np.exp(-d2 / (2.0 * spec.bandwidth**2))
 
 
-def gram(spec: KernelSpec, points) -> GramMatrix:
+def gram(spec: KernelSpec, points) -> np.ndarray:
     """Symmetric Gram matrix over one point set.
 
     The upper triangle is computed and mirrored so symmetry holds exactly.
@@ -105,14 +92,22 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     M = upper + np.triu(M, 1).T
     if spec.variant == "gaussian":
         np.fill_diagonal(M, 1.0)
-    return GramMatrix(entries=M, symmetric=True)
+    return M
 
 
-def cross_gram(spec: KernelSpec, rows, cols) -> GramMatrix:
+def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
     """Rectangular kernel matrix between two point sets."""
     if len(rows) == 0 or len(cols) == 0:
         raise InputError("cross_gram() needs nonempty point sequences")
-    return GramMatrix(entries=_matrix(spec, rows, cols), symmetric=False)
+    return _matrix(spec, rows, cols)
+
+
+def diag(spec: KernelSpec, points) -> np.ndarray:
+    """k(p, p) for each point p, bit for bit as cross_gram(spec, [p], [p]) gives it."""
+    if spec.variant != "linear":
+        return np.ones(len(points))
+    P = _as_array(spec, points)
+    return (P[:, None, :] @ P[:, :, None])[:, 0, 0]  # m 1x1 products, as in _matrix
 
 
 def median_bandwidth(points, max_points: int = 500, seed: int = 0) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .embedding import TrainingSet
 from .errors import InputError, NumericalError
-from .kernels import GramMatrix, KernelSpec, gram
+from .kernels import KernelSpec, gram
 from .linalg import solve_spd
 
 
@@ -25,13 +25,14 @@ class IncompleteCholesky:
     residual_diag: tuple  # residual diagonal after each step (step 0 = K's diagonal)
 
 
-def incomplete_cholesky(K: GramMatrix, max_rank: int, tol: float = 0.0) -> IncompleteCholesky:
-    """Greedy max-residual-diagonal pivoting; stops at max_rank or when the
+def incomplete_cholesky(K: np.ndarray, max_rank: int, tol: float = 0.0) -> IncompleteCholesky:
+    """Greedy max-residual-diagonal pivoting of a symmetric matrix (exactly
+    equal to its transpose, as gram() builds it); stops at max_rank or when the
     largest residual diagonal entry falls to tol. Ties go to the lowest index."""
-    A = np.asarray(K.entries, dtype=float)
-    n = A.shape[0]
-    if not K.symmetric:
+    A = np.asarray(K, dtype=float)
+    if A.ndim != 2 or not np.array_equal(A, A.T):
         raise InputError("incomplete_cholesky needs a symmetric Gram matrix")
+    n = A.shape[0]
     if not 1 <= max_rank <= n:
         raise InputError("max_rank must satisfy 1 <= max_rank <= n")
     if tol < 0:
@@ -71,7 +72,7 @@ def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> n
         raise InputError("pivot index out of range")
     sub = train.subset(pivots)
     m = len(pivots)
-    Ksub = gram(kspec, sub.xs).entries
+    Ksub = gram(kspec, sub.xs)
     Wsub = solve_spd(Ksub + lam * m * np.eye(m), np.eye(m)).solution
     Wsub = 0.5 * (Wsub + Wsub.T)
     M = np.zeros((train.n, train.n))

@@ -75,19 +75,6 @@ def reward(s: State) -> float:
     return math.exp(-s.theta**2 - 0.2 * s.omega**2)
 
 
-@dataclass(frozen=True)
-class TransitionSet:
-    inputs: np.ndarray  # (n, 4): sin(theta), cos(theta), omega, torque
-    outputs: np.ndarray  # (n, 3): sin(theta'), cos(theta'), omega'
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-    def training_set(self) -> TrainingSet:
-        return TrainingSet(self.inputs, self.outputs)
-
-
 def features(s: State, u: float) -> np.ndarray:
     return np.array([math.sin(s.theta), math.cos(s.theta), s.omega, u])
 
@@ -101,8 +88,12 @@ def output_state(row) -> State:
     return State(theta=math.atan2(row[0], row[1]), omega=float(row[2]))
 
 
-def collect_dataset(params: PendulumParams, n: int, seed: int) -> TransitionSet:
-    """n transitions with theta, omega, u drawn uniformly over their ranges."""
+def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
+    """n transitions with theta, omega, u drawn uniformly over their ranges.
+
+    xs is (n, 4) with columns sin(theta), cos(theta), omega, u; ys is (n, 3)
+    with columns sin(theta'), cos(theta'), omega' of the next state.
+    """
     if n < 1:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -115,7 +106,7 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TransitionSet:
         s = State(thetas[i], omegas[i])
         inputs[i] = features(s, torques[i])
         outputs[i] = _output_features(step(params, s, torques[i]))
-    return TransitionSet(inputs=inputs, outputs=outputs)
+    return TrainingSet(inputs, outputs)
 
 
 @dataclass
@@ -138,7 +129,7 @@ class Policy:
     def act(self, s: State, rng=None) -> float:
         grid = self.params.torque_grid
         pts = np.array([features(s, u) for u in grid])
-        Kq = cross_gram(self.model.kspec, self.model.train.xs, pts).entries
+        Kq = cross_gram(self.model.kspec, self.model.train.xs, pts)
         scores = Kq.T @ self.weights
         return float(grid[int(np.argmax(scores))])  # ties -> smallest torque
 

@@ -66,11 +66,6 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
     return TrainingSet(xs, ys)
 
 
-def true_embedding(dist: DiscreteDistribution) -> np.ndarray:
-    """Table mu*(x)(y) = p(y|x): the conditional probability rows verbatim."""
-    return dist.pyx.copy()
-
-
 def irreducible_risk(dist: DiscreteDistribution) -> float:
     """Surrogate risk of the true embedding: sum_x px (1 - sum_y p(y|x)^2)."""
     return float(np.sum(dist.px * (1.0 - np.sum(dist.pyx**2, axis=1))))
@@ -93,18 +88,16 @@ def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.n
     return table
 
 
-def exact_surrogate_risk(dist: DiscreteDistribution, predictor) -> float:
+def exact_surrogate_risk(dist: DiscreteDistribution, table) -> float:
     """Exact surrogate risk of a predictor by enumeration of the joint alphabet.
 
-    `predictor` is either a delta-kernel EmbeddingModel or a table of shape
-    (|X|, |Y|) giving the predicted vector per x symbol.
+    `table` has shape (|X|, |Y|) and gives the predicted vector per x symbol,
+    as conditional_table does for a fitted model; dist.pyx is the true
+    embedding's table.
     """
-    if isinstance(predictor, EmbeddingModel):
-        table = conditional_table(dist, predictor)
-    else:
-        table = np.asarray(predictor, dtype=float)
-        if table.shape != dist.pyx.shape:
-            raise InputError("predictor table must be |X| x |Y|")
+    table = np.asarray(table, dtype=float)
+    if table.shape != dist.pyx.shape:
+        raise InputError("predictor table must be |X| x |Y|")
     sq = np.sum(table**2, axis=1)
     cross = np.sum(dist.pyx * table, axis=1)
     return float(np.sum(dist.px * (sq - 2.0 * cross + 1.0)))
@@ -129,7 +122,7 @@ def rate_experiment(
         lam = a * n ** (-beta)
         for seed in seeds:
             model = fit(sample(dist, n, seed), dspec, dspec, lam)
-            excess = exact_surrogate_risk(dist, model) - base
+            excess = exact_surrogate_risk(dist, conditional_table(dist, model)) - base
             results.append(RateResult(n=n, excess=max(excess, 0.0), seed=seed, lambda_used=lam))
     return results
 

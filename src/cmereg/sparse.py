@@ -18,7 +18,6 @@ import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import DivergenceError, InputError
-from .kernels import GramMatrix
 from .linalg import soft_threshold, sym_eig_max
 
 PENALTIES = ("entrywise_l1", "row_group", "col_group")
@@ -28,8 +27,8 @@ _NNZ_EPS = 1e-12
 
 @dataclass(frozen=True)
 class SparseProblem:
-    K: GramMatrix
-    L: GramMatrix
+    K: np.ndarray
+    L: np.ndarray
     W: np.ndarray
     gamma: float
     penalty: str = "entrywise_l1"
@@ -38,9 +37,9 @@ class SparseProblem:
         n = self.W.shape[0]
         if self.W.shape != (n, n):
             raise InputError("W must be square")
-        if self.K.entries.shape != (n, n) or self.L.entries.shape != (n, n):
+        if self.K.shape != (n, n) or self.L.shape != (n, n):
             raise InputError("K, L, W must share one square shape")
-        if not (np.all(np.isfinite(self.K.entries)) and np.all(np.isfinite(self.L.entries)) and np.all(np.isfinite(self.W))):
+        if not (np.all(np.isfinite(self.K)) and np.all(np.isfinite(self.L)) and np.all(np.isfinite(self.W))):
             raise InputError("K, L, W must be finite-valued")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
@@ -71,7 +70,7 @@ def penalty_value(penalty: str, M: np.ndarray) -> float:
 
 def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
     D = M - problem.W
-    return float(np.sum((problem.K.entries @ D @ problem.L.entries) * D))
+    return float(np.sum((problem.K @ D @ problem.L) * D))
 
 
 def lasso_objective(problem: SparseProblem, M: np.ndarray) -> float:
@@ -85,7 +84,7 @@ def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != problem.W.shape:
         raise InputError("M has wrong shape")
-    return 2.0 * problem.K.entries @ (M - problem.W) @ problem.L.entries
+    return 2.0 * problem.K @ (M - problem.W) @ problem.L
 
 
 def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:
@@ -136,7 +135,7 @@ def fista_solve(
         raise InputError("max_iter must be >= 1")
     if not tol > 0:
         raise InputError("tol must be positive")
-    K, L, W = problem.K.entries, problem.L.entries, problem.W
+    K, L, W = problem.K, problem.L, problem.W
     if start is None:
         Z = np.zeros_like(W)
     else:
@@ -175,16 +174,20 @@ def fista_solve(
             converged = True
             break
         obj_prev = obj
-    nnz = float(np.count_nonzero(np.abs(Z) > _NNZ_EPS)) / Z.size
     return SparseSolution(
         M=Z,
         objective=obj,
         iterations=it,
         step=step,
-        nnz_fraction=nnz,
+        nnz_fraction=nnz_fraction(Z),
         kl_distance=kl_distance(problem, Z),
         converged=converged,
     )
+
+
+def nnz_fraction(M: np.ndarray) -> float:
+    """Fraction of entries with magnitude above _NNZ_EPS."""
+    return float(np.count_nonzero(np.abs(M) > _NNZ_EPS)) / M.size
 
 
 def row_occupancy(M: np.ndarray) -> float:

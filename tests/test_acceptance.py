@@ -14,7 +14,7 @@ import pytest
 from cmereg import embedding, lowrank, pendulum, ratecheck, sparse
 from cmereg.cli import main as cli_main
 from cmereg.embedding import TrainingSet, fit
-from cmereg.kernels import GramMatrix, KernelSpec, gram, median_bandwidth
+from cmereg.kernels import KernelSpec, gram, median_bandwidth
 from cmereg.sparse import SparseProblem, fista_solve, grad_smooth, smooth_part
 
 from oracles import cd_lasso, cd_objective, fd_gradient, random_spd
@@ -49,8 +49,8 @@ def random_instance(seed: int, n: int = None, gamma: float = 0.0):
     rng = np.random.default_rng(seed)
     if n is None:
         n = int(rng.integers(5, 51))
-    K = GramMatrix(random_spd(rng, n, jitter=0.5), True)
-    L = GramMatrix(random_spd(rng, n, jitter=0.5), True)
+    K = random_spd(rng, n, jitter=0.5)
+    L = random_spd(rng, n, jitter=0.5)
     W = rng.standard_normal((n, n))
     return SparseProblem(K=K, L=L, W=W, gamma=gamma)
 
@@ -78,8 +78,8 @@ def pendulum_compare():
     """Lasso sweep vs incomplete-Cholesky baseline on n=200 pendulum data."""
     t0 = time.perf_counter()
     params = pendulum.PendulumParams()
-    train = pendulum.collect_dataset(params, 200, 0).training_set()
-    test = pendulum.collect_dataset(params, 300, 1).training_set()
+    train = pendulum.collect_dataset(params, 200, 0)
+    test = pendulum.collect_dataset(params, 300, 1)
     kspec = KernelSpec("gaussian", 2.0, 4)
     lspec = KernelSpec("gaussian", 1.5, 3)
     model = fit(train, kspec, lspec, 1e-2)
@@ -99,7 +99,7 @@ def pendulum_compare():
 @pytest.fixture(scope="session")
 def pendulum_returns():
     params = pendulum.PendulumParams()
-    train = pendulum.collect_dataset(params, 200, 0).training_set()
+    train = pendulum.collect_dataset(params, 200, 0)
     kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
     lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
     model = fit(train, kspec, lspec, 1e-4)
@@ -134,9 +134,9 @@ def test_criterion_2_coordinate_descent_oracle():
         gamma = float(rng.choice([0.01, 0.05, 0.2]))
         prob = random_instance(200 + seed, n=n, gamma=gamma)
         sol = fista_solve(prob, max_iter=100000, tol=1e-14)
-        M_cd = cd_lasso(prob.K.entries, prob.L.entries, prob.W, gamma)
+        M_cd = cd_lasso(prob.K, prob.L, prob.W, gamma)
         gap = abs(sol.objective
-                  - cd_objective(prob.K.entries, prob.L.entries, prob.W, M_cd, gamma))
+                  - cd_objective(prob.K, prob.L, prob.W, M_cd, gamma))
         worst_gap = max(worst_gap, gap)
         G = grad_smooth(prob, sol.M)
         eps = 1e-4 * (1 + gamma)
@@ -163,7 +163,7 @@ def test_criterion_4_per_symbol_ridge_equivalence():
     train = ratecheck.sample(DIST, 60, 2)
     lam = 0.05
     model = fit(train, DELTA, DELTA, lam)
-    K = gram(DELTA, train.xs).entries
+    K = gram(DELTA, train.xs)
     n = train.n
     # brute-force oracle: one scalar kernel ridge regression per output symbol,
     # on indicator targets
@@ -173,7 +173,7 @@ def test_criterion_4_per_symbol_ridge_equivalence():
     for x in DIST.x_symbols:
         kq = np.array([1.0 if xi == x else 0.0 for xi in train.xs])
         krr_pred = kq @ ridge
-        cme_pred = embedding.alpha(model, x) @ Z
+        cme_pred = embedding.alpha_batch(model, [x])[0] @ Z
         worst = max(worst, np.max(np.abs(krr_pred - cme_pred)))
     report(4, worst <= 1e-10, f"per-symbol ridge oracle max deviation {worst:.2e}")
 
@@ -216,8 +216,8 @@ def test_criterion_8_incomplete_cholesky_exactness():
         pts = rng.uniform(0, 3, size=(n, 2))
         K = gram(KernelSpec("gaussian", 1.0, 2), pts)
         ic = lowrank.incomplete_cholesky(K, n)
-        rel = (np.linalg.norm(ic.factor @ ic.factor.T - K.entries)
-               / np.linalg.norm(K.entries))
+        rel = (np.linalg.norm(ic.factor @ ic.factor.T - K)
+               / np.linalg.norm(K))
         worst = max(worst, rel)
     report(8, worst <= 1e-8, f"full-rank factorization max rel Frobenius error {worst:.2e}")
 

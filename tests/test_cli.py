@@ -98,7 +98,7 @@ class TestFit:
         from cmereg.pendulum import PendulumParams, collect_dataset
 
         data = collect_dataset(PendulumParams(), 400, 0)
-        path = write_dataset(tmp_path / "pend.csv", data.inputs, data.outputs)
+        path = write_dataset(tmp_path / "pend.csv", data.xs, data.ys)
         cfg = write_config(tmp_path, {"dataset": path, "lambda": 1e-3,
                                       "x_kernel": {"variant": "gaussian", "bandwidth": 2.0},
                                       "y_kernel": {"variant": "gaussian", "bandwidth": 1.5}})

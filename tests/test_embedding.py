@@ -4,13 +4,11 @@ import pytest
 from cmereg.embedding import (
     CvReport,
     TrainingSet,
-    alpha,
     alpha_batch,
     cond_expect,
     cross_validate,
     empirical_risk,
     fit,
-    point_loss,
     regularized_objective,
 )
 from cmereg.errors import InputError
@@ -49,7 +47,7 @@ class TestFit:
     def test_residual_invariant(self):
         model = small_model()
         n = model.train.n
-        A = model.kgram.entries + model.lam * n * np.eye(n)
+        A = model.kgram + model.lam * n * np.eye(n)
         resid = np.linalg.norm(model.W @ A - np.eye(n)) / np.linalg.norm(np.eye(n))
         assert resid <= 1e-8
         assert np.array_equal(model.W, model.W.T)
@@ -75,18 +73,18 @@ class TestFit:
 class TestAlpha:
     def test_n1(self):
         model = fit(TrainingSet([0.0], [0.0]), KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 1.0), 1.0)
-        np.testing.assert_allclose(alpha(model, 0.0), [0.5])
+        np.testing.assert_allclose(alpha_batch(model, [0.0])[0], [0.5])
 
     def test_delta_unseen_symbol_gives_zero(self):
         ts = TrainingSet(["a", "b"], ["u", "v"])
         model = fit(ts, DELTA, DELTA, 0.1)
-        np.testing.assert_array_equal(alpha(model, "z"), np.zeros(2))
+        np.testing.assert_array_equal(alpha_batch(model, ["z"])[0], np.zeros(2))
 
     def test_matches_matrix_vector_oracle(self):
         model = small_model(seed=3)
         x = model.train.xs[2]
-        kx = cross_gram(model.kspec, model.train.xs, [x]).entries[:, 0]
-        np.testing.assert_allclose(alpha(model, x), model.W @ kx, atol=1e-14)
+        kx = cross_gram(model.kspec, model.train.xs, [x])[:, 0]
+        np.testing.assert_allclose(alpha_batch(model, [x])[0], model.W @ kx, atol=1e-14)
 
 
 class TestCondExpect:
@@ -117,13 +115,13 @@ class TestPointLoss:
         # disjoint delta alphabet forces alpha(x) = 0
         ts = TrainingSet(["a", "b"], ["u", "v"])
         model = fit(ts, DELTA, DELTA, 0.1)
-        assert point_loss(model, "z", "u") == pytest.approx(1.0)
+        assert empirical_risk(model, TrainingSet(["z"], ["u"])) == pytest.approx(1.0)
 
     def test_hand_expansion_n1(self):
         # L(y1,y1)=1, alpha=0.5 at the training point with K11=1, lam=1:
         # loss = 1 - 2*0.5 + 0.25 = 0.25
         model = fit(TrainingSet([0.0], [0.0]), KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 1.0), 1.0)
-        assert point_loss(model, 0.0, 0.0) == pytest.approx(0.25, abs=1e-12)
+        assert empirical_risk(model, TrainingSet([0.0], [0.0])) == pytest.approx(0.25, abs=1e-12)
 
     def test_matches_explicit_feature_oracle(self):
         # delta output kernel: L(y,.) is a standard basis vector, so the loss
@@ -135,14 +133,14 @@ class TestPointLoss:
         ysym = list(dist.y_symbols)
         for x in dist.x_symbols:
             for y in ysym:
-                a = alpha(model, x)
+                a = alpha_batch(model, [x])[0]
                 vec = np.zeros(len(ysym))
                 for i, yi in enumerate(ts.ys):
                     vec[ysym.index(yi)] += a[i]
                 e = np.zeros(len(ysym))
                 e[ysym.index(y)] = 1.0
                 expected = float(np.sum((e - vec) ** 2))
-                assert point_loss(model, x, y) == pytest.approx(expected, abs=1e-10)
+                assert empirical_risk(model, TrainingSet([x], [y])) == pytest.approx(expected, abs=1e-10)
 
     def test_nonnegative(self):
         model = small_model(seed=8)
@@ -150,7 +148,7 @@ class TestPointLoss:
         for _ in range(20):
             x = rng.uniform(0, 3, size=2)
             y = rng.uniform(0, 3, size=2)
-            assert point_loss(model, x, y) >= 0.0
+            assert empirical_risk(model, TrainingSet([x], [y])) >= 0.0
 
 
 class TestEmpiricalRisk:
@@ -170,7 +168,7 @@ class TestEmpiricalRisk:
         model = small_model(seed=13)
         # the regularized objective at mu=0 is sum of L(y_i, y_i); the fit does
         # at least as well, so the mean train risk is below that mean
-        mean_lyy = np.mean(np.diag(model.lgram.entries))
+        mean_lyy = np.mean(np.diag(model.lgram))
         assert empirical_risk(model, model.train) <= mean_lyy + 1e-12
 
     def test_empty_test_rejected(self):
@@ -189,7 +187,7 @@ class TestRegularizedObjective:
         ts = TrainingSet([0.0, 1.0], [0.0, 1.0])
         spec = KernelSpec("gaussian", 1.0)
         model = fit(ts, spec, spec, 1e8)
-        assert regularized_objective(model) == pytest.approx(np.sum(np.diag(model.lgram.entries)), rel=1e-6)
+        assert regularized_objective(model) == pytest.approx(np.sum(np.diag(model.lgram)), rel=1e-6)
 
     def test_fitted_beats_perturbations(self):
         model = small_model(seed=21)
@@ -215,7 +213,7 @@ def test_delta_krr_equivalence():
     lam = 0.07
     model = fit(ts, DELTA, DELTA, lam)
     n = ts.n
-    K = gram(DELTA, ts.xs).entries
+    K = gram(DELTA, ts.xs)
     A = K + lam * n * np.eye(n)
     for y in dist.y_symbols:
         target = np.array([1.0 if yi == y else 0.0 for yi in ts.ys])
@@ -223,7 +221,7 @@ def test_delta_krr_equivalence():
         for x in dist.x_symbols:
             kx = np.array([1.0 if xi == x else 0.0 for xi in ts.xs])
             krr = float(coef @ kx)
-            a = alpha(model, x)
+            a = alpha_batch(model, [x])[0]
             cme = float(sum(a[i] for i in range(n) if ts.ys[i] == y))
             assert abs(krr - cme) <= 1e-10
 

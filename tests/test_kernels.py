@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cmereg.errors import InputError
-from cmereg.kernels import KernelSpec, cross_gram, eval_kernel, gram, median_bandwidth
+from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
+
+
+def pair(spec, a, b):
+    """The kernel on one pair of points: the 1x1 block of cross_gram."""
+    return float(cross_gram(spec, [a], [b])[0, 0])
 
 
 def test_spec_validation():
@@ -22,41 +27,40 @@ def test_spec_validation():
 
 def test_eval_gaussian_same_point():
     spec = KernelSpec("gaussian", 1.0)
-    assert eval_kernel(spec, 0.3, 0.3) == 1.0
+    assert pair(spec, 0.3, 0.3) == 1.0
 
 
 def test_eval_linear():
     spec = KernelSpec("linear")
-    assert eval_kernel(spec, 2.0, 3.0) == 6.0
+    assert pair(spec, 2.0, 3.0) == 6.0
 
 
 def test_eval_gaussian_hand_value():
     # independent scalar evaluation of exp(-|a-b|^2 / (2 sigma^2))
     spec = KernelSpec("gaussian", 1.0)
-    assert eval_kernel(spec, 0.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
+    assert pair(spec, 0.0, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-15)
 
 
 def test_eval_dimension_mismatch():
     spec = KernelSpec("gaussian", 1.0, domain_dim=2)
     with pytest.raises(InputError):
-        eval_kernel(spec, [1.0], [2.0])
+        pair(spec, [1.0], [2.0])
 
 
 def test_delta_type_mismatch():
     spec = KernelSpec("delta")
     with pytest.raises(InputError):
-        eval_kernel(spec, "a", 1)
+        pair(spec, "a", 1)
 
 
 def test_gram_delta_identity():
     g = gram(KernelSpec("delta"), ["a", "b", "c"])
-    assert g.symmetric
-    np.testing.assert_array_equal(g.entries, np.eye(3))
+    np.testing.assert_array_equal(g, np.eye(3))
 
 
 def test_gram_duplicate_points_all_ones():
     g = gram(KernelSpec("gaussian", 2.0), [1.5, 1.5])
-    np.testing.assert_array_equal(g.entries, np.ones((2, 2)))
+    np.testing.assert_array_equal(g, np.ones((2, 2)))
 
 
 def test_gram_matches_entrywise_eval():
@@ -65,7 +69,7 @@ def test_gram_matches_entrywise_eval():
     g = gram(spec, pts)
     for i, a in enumerate(pts):
         for j, b in enumerate(pts):
-            assert g.entries[i, j] == pytest.approx(eval_kernel(spec, a, b), abs=1e-15)
+            assert g[i, j] == pytest.approx(pair(spec, a, b), abs=1e-15)
 
 
 def test_gram_empty_rejected():
@@ -78,21 +82,20 @@ def test_gram_exact_symmetry_and_unit_diagonal():
     spec = KernelSpec("gaussian", 0.7, domain_dim=3)
     pts = rng.standard_normal((20, 3))
     g = gram(spec, pts)
-    assert np.array_equal(g.entries, g.entries.T)
-    assert np.all(np.diag(g.entries) == 1.0)
+    assert np.array_equal(g, g.T)
+    assert np.all(np.diag(g) == 1.0)
 
 
 def test_cross_gram_equals_gram_on_same_points():
     spec = KernelSpec("linear", domain_dim=2)
     pts = np.arange(8.0).reshape(4, 2)
     cg = cross_gram(spec, pts, pts)
-    assert not cg.symmetric
-    np.testing.assert_allclose(cg.entries, gram(spec, pts).entries, atol=1e-14)
+    np.testing.assert_allclose(cg, gram(spec, pts), atol=1e-14)
 
 
 def test_cross_gram_disjoint_delta_alphabets():
     cg = cross_gram(KernelSpec("delta"), ["a", "b"], ["c", "d", "e"])
-    np.testing.assert_array_equal(cg.entries, np.zeros((2, 3)))
+    np.testing.assert_array_equal(cg, np.zeros((2, 3)))
 
 
 def test_cross_gram_transpose_identity():
@@ -100,8 +103,8 @@ def test_cross_gram_transpose_identity():
     spec = KernelSpec("gaussian", 1.3, domain_dim=2)
     rows = rng.standard_normal((5, 2))
     cols = rng.standard_normal((7, 2))
-    a = cross_gram(spec, rows, cols).entries
-    b = cross_gram(spec, cols, rows).entries
+    a = cross_gram(spec, rows, cols)
+    b = cross_gram(spec, cols, rows)
     np.testing.assert_allclose(a, b.T, atol=1e-15)
 
 
@@ -115,7 +118,7 @@ def test_symmetric_gram_psd_tolerance(variant, bw):
         else:
             pts = rng.standard_normal((n, 2))
         spec = KernelSpec(variant, bw, domain_dim=2)
-        g = gram(spec, pts).entries
+        g = gram(spec, pts)
         lam_min = np.min(np.linalg.eigvalsh(g))
         assert lam_min >= -1e-8 * np.trace(g)
 
@@ -128,9 +131,9 @@ def test_symmetric_gram_psd_tolerance(variant, bw):
 @settings(max_examples=60, deadline=None)
 def test_eval_symmetry_property(a, b, bw):
     for spec in (KernelSpec("gaussian", bw), KernelSpec("linear")):
-        assert eval_kernel(spec, a, b) == eval_kernel(spec, b, a)
+        assert pair(spec, a, b) == pair(spec, b, a)
         if spec.variant == "gaussian":
-            v = eval_kernel(spec, a, b)
+            v = pair(spec, a, b)
             assert 0.0 < v <= 1.0
 
 
@@ -141,7 +144,7 @@ def test_reproducing_consistency():
     g = gram(spec, ys)
     for i, y in enumerate(ys):
         for j, yp in enumerate(ys):
-            assert g.entries[i, j] == pytest.approx(eval_kernel(spec, y, yp), abs=1e-15)
+            assert g[i, j] == pytest.approx(pair(spec, y, yp), abs=1e-15)
 
 
 def test_median_bandwidth_scalar_points():
@@ -152,9 +155,42 @@ def test_median_bandwidth_scalar_points():
 
 def test_delta_gram_of_array_rows_is_row_equality():
     rows = np.random.default_rng(3).integers(0, 2, size=(25, 3)).astype(float)
-    K = gram(KernelSpec("delta"), rows).entries
+    K = gram(KernelSpec("delta"), rows)
     np.testing.assert_array_equal(K, np.all(rows[:, None, :] == rows[None, :, :], axis=2))
-    C = cross_gram(KernelSpec("delta"), rows, rows[:4]).entries
+    C = cross_gram(KernelSpec("delta"), rows, rows[:4])
     np.testing.assert_array_equal(C, K[:, :4])
-    np.testing.assert_array_equal(cross_gram(KernelSpec("delta"), rows, [rows[2]]).entries, K[:, 2:3])
-    assert eval_kernel(KernelSpec("delta"), rows[0], rows[0]) == 1.0
+    np.testing.assert_array_equal(cross_gram(KernelSpec("delta"), rows, [rows[2]]), K[:, 2:3])
+    assert pair(KernelSpec("delta"), rows[0], rows[0]) == 1.0
+
+
+def _diag_by_blocks(spec, points):
+    return np.array([pair(spec, p, p) for p in points])
+
+
+def test_diag_gaussian_is_the_one_by_one_blocks():
+    pts = np.random.default_rng(5).standard_normal((30, 3)) * 100.0
+    spec = KernelSpec("gaussian", 0.9, domain_dim=3)
+    d = diag(spec, pts)
+    assert np.all(d == _diag_by_blocks(spec, pts))
+    assert np.all(d == 1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7, 16])
+def test_diag_linear_bitwise_equal_to_blocks(dim):
+    rng = np.random.default_rng(dim)
+    for scale in (1.0, 3.7, 100.0):
+        pts = rng.standard_normal((200, dim)) * scale
+        spec = KernelSpec("linear", domain_dim=dim)
+        assert np.all(diag(spec, pts) == _diag_by_blocks(spec, pts))
+    if dim == 1:  # scalar points, as gram and cross_gram take them
+        scalars = list(rng.standard_normal(50) * 100.0)
+        assert np.all(diag(spec, scalars) == _diag_by_blocks(spec, scalars))
+
+
+def test_diag_delta_on_strings_and_rows():
+    spec = KernelSpec("delta")
+    symbols = ["a", "b", "a", "c"]
+    assert np.all(diag(spec, symbols) == _diag_by_blocks(spec, symbols))
+    rows = np.random.default_rng(2).integers(0, 2, size=(12, 3)).astype(float)
+    assert np.all(diag(spec, rows) == _diag_by_blocks(spec, rows))
+    assert np.all(diag(spec, list(rows)) == 1.0)

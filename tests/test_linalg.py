@@ -28,7 +28,7 @@ class TestSolveSpd:
     def test_ridge_shifted_gram_residual(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((12, 2))
-        K = gram(KernelSpec("gaussian", 1.0, 2), pts).entries
+        K = gram(KernelSpec("gaussian", 1.0, 2), pts)
         A = K + 0.1 * 12 * np.eye(12)
         res = solve_spd(A, np.eye(12))
         assert res.residual_norm <= 1e-8 * (1 + np.linalg.norm(np.eye(12)))
@@ -81,7 +81,7 @@ class TestSymEigMax:
     def test_clustered_spectrum_pendulum_fit(self):
         # the top eigenvalues of W W^T cluster at 1/(lam n)^2 to within ~1e-5,
         # where a power iteration stalls; the oracle is a different LAPACK driver
-        train = collect_dataset(PendulumParams(), 400, 0).training_set()
+        train = collect_dataset(PendulumParams(), 400, 0)
         model = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-3)
         A = model.W @ model.W.T
         oracle = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[399, 399])[0]

@@ -3,7 +3,7 @@ import pytest
 
 from cmereg.embedding import TrainingSet, fit
 from cmereg.errors import InputError, NumericalError
-from cmereg.kernels import GramMatrix, KernelSpec, gram
+from cmereg.kernels import KernelSpec, gram
 from cmereg.lowrank import incomplete_cholesky, subset_refit
 
 
@@ -17,25 +17,25 @@ class TestIncompleteCholesky:
     def test_full_rank_exact(self):
         K, _ = random_gram(seed=1)
         ic = incomplete_cholesky(K, max_rank=10, tol=0.0)
-        err = np.linalg.norm(ic.factor @ ic.factor.T - K.entries)
-        assert err <= 1e-8 * np.linalg.norm(K.entries)
+        err = np.linalg.norm(ic.factor @ ic.factor.T - K)
+        assert err <= 1e-8 * np.linalg.norm(K)
 
     def test_rank_one_outer_product(self):
         v = np.array([1.0, 2.0, 3.0])
-        K = GramMatrix(entries=np.outer(v, v), symmetric=True)
+        K = np.outer(v, v)
         ic = incomplete_cholesky(K, max_rank=1, tol=0.0)
-        np.testing.assert_allclose(ic.factor @ ic.factor.T, K.entries, atol=1e-12)
+        np.testing.assert_allclose(ic.factor @ ic.factor.T, K, atol=1e-12)
 
     def test_identity_residual_trace(self):
         # each pivot of I removes exactly one unit diagonal entry
-        K = GramMatrix(entries=np.eye(5), symmetric=True)
+        K = np.eye(5)
         ic = incomplete_cholesky(K, max_rank=3, tol=0.0)
         assert np.sum(ic.residual_diag[-1]) == pytest.approx(2.0)
 
     def test_trace_residual_matches_diag_sum(self):
         K, _ = random_gram(seed=2)
         ic = incomplete_cholesky(K, max_rank=4, tol=0.0)
-        resid = K.entries - ic.factor @ ic.factor.T
+        resid = K - ic.factor @ ic.factor.T
         assert np.trace(resid) == pytest.approx(np.sum(ic.residual_diag[-1]), abs=1e-8)
 
     def test_residual_maxima_non_increasing(self):
@@ -50,7 +50,7 @@ class TestIncompleteCholesky:
         errs = []
         for m in range(1, 13):
             ic = incomplete_cholesky(K, max_rank=m, tol=0.0)
-            errs.append(np.linalg.norm(ic.factor @ ic.factor.T - K.entries))
+            errs.append(np.linalg.norm(ic.factor @ ic.factor.T - K))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-10
 
@@ -68,7 +68,22 @@ class TestIncompleteCholesky:
     def test_not_psd_raises(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError):
-            incomplete_cholesky(GramMatrix(entries=A, symmetric=True), max_rank=2, tol=0.0)
+            incomplete_cholesky(A, max_rank=2, tol=0.0)
+
+    def test_accepts_gram_and_plain_symmetric_arrays(self):
+        K, _ = random_gram(seed=7, n=6)
+        assert isinstance(K, np.ndarray)
+        from_gram = incomplete_cholesky(K, max_rank=6)
+        from_copy = incomplete_cholesky(np.array(K), max_rank=6)
+        assert from_gram.pivots == from_copy.pivots
+        np.testing.assert_array_equal(from_gram.factor, from_copy.factor)
+        ic = incomplete_cholesky(np.array([[2.0, 1.0], [1.0, 2.0]]), max_rank=2)
+        np.testing.assert_allclose(ic.factor @ ic.factor.T, [[2.0, 1.0], [1.0, 2.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("A", [np.ones((2, 3)), np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(3)])
+    def test_non_symmetric_rejected(self, A):
+        with pytest.raises(InputError):
+            incomplete_cholesky(A, max_rank=1)
 
     def test_bad_rank(self):
         K, _ = random_gram()

@@ -28,7 +28,7 @@ def params():
 
 def fit_transition_model(params, n=60, seed=0, lam=1e-3):
     data = collect_dataset(params, n, seed)
-    train = data.training_set()
+    train = data
     kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
     lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
     return fit(train, kspec, lspec, lam)
@@ -98,20 +98,20 @@ class TestDataset:
     def test_shape_and_feature_invariant(self, params):
         data = collect_dataset(params, 200, 0)
         assert data.n == 200
-        sin_cos = data.inputs[:, 0] ** 2 + data.inputs[:, 1] ** 2
+        sin_cos = data.xs[:, 0] ** 2 + data.xs[:, 1] ** 2
         np.testing.assert_allclose(sin_cos, 1.0, atol=1e-12)
-        out_sc = data.outputs[:, 0] ** 2 + data.outputs[:, 1] ** 2
+        out_sc = data.ys[:, 0] ** 2 + data.ys[:, 1] ** 2
         np.testing.assert_allclose(out_sc, 1.0, atol=1e-12)
 
     def test_deterministic(self, params):
         d1 = collect_dataset(params, 50, 7)
         d2 = collect_dataset(params, 50, 7)
-        np.testing.assert_array_equal(d1.inputs, d2.inputs)
-        np.testing.assert_array_equal(d1.outputs, d2.outputs)
+        np.testing.assert_array_equal(d1.xs, d2.xs)
+        np.testing.assert_array_equal(d1.ys, d2.ys)
 
     def test_torque_marginal_uniform(self, params):
         data = collect_dataset(params, 100000, 3)
-        assert abs(np.mean(data.inputs[:, 3])) < 0.05
+        assert abs(np.mean(data.xs[:, 3])) < 0.05
 
 
 class TestPolicyIteration:
@@ -149,7 +149,7 @@ class TestPolicyAct:
     def direct_torque(policy, s):
         grid = policy.params.torque_grid
         pts = np.array([features(s, u) for u in grid])
-        Kq = cross_gram(policy.model.kspec, policy.model.train.xs, pts).entries
+        Kq = cross_gram(policy.model.kspec, policy.model.train.xs, pts)
         return float(grid[int(np.argmax((policy.coefficients @ Kq).T @ policy.values))])
 
     @staticmethod

@@ -13,7 +13,6 @@ from cmereg.ratecheck import (
     rate_experiment,
     rate_slope,
     sample,
-    true_embedding,
 )
 
 DELTA = KernelSpec("delta")
@@ -60,7 +59,7 @@ class TestSample:
 class TestExactRisk:
     def test_true_embedding_hits_irreducible(self):
         d = dist_2x2()
-        assert exact_surrogate_risk(d, true_embedding(d)) == pytest.approx(irreducible_risk(d), abs=1e-14)
+        assert exact_surrogate_risk(d, d.pyx) == pytest.approx(irreducible_risk(d), abs=1e-14)
 
     def test_zero_predictor(self):
         d = dist_2x2()
@@ -78,22 +77,22 @@ class TestExactRisk:
         d = dist_2x2()
         ts = sample(d, 60, 2)
         model = fit(ts, DELTA, DELTA, 0.05)
-        assert exact_surrogate_risk(d, model) >= irreducible_risk(d) - 1e-12
+        assert exact_surrogate_risk(d, conditional_table(d, model)) >= irreducible_risk(d) - 1e-12
         numeric = fit(TrainingSet([0.0, 1.0], [0.0, 1.0]),
                       KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 1.0), 0.05)
         with pytest.raises(UnsupportedConfigurationError):
-            exact_surrogate_risk(d, numeric)
+            conditional_table(d, numeric)
 
 
 class TestTrueEmbedding:
     def test_deterministic_conditional_one_hot(self):
         d = DiscreteDistribution(("a", "b"), ("u", "v"), np.array([0.5, 0.5]),
                                  np.array([[1.0, 0.0], [0.0, 1.0]]))
-        np.testing.assert_array_equal(true_embedding(d), np.eye(2))
+        np.testing.assert_array_equal(d.pyx, np.eye(2))
 
     def test_uniform_conditional(self):
         d = DiscreteDistribution(("a",), ("u", "v"), np.array([1.0]), np.array([[0.5, 0.5]]))
-        np.testing.assert_array_equal(true_embedding(d), [[0.5, 0.5]])
+        np.testing.assert_array_equal(d.pyx, [[0.5, 0.5]])
 
 
 class TestConditionalTable:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cmereg.embedding import TrainingSet, fit
 from cmereg.errors import InputError
-from cmereg.kernels import GramMatrix, KernelSpec
+from cmereg.kernels import KernelSpec
 from cmereg.sparse import (
     SparseProblem,
     fista_solve,
@@ -27,7 +27,7 @@ def make_problem(seed=0, n=4, gamma=0.1, penalty="entrywise_l1"):
 
 
 def sym_gram(A):
-    return GramMatrix(entries=0.5 * (A + A.T), symmetric=True)
+    return 0.5 * (A + A.T)
 
 
 class TestObjective:
@@ -37,7 +37,7 @@ class TestObjective:
 
     def test_at_zero(self):
         prob, _ = make_problem(gamma=0.0)
-        K, L, W = prob.K.entries, prob.L.entries, prob.W
+        K, L, W = prob.K, prob.L, prob.W
         assert lasso_objective(prob, np.zeros_like(W)) == pytest.approx(
             float(np.trace(W.T @ K @ W @ L)), rel=1e-12
         )
@@ -46,7 +46,7 @@ class TestObjective:
         prob, _ = make_problem(seed=3, n=3, gamma=0.2)
         rng = np.random.default_rng(1)
         M = rng.standard_normal((3, 3))
-        expected = smooth_objective_quadloop(prob.K.entries, prob.L.entries, prob.W, M)
+        expected = smooth_objective_quadloop(prob.K, prob.L, prob.W, M)
         expected += 0.2 * np.sum(np.abs(M))
         assert lasso_objective(prob, M) == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
@@ -119,7 +119,7 @@ class TestFista:
 
     def test_large_gamma_zero_solution(self):
         prob, model = make_problem(seed=2, n=5, gamma=0.0)
-        K, L, W = prob.K.entries, prob.L.entries, prob.W
+        K, L, W = prob.K, prob.L, prob.W
         gamma = 2.0 * np.max(np.abs(K @ W @ L)) + 1e-6
         prob = SparseProblem(prob.K, prob.L, W, gamma)
         sol = fista_solve(prob)
@@ -130,8 +130,8 @@ class TestFista:
     def test_matches_coordinate_descent_oracle(self):
         prob, _ = make_problem(seed=7, n=5, gamma=0.05)
         sol = fista_solve(prob, tol=1e-12)
-        M_cd = cd_lasso(prob.K.entries, prob.L.entries, prob.W, prob.gamma)
-        obj_cd = cd_objective(prob.K.entries, prob.L.entries, prob.W, M_cd, prob.gamma)
+        M_cd = cd_lasso(prob.K, prob.L, prob.W, prob.gamma)
+        obj_cd = cd_objective(prob.K, prob.L, prob.W, M_cd, prob.gamma)
         assert abs(sol.objective - obj_cd) <= 1e-6
 
     def test_final_objective_beats_endpoints(self):
@@ -172,7 +172,7 @@ class TestFista:
     def test_converged_flag(self):
         prob, _ = make_problem(seed=16, n=5, gamma=0.02)
         assert not fista_solve(prob, max_iter=1).converged
-        K, L, W = prob.K.entries, prob.L.entries, prob.W
+        K, L, W = prob.K, prob.L, prob.W
         above = SparseProblem(prob.K, prob.L, W, 2.0 * np.max(np.abs(K @ W @ L)) + 1e-6)
         assert fista_solve(above).converged
 
