@@ -60,10 +60,11 @@ def _real(low=-float("inf"), strict=False):
     return check
 
 
-def _integer(low):
-    """An integral-valued finite number >= low (1e4 passes, 2.7 does not); as an int."""
+def _integer(low, high=float("inf")):
+    """An integral-valued finite number in [low, high] (1e4 passes, 2.7 does not); as an int."""
     real, integral = _real(low), _is(float.is_integer, "an integer")
-    return lambda v: int(integral(real(v)))
+    at_most = _is(lambda v: v <= high, f"<= {high}")
+    return lambda v: int(at_most(integral(real(v))))
 
 
 def _list(item, ascending=False, distinct=False):
@@ -122,8 +123,20 @@ def _one_of(options):
 _STRING = _is(lambda v: isinstance(v, str), "a string")
 _SYMBOL = _is(lambda v: isinstance(v, (str, int)) and not isinstance(v, bool), "a string or an integer")
 _POSITIVE = _real(0.0, strict=True)
-_COUNT = _integer(1)
 _SEED = _integer(0)
+# Ceilings on counts, each at least 10x the largest value that a test, script,
+# README example or benchmark workload puts in a config; a larger count (say
+# 1e300) is a config error, where it would fail to allocate or run without end.
+MAX_N = 10_000  # training transitions (pendulum n); each Gram is n x n
+MAX_N_TEST = 10_000  # held-out transitions (compare.pendulum n_test)
+MAX_N_GRID = 50_000  # each sample size of a rate study
+MAX_RANK = 10_000  # each incomplete-Cholesky rank
+MAX_EPISODES = 1_000  # rollouts per policy
+MAX_HORIZON = 1_000  # steps per rollout
+MAX_SWEEPS = 10_000  # value-iteration sweeps
+MAX_ITER = 1_000_000  # FISTA iterations per gamma
+MAX_TORQUE_LEVELS = 100  # torque grid points; value iteration keeps an n x n block per level
+MAX_FOLDS = 100  # cross-validation folds
 # (check, default) of a bandwidth key: a number > 0, or "median" for median_bandwidth
 _BANDWIDTH = (lambda v: v if v == "median" else _POSITIVE(v), "median")
 _KERNEL = _table({"variant": (_one_of(VARIANTS), REQUIRED), "bandwidth": (_POSITIVE, None)})
@@ -131,39 +144,41 @@ _DATA = {"dataset": (_STRING, REQUIRED), "x_kernel": (_KERNEL, REQUIRED), "y_ker
 _SWEEP = {
     "gammas": (_list(_real(0.0), ascending=True), REQUIRED),
     "penalty": (_one_of(sparse.PENALTIES), "entrywise_l1"),
-    "max_iter": (_COUNT, 20000),
+    "max_iter": (_integer(1, MAX_ITER), 20000),
     "tol": (_POSITIVE, 1e-8),
 }
 # The PendulumParams fields a config may set; PendulumParams checks their ranges.
 _PARAMS = {"dt": (_real(), pendulum.PendulumParams.dt),
            "discount": (_real(), pendulum.PendulumParams.discount),
            "friction": (_real(), pendulum.PendulumParams.friction),
-           "torque_levels": (_COUNT, pendulum.PendulumParams.torque_levels)}
+           "torque_levels": (_integer(1, MAX_TORQUE_LEVELS), pendulum.PendulumParams.torque_levels)}
 _SCHEDULE = {"a": (_POSITIVE, 1.0), "beta": (_real(), 0.5)}
 
 SCHEMAS = {
     "fit": {**_DATA, "lambda": (_POSITIVE, REQUIRED), "seed": (_SEED, 0)},
     "cv": {**_DATA, "lambdas": (_list(_POSITIVE), REQUIRED), "bandwidths": (_list(_POSITIVE), [None]),
-           "folds": (_integer(2), REQUIRED), "seed": (_SEED, REQUIRED)},
+           "folds": (_integer(2, MAX_FOLDS), REQUIRED), "seed": (_SEED, REQUIRED)},
     "sparsify": {**_DATA, **_SWEEP, "test_dataset": (_STRING, None), "lambda": (_POSITIVE, REQUIRED),
                  "seed": (_SEED, 0)},
     "compare": {
         **_SWEEP,
-        "pendulum": (_table({**_PARAMS, "n": (_COUNT, REQUIRED), "n_test": (_COUNT, REQUIRED)}), None),
+        "pendulum": (_table({**_PARAMS, "n": (_integer(1, MAX_N), REQUIRED),
+                              "n_test": (_integer(1, MAX_N_TEST), REQUIRED)}), None),
         "dataset": (_table({"train": (_STRING, REQUIRED), "test": (_STRING, REQUIRED)}), None),
         "lambda": (_POSITIVE, REQUIRED), "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
-        "ranks": (_list(_COUNT), REQUIRED), "seed": (_SEED, REQUIRED),
+        "ranks": (_list(_integer(1, MAX_RANK)), REQUIRED), "seed": (_SEED, REQUIRED),
     },
     "rate": {
         "x_symbols": (_list(_SYMBOL, distinct=True), None), "y_symbols": (_list(_SYMBOL, distinct=True), None),
         "px": (_list(_real()), REQUIRED), "pyx": (_rows, REQUIRED),
-        "n_grid": (_list(_COUNT), REQUIRED), "seeds": (_list(_SEED), REQUIRED),
+        "n_grid": (_list(_integer(1, MAX_N_GRID)), REQUIRED), "seeds": (_list(_SEED), REQUIRED),
         "schedule": (_table(_SCHEDULE), _fill({}, _SCHEDULE)), "seed": (_SEED, 0),
     },
     "pendulum": {
-        **_PARAMS, "n": (_COUNT, REQUIRED), "seed": (_SEED, REQUIRED), "lambda": (_POSITIVE, 1e-4),
-        "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
-        "sweeps": (_COUNT, 50), "episodes": (_COUNT, 100), "horizon": (_integer(0), 100),
+        **_PARAMS, "n": (_integer(1, MAX_N), REQUIRED), "seed": (_SEED, REQUIRED),
+        "lambda": (_POSITIVE, 1e-4), "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
+        "sweeps": (_integer(1, MAX_SWEEPS), 50), "episodes": (_integer(1, MAX_EPISODES), 100),
+        "horizon": (_integer(0, MAX_HORIZON), 100),
     },
 }
 
@@ -341,12 +356,10 @@ def run_pendulum(cfg: dict, out: str):
     episodes, horizon = cfg["episodes"], cfg["horizon"]
     learned = pendulum.evaluate_policy(policy, params, episodes, horizon, seed + 1)
     rand = pendulum.evaluate_policy(pendulum.RandomTorquePolicy(params), params, episodes, horizon, seed + 1)
-    rows = []
-    for i, row in enumerate(train.ys):
-        s = pendulum.output_state(row)
-        rows.append([i, s.theta, s.omega, policy.values[i], policy.greedy_torque[i]])
+    theta, omega = pendulum.output_state(train.ys)
     write_csv(os.path.join(out, "policy.csv"),
-              ["index", "theta", "omega", "value", "greedy_torque"], rows)
+              ["index", "theta", "omega", "value", "greedy_torque"],
+              zip(range(train.n), theta, omega, policy.values, policy.greedy_torque))
     write_csv(os.path.join(out, "returns.csv"),
               ["policy", "mean_return"],
               [["learned", learned], ["random", rand]])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram, diag, gram
-from .linalg import solve_spd
+from .linalg import ridge_inverse
 
 _CLAMP = 1e-10
 
@@ -72,9 +72,7 @@ def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) ->
         raise InputError("lam must be positive")
     n = train.n
     kg = gram(kspec, train.xs)
-    A = kg + lam * n * np.eye(n)
-    W = solve_spd(A, np.eye(n)).solution
-    W = 0.5 * (W + W.T)  # exact symmetry
+    W = ridge_inverse(kg, lam * n)
     lg = gram(lspec, train.ys)
     return EmbeddingModel(train=train, kspec=kspec, lspec=lspec, lam=lam, W=W, kgram=kg, lgram=lg)
 

@@ -42,6 +42,14 @@ def solve_spd(A, B) -> SpdSolveResult:
     return SpdSolveResult(solution=X, residual_norm=residual)
 
 
+def ridge_inverse(K, shift: float) -> np.ndarray:
+    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, via solve_spd,
+    averaged with its transpose so that it is exactly symmetric."""
+    n = len(K)
+    W = solve_spd(K + shift * np.eye(n), np.eye(n)).solution
+    return 0.5 * (W + W.T)
+
+
 def sym_eig_max(A) -> float:
     """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding (LAPACK).
 

@@ -15,7 +15,7 @@ import numpy as np
 from .embedding import TrainingSet
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, gram
-from .linalg import solve_spd
+from .linalg import ridge_inverse
 
 
 @dataclass(frozen=True)
@@ -70,11 +70,6 @@ def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> n
         raise InputError("pivots must be distinct")
     if any(p < 0 or p >= train.n for p in pivots):
         raise InputError("pivot index out of range")
-    sub = train.subset(pivots)
-    m = len(pivots)
-    Ksub = gram(kspec, sub.xs)
-    Wsub = solve_spd(Ksub + lam * m * np.eye(m), np.eye(m)).solution
-    Wsub = 0.5 * (Wsub + Wsub.T)
     M = np.zeros((train.n, train.n))
-    M[np.ix_(pivots, pivots)] = Wsub
+    M[np.ix_(pivots, pivots)] = ridge_inverse(gram(kspec, train.subset(pivots).xs), lam * len(pivots))
     return M

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .embedding import EmbeddingModel, TrainingSet, alpha_batch
+from .embedding import EmbeddingModel, TrainingSet
 from .errors import InputError, InstabilityError
 from .kernels import cross_gram
 
@@ -50,42 +50,39 @@ class PendulumParams:
         return np.linspace(self.torque_min, self.torque_max, self.torque_levels)
 
 
-@dataclass(frozen=True)
-class State:
-    theta: float  # rad, 0 = upright, in [-pi, pi]
-    omega: float  # rad/s
+def wrap_angle(theta):
+    return (theta + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def wrap_angle(theta: float) -> float:
-    return float((theta + math.pi) % (2.0 * math.pi) - math.pi)
-
-
-def step(params: PendulumParams, s: State, u: float) -> State:
-    """One semi-implicit Euler step; torque clamped to its bounds."""
-    u = min(max(u, params.torque_min), params.torque_max)
+def step(params: PendulumParams, theta, omega, u):
+    """One semi-implicit Euler step from states (theta, omega) under torques u,
+    clamped to their bounds; broadcastable arrays in, (theta', omega') out."""
+    u = np.clip(u, params.torque_min, params.torque_max)
     m, l, g, b = params.mass, params.length, params.gravity, params.friction
-    acc = (g / l) * math.sin(s.theta) + (u - b * s.omega) / (m * l * l)
-    omega = s.omega + params.dt * acc
-    omega = min(max(omega, -params.omega_max), params.omega_max)
-    theta = wrap_angle(s.theta + params.dt * omega)
-    return State(theta=theta, omega=omega)
+    acc = (g / l) * np.sin(theta) + (u - b * omega) / (m * l * l)
+    omega = np.clip(omega + params.dt * acc, -params.omega_max, params.omega_max)
+    return wrap_angle(theta + params.dt * omega), omega
 
 
-def reward(s: State) -> float:
-    return math.exp(-s.theta**2 - 0.2 * s.omega**2)
+def reward(theta, omega):
+    return np.exp(-theta**2 - 0.2 * omega**2)
 
 
-def features(s: State, u: float) -> np.ndarray:
-    return np.array([math.sin(s.theta), math.cos(s.theta), s.omega, u])
+def features(theta, omega, u) -> np.ndarray:
+    """Model inputs sin(theta), cos(theta), omega, u along a new last axis of
+    length 4, for broadcastable theta, omega and u."""
+    out = np.empty(np.broadcast(theta, omega, u).shape + (4,))
+    out[..., 0] = np.sin(theta)
+    out[..., 1] = np.cos(theta)
+    out[..., 2] = omega
+    out[..., 3] = u
+    return out
 
 
-def _output_features(s: State) -> np.ndarray:
-    return np.array([math.sin(s.theta), math.cos(s.theta), s.omega])
-
-
-def output_state(row) -> State:
-    """Recover the state encoded in an output feature row."""
-    return State(theta=math.atan2(row[0], row[1]), omega=float(row[2]))
+def output_state(ys):
+    """The states (theta, omega) encoded in output feature rows (sin, cos, omega)."""
+    ys = np.asarray(ys)
+    return np.arctan2(ys[..., 0], ys[..., 1]), ys[..., 2]
 
 
 def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
@@ -97,16 +94,12 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     if n < 1:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    thetas = rng.uniform(-math.pi, math.pi, size=n)
-    omegas = rng.uniform(-params.omega_max, params.omega_max, size=n)
-    torques = rng.uniform(params.torque_min, params.torque_max, size=n)
-    inputs = np.empty((n, 4))
-    outputs = np.empty((n, 3))
-    for i in range(n):
-        s = State(thetas[i], omegas[i])
-        inputs[i] = features(s, torques[i])
-        outputs[i] = _output_features(step(params, s, torques[i]))
-    return TrainingSet(inputs, outputs)
+    theta = rng.uniform(-math.pi, math.pi, size=n)
+    omega = rng.uniform(-params.omega_max, params.omega_max, size=n)
+    u = rng.uniform(params.torque_min, params.torque_max, size=n)
+    theta2, omega2 = step(params, theta, omega, u)
+    outputs = np.column_stack([np.sin(theta2), np.cos(theta2), omega2])
+    return TrainingSet(features(theta, omega, u), outputs)
 
 
 @dataclass
@@ -119,19 +112,18 @@ class Policy:
     values: np.ndarray  # value per training output state
     greedy_torque: np.ndarray  # greedy action per training output state
     sweep_deltas: list = field(default_factory=list)
-    # coefficients.T @ values: the greedy scores (coefficients @ Kq).T @ values
-    # equal Kq.T @ weights, so each step costs O(n |grid|) instead of O(n^2 |grid|)
+    # coefficients.T @ values: the greedy score of torque u at a state is
+    # weights @ Kq with Kq = K(training inputs, features(state, u)), the
+    # expression policy_iteration backs up; O(n |grid|) a step, not O(n^2 |grid|)
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.weights = self.coefficients.T @ self.values
 
-    def act(self, s: State, rng=None) -> float:
+    def act(self, theta, omega, rng=None) -> float:
         grid = self.params.torque_grid
-        pts = np.array([features(s, u) for u in grid])
-        Kq = cross_gram(self.model.kspec, self.model.train.xs, pts)
-        scores = Kq.T @ self.weights
-        return float(grid[int(np.argmax(scores))])  # ties -> smallest torque
+        Kq = cross_gram(self.model.kspec, self.model.train.xs, features(theta, omega, grid))
+        return float(grid[np.argmax(self.weights @ Kq)])  # ties -> smallest torque
 
 
 class RandomTorquePolicy:
@@ -140,80 +132,68 @@ class RandomTorquePolicy:
     def __init__(self, params: PendulumParams):
         self.params = params
 
-    def act(self, s: State, rng) -> float:
+    def act(self, theta, omega, rng) -> float:
         return float(rng.choice(self.params.torque_grid))
 
 
-def policy_iteration(
-    model: EmbeddingModel,
-    params: PendulumParams,
-    sweeps: int,
-    coefficients: np.ndarray | None = None,
-    tol: float = 1e-6,
-) -> Policy:
+def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
+                     coefficients: np.ndarray | None = None, tol: float = 1e-6) -> Policy:
     """Approximate value iteration over the training output states through the
     embedded transition model.
 
     The backup is V_i <- max_u [ r(y_i) + discount * alpha(y_i, u) @ V ] where
     alpha comes from the conditional mean embedding (coefficients W, or a
-    sparse replacement M). Ties go to the smallest torque.
+    sparse replacement M). alpha(y_i, u) @ V = (M^T V) @ Kq[u][:, i], with Kq[u]
+    the kernel block between the training inputs and (y_i, u): the score
+    Policy.act uses. Ties go to the smallest torque.
     """
     if sweeps < 1:
         raise InputError("sweeps must be >= 1")
     W = model.W if coefficients is None else np.asarray(coefficients, dtype=float)
     n = model.train.n
-    out_states = [output_state(row) for row in np.asarray(model.train.ys)]
-    r = np.array([reward(s) for s in out_states])
+    theta, omega = output_state(model.train.ys)
+    r = reward(theta, omega)
     grid = params.torque_grid
-    # precompute the embedding coefficients for every (support state, torque)
-    A = np.empty((len(grid), n, n))
+    Kq = np.empty((len(grid), n, n))  # filled one torque at a time to bound the transient
     for k, u in enumerate(grid):
-        pts = np.array([features(s, u) for s in out_states])
-        A[k] = alpha_batch(model.with_coefficients(W), pts)
+        Kq[k] = cross_gram(model.kspec, model.train.xs, features(theta, omega, u))
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []
-    best_u = np.zeros(n, dtype=int)
     for _ in range(sweeps):
-        q = r[None, :] + params.discount * (A @ V)  # (|grid|, n)
+        q = r + params.discount * ((W.T @ V) @ Kq)  # (|grid|, n)
         best_u = np.argmax(q, axis=0)  # first max = smallest torque
         V_new = q[best_u, np.arange(n)]
         if np.max(np.abs(V_new)) > v_bound:
-            raise InstabilityError(
-                "value iteration diverged; try a larger ridge parameter"
-            )
+            raise InstabilityError("value iteration diverged; try a larger ridge parameter")
         deltas.append(float(np.max(np.abs(V_new - V))))
         V = V_new
         if deltas[-1] < tol:
             break
-    return Policy(
-        model=model,
-        coefficients=W,
-        params=params,
-        values=V,
-        greedy_torque=grid[best_u],
-        sweep_deltas=deltas,
-    )
+    return Policy(model=model, coefficients=W, params=params, values=V,
+                  greedy_torque=grid[best_u], sweep_deltas=deltas)
 
 
 def evaluate_policy(policy, params: PendulumParams, episodes: int, horizon: int, seed: int) -> float:
     """Mean discounted return of `policy` over seeded uniform-random starts.
 
-    The return includes the start-state reward, so horizon 0 scores the mean
-    immediate reward.
+    All start states are drawn first, then the episodes advance in lockstep:
+    each time step asks policy.act once per episode, in episode order, and
+    steps every episode in one batch. The return includes the start-state
+    reward, so horizon 0 scores the mean immediate reward.
     """
     if episodes < 1:
         raise InputError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    totals = []
-    for _ in range(episodes):
-        s = State(rng.uniform(-math.pi, math.pi), rng.uniform(-params.omega_max, params.omega_max))
-        total = reward(s)
-        disc = 1.0
-        for _ in range(horizon):
-            u = policy.act(s, rng)
-            s = step(params, s, u)
-            disc *= params.discount
-            total += disc * reward(s)
-        totals.append(total)
-    return float(np.mean(totals))
+    low, high = [-math.pi, -params.omega_max], [math.pi, params.omega_max]
+    theta, omega = rng.uniform(low, high, size=(episodes, 2)).T  # draws theta_0, omega_0, theta_1, ...
+    total = reward(theta, omega)
+    disc = 1.0
+    u = np.empty(episodes)
+    for _ in range(horizon):
+        for e in range(episodes):
+            u[e] = policy.act(theta[e], omega[e], rng)
+        theta, omega = step(params, theta, omega, u)
+        disc *= params.discount
+        total += disc * reward(theta, omega)
+    return float(np.mean(total))

@@ -52,7 +52,6 @@ class SparseSolution:
     M: np.ndarray
     objective: float
     iterations: int
-    step: float
     nnz_fraction: float
     kl_distance: float
     converged: bool  # the relative-objective rule fired before max_iter ran out
@@ -178,7 +177,6 @@ def fista_solve(
         M=Z,
         objective=obj,
         iterations=it,
-        step=step,
         nnz_fraction=nnz_fraction(Z),
         kl_distance=kl_distance(problem, Z),
         converged=converged,

@@ -224,7 +224,7 @@ def test_criterion_8_incomplete_cholesky_exactness():
 
 def test_criterion_9_policy_improvement(pendulum_returns):
     learned, rand = pendulum_returns
-    goal = pendulum.reward(pendulum.State(0.0, 0.0))
+    goal = pendulum.reward(0.0, 0.0)
     report(9, learned > rand and goal == 1.0,
            f"learned policy return {learned:.3f} > random {rand:.3f}; "
            f"upright reward exactly {goal}")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmereg import cli
 from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
 from cmereg.ratecheck import RateResult, rate_slope
 
@@ -426,6 +427,41 @@ class TestContract:
     ])
     def test_malformed_value_exits_two(self, contract_dir, command, change):
         assert run_tiny(*contract_dir, command, change) == 2
+
+    # a valid but huge count exited 1 from a failed allocation ("n") or ran
+    # without end ("episodes"); every count now has a ceiling
+    @pytest.mark.parametrize("command,change", [
+        ("pendulum", setter("n", 1e300)),
+        ("pendulum", setter("episodes", 1e300)),
+        ("pendulum", setter("horizon", 1e300)),
+        ("pendulum", setter("sweeps", 1e300)),
+        ("pendulum", setter("torque_levels", 1e300)),
+        ("sparsify", setter("max_iter", 1e300)),
+        ("compare", setter("ranks", [2, 1e300])),
+        ("cv", setter("folds", 1e300)),
+        ("rate", setter("n_grid", [4, 8, 1e300])),
+        ("compare", lambda cfg: cfg.update(dataset=None, pendulum={"n": 1e300, "n_test": 10})),
+        ("compare", lambda cfg: cfg.update(dataset=None, pendulum={"n": 10, "n_test": 1e300})),
+    ])
+    def test_huge_count_exits_two(self, contract_dir, command, change):
+        assert run_tiny(*contract_dir, command, change) == 2
+
+    @pytest.mark.parametrize("command,key,at,above", [
+        ("pendulum", "n", cli.MAX_N, cli.MAX_N + 1),
+        ("pendulum", "episodes", cli.MAX_EPISODES, cli.MAX_EPISODES + 1),
+        ("pendulum", "horizon", cli.MAX_HORIZON, cli.MAX_HORIZON + 1),
+        ("pendulum", "sweeps", cli.MAX_SWEEPS, cli.MAX_SWEEPS + 1),
+        ("pendulum", "torque_levels", cli.MAX_TORQUE_LEVELS, cli.MAX_TORQUE_LEVELS + 1),
+        ("sparsify", "max_iter", cli.MAX_ITER, cli.MAX_ITER + 1),
+        ("cv", "folds", cli.MAX_FOLDS, cli.MAX_FOLDS + 1),
+        ("compare", "ranks", [cli.MAX_RANK], [cli.MAX_RANK + 1]),
+        ("rate", "n_grid", [cli.MAX_N_GRID], [cli.MAX_N_GRID + 1]),
+    ])
+    def test_ceiling_is_inclusive(self, command, key, at, above):
+        check = SCHEMAS[command][key][0]
+        assert check(at) == at
+        with pytest.raises(ValueError):
+            check(above)
 
     def test_negative_seed_flag_exits_two(self, contract_dir):
         assert run_tiny(*contract_dir, "pendulum", lambda cfg: None, ["--seed", "-1"]) == 2
