@@ -1,0 +1,116 @@
+#!/usr/bin/env python3
+"""Time the two dense layers of a fit: kernels.gram and linalg.ridge_inverse.
+
+    python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
+
+For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
+`kernels.gram` over n points and `linalg.ridge_inverse` of that Gram with a
+fit's shift lambda*n: gaussian on 4-d standard normal points (bandwidth 2,
+lambda 1e-3, as in plan-pendulum's fits), delta on n symbols drawn from four
+(lambda n^-1/2, the rate schedule). Each case runs once as a warm-up and then
+--repeats times; the result gives min and median milliseconds.
+
+--src is the source tree cmereg is imported from (default: this checkout's
+src), so one script times two commits alike. The result, with its
+provenance (machine, library versions, BLAS builds, `git describe --dirty`
+and a SHA-256 of the cmereg sources), is printed as JSON; with --out it is
+also stored under --label in FILE, next to the labels already there.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIZES = (320, 800, 1600)
+
+
+def _blas(config: dict) -> dict:
+    """Name, version and build string of the BLAS a package was built against."""
+    blas = config["Build Dependencies"]["blas"]
+    return {key: blas.get(key) for key in ("name", "version", "openblas configuration")}
+
+
+def provenance(src: str) -> dict:
+    import numpy as np
+    import scipy
+
+    commit = subprocess.run(["git", "-C", src, "describe", "--always", "--dirty"], capture_output=True, text=True)
+    digest = hashlib.sha256()
+    pkg = os.path.join(src, "cmereg")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), "rb") as fh:
+                digest.update(name.encode() + b"\0" + fh.read())
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "numpy_blas": _blas(np.show_config(mode="dicts")),
+        "scipy_blas": _blas(scipy.show_config(mode="dicts")),
+        "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+        "git_describe": commit.stdout.strip() or None,
+        "src_sha256": digest.hexdigest(),
+        "loadavg": os.getloadavg(),
+    }
+
+
+def timed(fn, repeats: int) -> dict:
+    fn()  # warm-up: first-touch pages, thread pools
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return {"min_ms": round(1e3 * min(times), 2), "median_ms": round(1e3 * statistics.median(times), 2)}
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import cmereg from")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--label", default="run", help="key of this result in --out")
+    parser.add_argument("--out", help="JSON file to store the result in, under --label")
+    args = parser.parse_args()
+    src = os.path.abspath(args.src)
+    sys.path.insert(0, src)
+    import numpy as np
+    from cmereg.kernels import KernelSpec, gram
+    from cmereg.linalg import ridge_inverse
+
+    rng = np.random.default_rng(0)
+    cases = {}
+    for n in SIZES:
+        setups = {
+            "gaussian": (KernelSpec("gaussian", 2.0, 4), rng.standard_normal((n, 4)), 1e-3 * n),
+            "delta": (KernelSpec("delta"), [str(s) for s in rng.choice(list("abcd"), n)], n**0.5),
+        }
+        for variant, (spec, points, shift) in setups.items():
+            K = gram(spec, points)
+            cases[f"{variant}-{n}"] = {
+                "gram": timed(lambda: gram(spec, points), args.repeats),
+                "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
+            }
+    result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
+    print(json.dumps(result, indent=1))
+    if args.out:
+        stored = {}
+        if os.path.exists(args.out):
+            with open(args.out) as fh:
+                stored = json.load(fh)
+        stored[args.label] = result
+        with open(args.out, "w") as fh:
+            json.dump(stored, fh, indent=1)
+            fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -232,11 +232,15 @@ def _atomic(path: str):
 
 
 def write_csv(path: str, header, rows):
-    """Write atomically; fixed column order, '.' decimals, trailing newline."""
+    """Write atomically; fixed column order, '.' decimals, trailing newline.
+    A float64 array row is formatted in one operation, to the bytes _fmt gives."""
     with _atomic(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            if isinstance(row, np.ndarray) and row.dtype == np.float64:
+                fh.write(",".join(["%.12g"] * len(row)) % tuple(row.tolist()) + "\n")
+            else:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _kernel(variant: str, bandwidth, points) -> KernelSpec:

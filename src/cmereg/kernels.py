@@ -81,18 +81,14 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Symmetric Gram matrix over one point set.
-
-    The upper triangle is computed and mirrored so symmetry holds exactly.
-    """
+    """Gram matrix over one point set, exactly symmetric by construction: delta compares
+    symbols, cdist sums a pair's squared differences in one order, numpy's R @ R.T is syrk."""
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
-    M = _matrix(spec, points, points)
-    upper = np.triu(M)
-    M = upper + np.triu(M, 1).T
-    if spec.variant == "gaussian":
-        np.fill_diagonal(M, 1.0)
-    return M
+    if spec.variant == "linear":
+        R = _as_array(spec, points)
+        return R @ R.T
+    return _matrix(spec, points, points)
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import InputError, SingularMatrixError
 
@@ -16,38 +16,35 @@ class SpdSolveResult:
     residual_norm: float
 
 
-def solve_spd(A, B) -> SpdSolveResult:
-    """Solve A X = B for symmetric positive definite A via Cholesky.
-
-    Raises SingularMatrixError naming the failing pivot when A is not
-    positive definite.
+def solve_spd(A) -> SpdSolveResult:
+    """Inverse X of a symmetric positive definite A (A X = I): LAPACK dpotrf then
+    dpotri, the lower triangle mirrored so X is exactly symmetric. residual_norm
+    is the O(n^2) probe ||A (X 1) - 1|| / ||1||. Raises SingularMatrixError
+    naming the failing pivot when A is not positive definite.
     """
     A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("A must be square")
-    if B.shape[0] != A.shape[0]:
-        raise InputError("A and B have incompatible shapes")
-    b2d = B if B.ndim == 2 else B[:, None]
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:
         raise SingularMatrixError(info - 1)
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of factorization")
-    X, info = lapack.dpotrs(c, b2d, lower=1)
+    low, info = lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
-        raise SingularMatrixError(abs(info) - 1, "triangular solve failed")
-    residual = float(np.linalg.norm(A @ X - b2d))
-    X = X if B.ndim == 2 else X[:, 0]
-    return SpdSolveResult(solution=X, residual_norm=residual)
+        raise SingularMatrixError(abs(info) - 1, "inverse failed")
+    X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
+    np.fill_diagonal(X, np.diagonal(low))
+    # A v on scipy's BLAS (A.T: a Fortran view, no copy), as numpy's OpenBLAS pool would stall
+    AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)
+    return SpdSolveResult(solution=X, residual_norm=float(np.linalg.norm(AX1 - 1.0)) / np.sqrt(len(A)))
 
 
 def ridge_inverse(K, shift: float) -> np.ndarray:
-    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, via solve_spd,
-    averaged with its transpose so that it is exactly symmetric."""
-    n = len(K)
-    W = solve_spd(K + shift * np.eye(n), np.eye(n)).solution
-    return 0.5 * (W + W.T)
+    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, via solve_spd."""
+    A = np.array(K, dtype=float)
+    A.flat[:: len(A) + 1] += shift
+    return solve_spd(A).solution
 
 
 def sym_eig_max(A) -> float:

@@ -83,8 +83,8 @@ def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.n
     A = alpha_batch(model, list(dist.x_symbols))  # (|X|, n)
     table = np.zeros((len(dist.x_symbols), len(dist.y_symbols)))
     yindex = {s: j for j, s in enumerate(dist.y_symbols)}
-    for i, y in enumerate(model.train.ys):
-        table[:, yindex[y]] += A[:, i]
+    # unbuffered, in index order: the sums of a loop over the training outputs
+    np.add.at(table, (slice(None), [yindex[y] for y in model.train.ys]), A)
     return table
 
 

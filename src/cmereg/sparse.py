@@ -128,7 +128,8 @@ def fista_solve(
     extrapolates K Q L from it with the same weight that extrapolates Q, so
     the gradient 2 (K Q L - K W L) and the objective need no other n x n
     products. Stops when the relative objective change drops below tol
-    (converged) or max_iter is reached; deterministic.
+    (converged) or max_iter is reached; deterministic. At gamma = 0 it
+    returns the minimizer W, converged after 0 iterations.
     """
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
@@ -143,6 +144,8 @@ def fista_solve(
             raise InputError("start has wrong shape")
         if not np.all(np.isfinite(Z)):
             raise InputError("start must be finite-valued")
+    if problem.gamma == 0:
+        return SparseSolution(W.copy(), 0.0, 0, nnz_fraction(W), kl_distance=0.0, converged=True)
     lip = 2.0 * sym_eig_max(K) * sym_eig_max(L)
     step = 1.0 / lip if lip > 0 else 1.0
     thresh = problem.gamma * step

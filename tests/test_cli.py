@@ -340,6 +340,17 @@ class TestPlumbing:
         write_csv(str(tmp_path / "b.csv"), ["p", "q", "r"], M.tolist())
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
+    def test_write_csv_array_rows_match_per_value_fmt(self, tmp_path):
+        values = [0, 7, -3, True, False, -0.0, 0.0, 1e-300, 5e-324, 1e16, 1e17, 0.1, -2.5,
+                  123456789012345.0, np.float64(1 / 3)]
+        floats = np.array([v for v in values if isinstance(v, float)])
+        rows = [values, floats, np.array([1, 2**40, -5]), ["lasso", np.int64(4), np.float64(-0.0)],
+                floats[::-1], np.array([True, False]), np.array([], dtype=float)]
+        path = tmp_path / "mixed.csv"
+        write_csv(str(path), ["h"], rows)
+        expected = "h\n" + "".join(",".join(cli._fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == expected.encode()
+
     def test_write_csv_atomic_no_stray_tempfiles(self, tmp_path):
         path = str(tmp_path / "y.csv")
         write_csv(path, ["a"], [[1.0]])

@@ -77,13 +77,25 @@ def test_gram_empty_rejected():
         gram(KernelSpec("linear"), [])
 
 
-def test_gram_exact_symmetry_and_unit_diagonal():
-    rng = np.random.default_rng(3)
-    spec = KernelSpec("gaussian", 0.7, domain_dim=3)
-    pts = rng.standard_normal((20, 3))
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("spec,pts", [
+    pytest.param(KernelSpec("delta"), [str(v) for v in _RNG.integers(0, 5, 300)], id="delta-strings"),
+    pytest.param(KernelSpec("delta"), _RNG.integers(0, 2, (300, 3)).astype(float), id="delta-rows"),
+    pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((20, 3)), id="gaussian-20"),
+    pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((300, 3)) * 100.0,
+                 id="gaussian-300-scaled"),
+    pytest.param(KernelSpec("linear", domain_dim=3), _RNG.standard_normal((300, 3)), id="linear-array"),
+    pytest.param(KernelSpec("linear", domain_dim=3), _RNG.standard_normal((300, 3)).tolist(), id="linear-list"),
+])
+def test_gram_exact_symmetry_and_unit_diagonal(spec, pts):
     g = gram(spec, pts)
     assert np.array_equal(g, g.T)
-    assert np.all(np.diag(g) == 1.0)
+    if spec.variant == "linear":  # <p, p>, not 1
+        np.testing.assert_allclose(np.diag(g), np.sum(np.square(pts), axis=1), rtol=1e-14)
+    else:
+        assert np.all(np.diag(g) == 1.0)
 
 
 def test_cross_gram_equals_gram_on_same_points():

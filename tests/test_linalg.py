@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cmereg.errors import InputError, SingularMatrixError
 from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram
-from cmereg.linalg import soft_threshold, solve_spd, sym_eig_max
+from cmereg.linalg import ridge_inverse, soft_threshold, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 
 from oracles import eig_max_dense, random_spd
@@ -16,12 +16,12 @@ from oracles import eig_max_dense, random_spd
 class TestSolveSpd:
     def test_identity(self):
         B = np.arange(6.0).reshape(3, 2)
-        res = solve_spd(np.eye(3), B)
-        np.testing.assert_allclose(res.solution, B, atol=1e-14)
+        res = solve_spd(np.eye(3))
+        np.testing.assert_allclose(res.solution @ B, B, atol=1e-14)
 
     def test_hand_inverse_2x2(self):
         A = np.array([[2.0, 1.0], [1.0, 2.0]])
-        res = solve_spd(A, np.eye(2))
+        res = solve_spd(A)
         expected = np.array([[2.0, -1.0], [-1.0, 2.0]]) / 3.0
         np.testing.assert_allclose(res.solution, expected, atol=1e-12)
 
@@ -30,8 +30,10 @@ class TestSolveSpd:
         pts = rng.standard_normal((12, 2))
         K = gram(KernelSpec("gaussian", 1.0, 2), pts)
         A = K + 0.1 * 12 * np.eye(12)
-        res = solve_spd(A, np.eye(12))
-        assert res.residual_norm <= 1e-8 * (1 + np.linalg.norm(np.eye(12)))
+        res = solve_spd(A)
+        tol = 1e-8 * (1 + np.linalg.norm(np.eye(12)))
+        assert res.residual_norm <= tol
+        assert np.linalg.norm(A @ res.solution - np.eye(12)) <= tol
 
     def test_residual_property_100_random(self):
         rng = np.random.default_rng(7)
@@ -39,20 +41,55 @@ class TestSolveSpd:
             n = int(rng.integers(2, 10))
             A = random_spd(rng, n)
             B = rng.standard_normal((n, int(rng.integers(1, 4))))
-            res = solve_spd(A, B)
-            assert res.residual_norm <= 1e-8 * (1 + np.linalg.norm(B))
+            res = solve_spd(A)
+            assert np.linalg.norm(A @ (res.solution @ B) - B) <= 1e-8 * (1 + np.linalg.norm(B))
+            assert res.residual_norm <= 1e-8
+
+    def test_residual_probe_is_relative_row_sum_residual(self):
+        A = np.array([[4.0, 1.0], [1.0, 3.0]])
+        res = solve_spd(A)
+        probe = np.linalg.norm(A @ res.solution.sum(axis=1) - 1.0) / np.sqrt(2.0)
+        assert res.residual_norm == pytest.approx(probe, abs=1e-15)
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 7, 64, 201):
+            X = solve_spd(random_spd(rng, n)).solution
+            assert np.array_equal(X, X.T)
+
+    @pytest.mark.parametrize("n", [5, 50, 400])
+    @pytest.mark.parametrize("variant", ["gaussian", "delta"])
+    def test_ridge_inverse_matches_cho_solve(self, variant, n):
+        rng = np.random.default_rng(n)
+        if variant == "gaussian":
+            K, shift = gram(KernelSpec("gaussian", 1.0, 2), rng.standard_normal((n, 2))), 1e-3 * n
+        else:
+            K, shift = gram(KernelSpec("delta"), list(rng.integers(0, 4, n))), n**0.5
+        before = K.copy()
+        W = ridge_inverse(K, shift)
+        ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(K + shift * np.eye(n)), np.eye(n))
+        assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(W, W.T)
+        assert np.array_equal(K, before)
 
     def test_singular_names_pivot(self):
         A = np.diag([1.0, 0.0, 2.0])
         with pytest.raises(SingularMatrixError) as exc:
-            solve_spd(A, np.eye(3))
+            solve_spd(A)
         assert exc.value.pivot_index == 1
+
+    def test_singular_gram_names_pivot(self):
+        # the third symbol repeats the second, so the third leading minor is 0
+        K = gram(KernelSpec("delta"), ["a", "b", "b", "c"])
+        with pytest.raises(SingularMatrixError) as exc:
+            solve_spd(K)
+        assert exc.value.pivot_index == 2
 
     def test_shape_checks(self):
         with pytest.raises(InputError):
-            solve_spd(np.ones((2, 3)), np.eye(2))
+            solve_spd(np.ones((2, 3)))
         with pytest.raises(InputError):
-            solve_spd(np.eye(2), np.ones((3, 2)))
+            solve_spd(np.ones(3))
 
 
 class TestSymEigMax:

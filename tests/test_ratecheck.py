@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmereg.embedding import TrainingSet, fit
+from cmereg.embedding import TrainingSet, alpha_batch, fit
 from cmereg.errors import InputError, UnsupportedConfigurationError
 from cmereg.kernels import KernelSpec
 from cmereg.ratecheck import (
@@ -103,6 +103,18 @@ class TestConditionalTable:
             model = fit(sample(d, n, 3), DELTA, DELTA, n ** -0.5)
             errs.append(np.max(np.abs(conditional_table(d, model) - d.pyx)))
         assert errs[1] < errs[0]
+
+    def test_matches_loop_over_outputs(self):
+        # reference: one column update per training output, in index order
+        d = DiscreteDistribution(("a", "b", "c"), ("u", "v", "w"), np.array([0.5, 0.3, 0.2]),
+                                 np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.3, 0.4, 0.3]]))
+        for n in (1, 37, 500):
+            model = fit(sample(d, n, n), DELTA, DELTA, n ** -0.5)
+            A = alpha_batch(model, list(d.x_symbols))
+            ref = np.zeros((3, 3))
+            for i, y in enumerate(model.train.ys):
+                ref[:, d.y_symbols.index(y)] += A[:, i]
+            np.testing.assert_array_equal(conditional_table(d, model), ref)
 
 
 class TestRateExperiment:

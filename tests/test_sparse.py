@@ -117,6 +117,16 @@ class TestFista:
         sol = fista_solve(prob)
         assert np.linalg.norm(sol.M - prob.W) <= 1e-6 * (1 + np.linalg.norm(prob.W))
 
+    def test_gamma_zero_returns_w_at_once(self):
+        prob, _ = make_problem(seed=3, n=20, gamma=0.0)
+        for start in (None, np.ones_like(prob.W)):
+            sol = fista_solve(prob, start=start)
+            assert sol.converged and sol.iterations == 0
+            np.testing.assert_array_equal(sol.M, prob.W)
+            assert sol.M is not prob.W
+            assert sol.objective == lasso_objective(prob, prob.W) == 0.0
+            assert sol.kl_distance == kl_distance(prob, prob.W) == 0.0
+
     def test_large_gamma_zero_solution(self):
         prob, model = make_problem(seed=2, n=5, gamma=0.0)
         K, L, W = prob.K, prob.L, prob.W
