@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the two dense layers of a fit: kernels.gram and linalg.ridge_inverse.
+"""Time the dense layers of a fit: kernels.gram, linalg.ridge_inverse, and a
+score followed by an inverse.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
@@ -7,8 +8,12 @@ For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
 `kernels.gram` over n points and `linalg.ridge_inverse` of that Gram with a
 fit's shift lambda*n: gaussian on 4-d standard normal points (bandwidth 2,
 lambda 1e-3, as in plan-pendulum's fits), delta on n symbols drawn from four
-(lambda n^-1/2, the rate schedule). Each case runs once as a warm-up and then
---repeats times; the result gives min and median milliseconds.
+(lambda n^-1/2, the rate schedule). "score_then_invert" times
+`embedding.alpha_batch` of a model fitted to those points followed by
+`ridge_inverse`, as one rate fit's scoring precedes the next fit's inverse:
+the queries are the four symbols (delta) or 80 fresh points (gaussian, a CV
+fold's held-out share at n = 400). Each case runs once as a warm-up and
+then --repeats times; the result gives min and median milliseconds.
 
 --src is the source tree cmereg is imported from (default: this checkout's
 src), so one script times two commits alike. The result, with its
@@ -83,6 +88,7 @@ def main():
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import numpy as np
+    from cmereg.embedding import TrainingSet, alpha_batch, fit
     from cmereg.kernels import KernelSpec, gram
     from cmereg.linalg import ridge_inverse
 
@@ -90,14 +96,19 @@ def main():
     cases = {}
     for n in SIZES:
         setups = {
-            "gaussian": (KernelSpec("gaussian", 2.0, 4), rng.standard_normal((n, 4)), 1e-3 * n),
-            "delta": (KernelSpec("delta"), [str(s) for s in rng.choice(list("abcd"), n)], n**0.5),
+            "gaussian": (KernelSpec("gaussian", 2.0, 4), rng.standard_normal((n, 4)), 1e-3 * n,
+                         rng.standard_normal((80, 4))),
+            "delta": (KernelSpec("delta"), [str(s) for s in rng.choice(list("abcd"), n)], n**0.5,
+                      list("abcd")),
         }
-        for variant, (spec, points, shift) in setups.items():
+        for variant, (spec, points, shift, queries) in setups.items():
             K = gram(spec, points)
+            model = fit(TrainingSet(points, points), spec, spec, shift / n)
             cases[f"{variant}-{n}"] = {
                 "gram": timed(lambda: gram(spec, points), args.repeats),
                 "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
+                "score_then_invert": timed(
+                    lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
             }
     result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
     print(json.dumps(result, indent=1))

@@ -26,7 +26,7 @@ import numpy as np
 from . import embedding, lowrank, pendulum, ratecheck, sparse
 from .errors import InputError, NumericalError
 from .kernels import VARIANTS, KernelSpec, median_bandwidth
-from .linalg import sym_eig_max
+from .linalg import matmul, sym_eig_max
 
 
 class ConfigError(Exception):
@@ -261,7 +261,7 @@ def run_fit(cfg: dict, out: str):
     kspec = _kernel(**cfg["x_kernel"], points=train.xs)
     lspec = _kernel(**cfg["y_kernel"], points=train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    opnorm = sym_eig_max(model.W @ model.W.T) ** 0.5
+    opnorm = sym_eig_max(matmul(model.W, model.W.T)) ** 0.5
     bound = 1.0 / (lam * train.n) + 1e-8
     write_csv(
         os.path.join(out, "summary.csv"),
@@ -317,7 +317,7 @@ def run_compare(cfg: dict, out: str):
     kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
     lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk]
+    rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk, int(r.converged)]
             for r in sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"],
                                            cfg["max_iter"], cfg["tol"])]
     problem = sparse.SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
@@ -329,9 +329,10 @@ def run_compare(cfg: dict, out: str):
             sparse.nnz_fraction(M),
             sparse.kl_distance(problem, M),
             embedding.empirical_risk(model.with_coefficients(M), test),
+            1,
         ])
     write_csv(os.path.join(out, "compare.csv"),
-              ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk"], rows)
+              ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk", "converged"], rows)
 
 
 def run_rate(cfg: dict, out: str):

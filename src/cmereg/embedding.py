@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram, diag, gram
-from .linalg import ridge_inverse
+from .linalg import matmul, ridge_inverse
 
 _CLAMP = 1e-10
 
@@ -80,7 +80,7 @@ def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) ->
 def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:
     """Rows are alpha(x) = W k_x for each query point x; shape (m, n)."""
     Kq = cross_gram(model.kspec, model.train.xs, xs)  # (n, m)
-    return (model.W @ Kq).T
+    return matmul(model.W, Kq).T
 
 
 def cond_expect(model: EmbeddingModel, h_values, x) -> float:
@@ -89,13 +89,16 @@ def cond_expect(model: EmbeddingModel, h_values, x) -> float:
     h = np.asarray(h_values, dtype=float)
     if h.shape != (model.train.n,):
         raise InputError("h_values must have one entry per training point")
-    return float(alpha_batch(model, [x])[0] @ h)
+    return float(matmul(alpha_batch(model, [x]), h[:, None])[0, 0])
 
 
-def _clamp_loss(val: float) -> float:
-    if val < -_CLAMP:
-        raise NumericalError(f"point loss {val} below round-off tolerance")
-    return max(val, 0.0)
+def _clamp_losses(vals: np.ndarray) -> np.ndarray:
+    """vals with round-off below zero set to 0 (-0.0 kept, unlike np.maximum);
+    raises NumericalError naming the first value below -_CLAMP."""
+    low = vals < -_CLAMP
+    if np.any(low):
+        raise NumericalError(f"point loss {vals[np.argmax(low)]} below round-off tolerance")
+    return np.where(vals < 0.0, 0.0, vals)
 
 
 def _losses(model: EmbeddingModel, test: TrainingSet) -> np.ndarray:
@@ -103,9 +106,9 @@ def _losses(model: EmbeddingModel, test: TrainingSet) -> np.ndarray:
     (x, y), by the kernel trick."""
     A = alpha_batch(model, test.xs)  # (m, n)
     Lc = cross_gram(model.lspec, model.train.ys, test.ys)  # (n, m)
-    quad = np.sum((A @ model.lgram) * A, axis=1)
+    quad = np.sum(matmul(A, model.lgram) * A, axis=1)
     vals = diag(model.lspec, test.ys) - 2.0 * np.sum(A * Lc.T, axis=1) + quad
-    return np.array([_clamp_loss(v) for v in vals])
+    return _clamp_losses(vals)
 
 
 def empirical_risk(model: EmbeddingModel, test: TrainingSet) -> float:
@@ -117,7 +120,7 @@ def empirical_risk(model: EmbeddingModel, test: TrainingSet) -> float:
 def embedding_norm_sq(model: EmbeddingModel) -> float:
     """Squared RKHS norm of the represented embedding: tr(K W L W^T)."""
     W, K, L = model.W, model.kgram, model.lgram
-    return float(np.trace(K @ W @ L @ W.T))
+    return float(np.trace(matmul(matmul(matmul(K, W), L), W.T)))
 
 
 def regularized_objective(model: EmbeddingModel) -> float:

@@ -1,11 +1,12 @@
-"""Dense symmetric linear algebra primitives."""
+"""Dense linear algebra on scipy's BLAS/LAPACK, the one BLAS pool of the
+fit -> score -> sparsify path (see README, Conventions)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, eigh, lapack
 
 from .errors import InputError, SingularMatrixError
 
@@ -35,9 +36,8 @@ def solve_spd(A) -> SpdSolveResult:
         raise SingularMatrixError(abs(info) - 1, "inverse failed")
     X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
     np.fill_diagonal(X, np.diagonal(low))
-    # A v on scipy's BLAS (A.T: a Fortran view, no copy), as numpy's OpenBLAS pool would stall
-    AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)
-    return SpdSolveResult(solution=X, residual_norm=float(np.linalg.norm(AX1 - 1.0)) / np.sqrt(len(A)))
+    AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)  # A.T: a Fortran view, no copy
+    return SpdSolveResult(solution=X, residual_norm=float(blas.dnrm2(AX1 - 1.0)) / np.sqrt(len(A)))
 
 
 def ridge_inverse(K, shift: float) -> np.ndarray:
@@ -47,15 +47,24 @@ def ridge_inverse(K, shift: float) -> np.ndarray:
     return solve_spd(A).solution
 
 
-def sym_eig_max(A) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding (LAPACK).
+def matmul(A, B) -> np.ndarray:
+    """A @ B by scipy's dgemm, C-ordered: dgemm forms the Fortran-ordered
+    B^T A^T from views, so C- and F-ordered operands are never copied."""
+    def fortran(X):  # an F-ordered array and the trans flag that make X^T
+        X = np.asarray(X, dtype=float)
+        return (X, 1) if X.flags.f_contiguous else (np.ascontiguousarray(X).T, 0)
 
-    Round-off below zero is clamped, so a zero matrix gives 0.0. numpy's
-    eigvalsh shares the OpenBLAS pool of the numpy products around its
-    callers; scipy's eigh, on its own pool, stalled ~20 ms a call on 2 cores
-    right after FISTA's products.
+    (b, tb), (a, ta) = fortran(B), fortran(A)
+    return blas.dgemm(1.0, b, a, trans_a=tb, trans_b=ta).T
+
+
+def sym_eig_max(A) -> float:
+    """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding
+    (LAPACK dsyevd, as numpy's eigvalsh, on scipy's BLAS pool).
+
+    Round-off below zero is clamped, so a zero matrix gives 0.0.
     """
-    return max(0.0, float(np.linalg.eigvalsh(np.asarray(A, dtype=float))[-1]))
+    return max(0.0, float(eigh(A, eigvals_only=True, driver="evd")[-1]))
 
 
 def soft_threshold(z, t):

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .embedding import TrainingSet
 from .errors import InputError, NumericalError
@@ -38,7 +39,7 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int, tol: float = 0.0) -> Incom
     if tol < 0:
         raise InputError("tol must be nonnegative")
     d = np.diag(A).copy()
-    G = np.zeros((n, max_rank))
+    G = np.zeros((n, max_rank), order="F")  # G[:, :t] is Fortran-contiguous for dgemv
     pivots = []
     diags = [d.copy()]
     scale = max(float(np.trace(A)), 1.0)
@@ -46,7 +47,7 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int, tol: float = 0.0) -> Incom
         j = int(np.argmax(d))  # argmax takes the lowest index on ties
         if d[j] <= tol:
             break
-        col = A[:, j] - G[:, :t] @ G[j, :t]
+        col = A[:, j] - blas.dgemv(1.0, G[:, :t], G[j, :t]) if t else A[:, j]
         G[:, t] = col / np.sqrt(d[j])
         d = d - G[:, t] ** 2
         d[j] = 0.0

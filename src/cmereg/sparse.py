@@ -15,10 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import DivergenceError, InputError
-from .linalg import soft_threshold, sym_eig_max
+from .linalg import matmul, soft_threshold, sym_eig_max
 
 PENALTIES = ("entrywise_l1", "row_group", "col_group")
 
@@ -61,15 +62,15 @@ def penalty_value(penalty: str, M: np.ndarray) -> float:
     if penalty == "entrywise_l1":
         return float(np.sum(np.abs(M)))
     if penalty == "row_group":
-        return float(np.sum(np.linalg.norm(M, axis=1)))
+        return float(np.sum(np.sqrt(np.sum(M * M, axis=1))))
     if penalty == "col_group":
-        return float(np.sum(np.linalg.norm(M, axis=0)))
+        return float(np.sum(np.sqrt(np.sum(M * M, axis=0))))
     raise InputError(f"unknown penalty {penalty!r}")
 
 
 def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
     D = M - problem.W
-    return float(np.sum((problem.K @ D @ problem.L) * D))
+    return float(np.sum(matmul(matmul(problem.K, D), problem.L) * D))
 
 
 def lasso_objective(problem: SparseProblem, M: np.ndarray) -> float:
@@ -83,11 +84,11 @@ def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != problem.W.shape:
         raise InputError("M has wrong shape")
-    return 2.0 * problem.K @ (M - problem.W) @ problem.L
+    return matmul(matmul(2.0 * problem.K, M - problem.W), problem.L)
 
 
 def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=1 - axis, keepdims=True)
+    norms = np.sqrt(np.sum(V * V, axis=1 - axis, keepdims=True))
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
@@ -149,12 +150,13 @@ def fista_solve(
     lip = 2.0 * sym_eig_max(K) * sym_eig_max(L)
     step = 1.0 / lip if lip > 0 else 1.0
     thresh = problem.gamma * step
-    KWL = K @ W @ L
-    KZL = K @ Z @ L
+    KWL = matmul(matmul(K, W), L)
+    KZL = matmul(matmul(K, Z), L)
 
     def objective(Z, KZL):
         # tr((Z - W)^T K (Z - W) L) = <Z - W, KZL - KWL>
-        return float(np.vdot(Z - W, KZL - KWL)) + problem.gamma * penalty_value(problem.penalty, Z)
+        smooth = blas.ddot((Z - W).ravel(), (KZL - KWL).ravel())
+        return float(smooth) + problem.gamma * penalty_value(problem.penalty, Z)
 
     Q, KQL = Z, KZL
     theta = 1.0
@@ -163,7 +165,7 @@ def fista_solve(
     it = 0
     for it in range(1, max_iter + 1):
         Z_new = prox(problem.penalty, Q - (2.0 * step) * (KQL - KWL), thresh)
-        KZL_new = K @ Z_new @ L
+        KZL_new = matmul(matmul(K, Z_new), L)
         theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
         beta = (theta - 1.0) / theta_new
         Q = Z_new + beta * (Z_new - Z)

@@ -220,10 +220,26 @@ class TestCompare:
         out = tmp_path / "out"
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "compare.csv")
-        assert list(rows[0]) == ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk"]
+        assert list(rows[0]) == ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk",
+                                 "converged"]
         assert {r["method"] for r in rows} == {"lasso", "cholesky"}
         for r in rows:
             assert float(r["kl_distance"]) <= 1e-6
+            assert r["converged"] == "1"
+
+    def test_capped_lasso_row_writes_zero(self, tmp_path):
+        train = random_dataset(tmp_path / "train.csv", n=20, seed=3)
+        test = random_dataset(tmp_path / "test.csv", n=10, seed=4)
+        cfg = write_config(tmp_path, {
+            "dataset": {"train": train, "test": test},
+            "lambda": 0.1, "x_bandwidth": 0.3, "y_bandwidth": 0.3,
+            "gammas": [0.0, 0.01], "ranks": [5], "seed": 0, "max_iter": 1,
+        })
+        out = tmp_path / "out"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+        converged = {(r["method"], float(r["sparsity_level"])): r["converged"]
+                     for r in read_rows(out / "compare.csv")}
+        assert converged == {("lasso", 0.0): "1", ("lasso", 0.01): "0", ("cholesky", 5.0): "1"}
 
     def test_both_data_sources_rejected(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {

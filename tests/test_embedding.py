@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cmereg.embedding import (
     CvReport,
     TrainingSet,
+    _clamp_losses,
     alpha_batch,
     cond_expect,
     cross_validate,
@@ -11,7 +14,7 @@ from cmereg.embedding import (
     fit,
     regularized_objective,
 )
-from cmereg.errors import InputError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, gram
 from cmereg.linalg import sym_eig_max
 from cmereg.ratecheck import DiscreteDistribution, sample
@@ -175,6 +178,41 @@ class TestEmpiricalRisk:
         model = small_model()
         with pytest.raises(InputError):
             empirical_risk(model, TrainingSet([], []))
+
+
+def clamp_loop(vals):
+    """The per-value clamp _losses applied before _clamp_losses."""
+    out = []
+    for v in vals:
+        if v < -1e-10:
+            raise NumericalError(f"point loss {v} below round-off tolerance")
+        out.append(max(v, 0.0))
+    return np.array(out)
+
+
+class TestClampLosses:
+    def test_bit_identical_to_per_value_loop(self):
+        rng = np.random.default_rng(0)
+        edge = [0.0, -0.0, -1e-10, -5e-11, 5e-324, -5e-324, 1e-300, np.nan, 3.5]
+        vals = np.concatenate([rng.uniform(-1e-10, 1.0, 200), edge])
+        got, want = _clamp_losses(vals), clamp_loop(vals)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_first_value_below_round_off_raises(self):
+        vals = np.array([0.5, -1e-10, -2e-10, -3.0])
+        with pytest.raises(NumericalError) as loop:
+            clamp_loop(vals)
+        with pytest.raises(NumericalError) as vectorized:
+            _clamp_losses(vals)
+        assert str(vectorized.value) == str(loop.value)
+        assert "-2e-10" in str(vectorized.value)
+
+    def test_risk_below_round_off_raises(self):
+        # a negated output Gram makes the quadratic term of the loss negative
+        model = small_model(seed=2)
+        with pytest.raises(NumericalError):
+            empirical_risk(replace(model, lgram=-model.lgram), model.train)
 
 
 class TestRegularizedObjective:

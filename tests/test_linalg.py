@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cmereg.errors import InputError, SingularMatrixError
 from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram
-from cmereg.linalg import ridge_inverse, soft_threshold, solve_spd, sym_eig_max
+from cmereg.linalg import matmul, ridge_inverse, soft_threshold, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 
 from oracles import eig_max_dense, random_spd
@@ -123,6 +123,45 @@ class TestSymEigMax:
         A = model.W @ model.W.T
         oracle = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[399, 399])[0]
         assert sym_eig_max(A) == pytest.approx(oracle, rel=1e-12)
+
+
+    def test_equals_numpy_eigvalsh_on_gaussian_gram(self):
+        K = gram(KernelSpec("gaussian", 1.0, 2), np.random.default_rng(4).standard_normal((120, 2)))
+        assert sym_eig_max(K) == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-14)
+
+
+def operand(rng, shape, layout):
+    """A random array of shape: C-ordered, F-ordered, or ("T") the transposed
+    view of a C-ordered array."""
+    if layout == "T":
+        return rng.standard_normal(shape[::-1]).T
+    return np.array(rng.standard_normal(shape), order=layout)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("layout_a", ["C", "F", "T"])
+    @pytest.mark.parametrize("layout_b", ["C", "F", "T"])
+    @pytest.mark.parametrize("m,k,n", [(7, 4, 5), (3, 9, 1), (1, 6, 8)])
+    def test_equals_numpy(self, layout_a, layout_b, m, k, n):
+        rng = np.random.default_rng(m * k * n)
+        A, B = operand(rng, (m, k), layout_a), operand(rng, (k, n), layout_b)
+        expected = A @ B
+        C = matmul(A, B)
+        assert C.shape == (m, n) and C.flags.c_contiguous
+        assert np.linalg.norm(C - expected) <= 1e-15 * np.linalg.norm(expected)
+
+    def test_strided_operand(self):
+        rng = np.random.default_rng(2)
+        A, B = rng.standard_normal((10, 6))[::2, 1:], rng.standard_normal((5, 3))
+        np.testing.assert_allclose(matmul(A, B), A @ B, rtol=1e-15, atol=0)
+
+    def test_w_times_w_transpose(self):
+        train = collect_dataset(PendulumParams(), 60, 0)
+        W = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-3).W
+        expected = W @ W.T
+        C = matmul(W, W.T)
+        assert C.flags.c_contiguous
+        assert np.linalg.norm(C - expected) <= 1e-15 * np.linalg.norm(expected)
 
 
 class TestSoftThreshold:

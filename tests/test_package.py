@@ -1,6 +1,7 @@
 """The package surface: exported names resolve, no module keeps an import it
-never uses, and no dataclass keeps a field that nothing reads (no linter ships
-with the project, so these scans stand in)."""
+never uses, no dataclass keeps a field that nothing reads, and the modules on
+the fit -> score -> sparsify path form no product on numpy's BLAS (no linter
+ships with the project, so these scans stand in)."""
 
 import ast
 import pathlib
@@ -89,3 +90,39 @@ def test_scan_flags_an_unread_field():
 
 def test_no_unread_dataclass_fields():
     assert unread_fields([p.read_text() for p in MODULES], [p.read_text() for p in READERS]) == []
+
+
+# Modules whose products run on scipy's BLAS (linalg.matmul, scipy.linalg.blas);
+# kernels and pendulum keep their numpy products (see README, Conventions).
+ONE_POOL = ("embedding", "sparse", "ratecheck", "lowrank", "cli", "linalg")
+NUMPY_PRODUCTS = {"dot", "vdot", "inner", "matmul", "linalg"}
+
+
+def numpy_products(source: str) -> list:
+    """Each `@`, np.dot/vdot/inner/matmul and np.linalg use in source, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append((node.lineno, "@"))
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in ("np", "numpy") and node.attr in NUMPY_PRODUCTS):
+            found.append((node.lineno, f"np.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found += [(node.lineno, f"{node.module}.{a.name}") for a in node.names
+                      if node.module == "numpy.linalg" or a.name in NUMPY_PRODUCTS]
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_scan_flags_numpy_products():
+    source = ("import numpy as np\nfrom numpy.linalg import norm\nfrom numpy import dot, sum\n"
+              "a = b @ c\nb @= c\nnp.vdot(a, b)\nnp.linalg.eigvalsh(a)\n"
+              "x = np.sum(a * b) + np.inner(a, b) + np.matmul(a, b)\nscipy.linalg.eigh(a)\n")
+    assert numpy_products(source) == [
+        "numpy.linalg.norm (line 2)", "numpy.dot (line 3)", "@ (line 4)", "@ (line 5)",
+        "np.vdot (line 6)", "np.linalg (line 7)", "np.inner (line 8)", "np.matmul (line 8)",
+    ]
+
+
+@pytest.mark.parametrize("name", ONE_POOL)
+def test_no_numpy_products(name):
+    assert numpy_products((SRC / f"{name}.py").read_text()) == []
