@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the dense layers of a fit: kernels.gram, linalg.ridge_inverse, and a
-score followed by an inverse.
+score followed by an inverse; and one rollout step of the pendulum policies.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
@@ -14,6 +14,12 @@ lambda 1e-3, as in plan-pendulum's fits), delta on n symbols drawn from four
 the queries are the four symbols (delta) or 80 fresh points (gaussian, a CV
 fold's held-out share at n = 400). Each case runs once as a warm-up and
 then --repeats times; the result gives min and median milliseconds.
+
+"rollout_step" gives min and median microseconds per call of
+`pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
+timed over the same 1000 seeded states, on plan-pendulum's model: 800
+transitions (seed 1), median bandwidths, lambda 1e-4, 80 sweeps of
+`policy_iteration`.
 
 --src is the source tree cmereg is imported from (default: this checkout's
 src), so one script times two commits alike. The result, with its
@@ -78,6 +84,35 @@ def timed(fn, repeats: int) -> dict:
     return {"min_ms": round(1e3 * min(times), 2), "median_ms": round(1e3 * statistics.median(times), 2)}
 
 
+def per_call(fn, calls: int, repeats: int) -> dict:
+    """timed(fn, repeats) for fn making `calls` calls, in microseconds per call."""
+    ms = timed(fn, repeats)
+    return {"min_us": round(1e3 * ms["min_ms"] / calls, 2), "median_us": round(1e3 * ms["median_ms"] / calls, 2)}
+
+
+def rollout_step(repeats: int) -> dict:
+    import numpy as np
+    from cmereg import pendulum
+    from cmereg.embedding import fit
+    from cmereg.kernels import KernelSpec, median_bandwidth
+
+    params = pendulum.PendulumParams()
+    train = pendulum.collect_dataset(params, 800, 1)
+    kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
+    lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
+    learned = pendulum.policy_iteration(fit(train, kspec, lspec, 1e-4), params, sweeps=80)
+    rand = pendulum.RandomTorquePolicy(params)
+    rng = np.random.default_rng(2)
+    states = list(zip(rng.uniform(-np.pi, np.pi, 1000), rng.uniform(-params.omega_max, params.omega_max, 1000)))
+
+    def run(policy):
+        for theta, omega in states:
+            policy.act(theta, omega, rng)
+
+    return {"learned": per_call(lambda: run(learned), len(states), repeats),
+            "random": per_call(lambda: run(rand), len(states), repeats)}
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import cmereg from")
@@ -110,6 +145,7 @@ def main():
                 "score_then_invert": timed(
                     lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
             }
+    cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
     result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
     print(json.dumps(result, indent=1))
     if args.out:

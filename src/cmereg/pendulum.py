@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet
-from .errors import InputError, InstabilityError
-from .kernels import cross_gram
+from .errors import InputError, InstabilityError, UnsupportedConfigurationError
+from .kernels import _gaussian, cross_gram
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,7 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
 
 @dataclass
 class Policy:
-    """Greedy policy extracted from embedding-based value iteration."""
+    """Greedy policy extracted from embedding-based value iteration (gaussian input kernel)."""
 
     model: EmbeddingModel
     coefficients: np.ndarray
@@ -116,24 +116,39 @@ class Policy:
     # weights @ Kq with Kq = K(training inputs, features(state, u)), the
     # expression policy_iteration backs up; O(n |grid|) a step, not O(n^2 |grid|)
     weights: np.ndarray = field(init=False, repr=False)
+    # Kq without cross_gram: u is the last input feature and cdist sums squared
+    # differences in feature order, so d^2 = state part + fixed (x_i3 - u)^2, bit for bit
+    _grid: np.ndarray = field(init=False, repr=False)
+    _state_cols: np.ndarray = field(init=False, repr=False)  # (3, n): sin, cos, omega of x_i
+    _torque_term: np.ndarray = field(init=False, repr=False)  # (n |grid|,): (x_i3 - u_k)^2 at i |grid| + k
 
     def __post_init__(self):
+        if self.model.kspec.variant != "gaussian":
+            raise UnsupportedConfigurationError("Policy needs a gaussian input kernel")
         self.weights = self.coefficients.T @ self.values
+        self._grid = self.params.torque_grid
+        self._state_cols = self.model.train.xs[:, :3].T.copy()
+        self._torque_term = ((self.model.train.xs[:, 3:] - self._grid) ** 2).ravel()
+
+    def _kernel_block(self, theta, omega) -> np.ndarray:
+        """cross_gram(kspec, train.xs, features(theta, omega, grid)): the same bits, C-ordered like it."""
+        d = np.square(self._state_cols - features(theta, omega, 0.0)[:3, None])
+        state = np.repeat((d[0] + d[1]) + d[2], len(self._grid))
+        return _gaussian(self.model.kspec, self._torque_term + state).reshape(-1, len(self._grid))
 
     def act(self, theta, omega, rng=None) -> float:
-        grid = self.params.torque_grid
-        Kq = cross_gram(self.model.kspec, self.model.train.xs, features(theta, omega, grid))
-        return float(grid[np.argmax(self.weights @ Kq)])  # ties -> smallest torque
+        scores = self.weights @ self._kernel_block(theta, omega)  # gemv's sum order follows the layout
+        return float(self._grid[np.argmax(scores)])  # ties -> smallest torque
 
 
 class RandomTorquePolicy:
     """Uniform choice from the torque grid; the baseline opponent."""
 
     def __init__(self, params: PendulumParams):
-        self.params = params
+        self._grid = params.torque_grid
 
     def act(self, theta, omega, rng) -> float:
-        return float(rng.choice(self.params.torque_grid))
+        return float(self._grid[rng.integers(len(self._grid))])  # the draw of rng.choice(grid)
 
 
 def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,

@@ -19,7 +19,7 @@ from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import DivergenceError, InputError
-from .linalg import matmul, soft_threshold, sym_eig_max
+from .linalg import _shrink, matmul, sym_eig_max
 
 PENALTIES = ("entrywise_l1", "row_group", "col_group")
 
@@ -103,7 +103,7 @@ def prox(penalty: str, V: np.ndarray, t: float) -> np.ndarray:
     if t == 0:
         return V.copy()
     if penalty == "entrywise_l1":
-        return soft_threshold(V, t)
+        return _shrink(V, t)
     if penalty == "row_group":
         return _group_shrink(V, t, axis=0)
     if penalty == "col_group":

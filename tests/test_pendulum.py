@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cmereg.embedding import alpha_batch, fit
-from cmereg.errors import InputError
+from cmereg.errors import InputError, UnsupportedConfigurationError
 from cmereg.kernels import KernelSpec, cross_gram, median_bandwidth
 from cmereg.pendulum import (
     PendulumParams,
@@ -261,6 +261,49 @@ class TestPolicyAct:
                         greedy_torque=np.zeros(model.train.n))
         for theta, omega in zip(*random_states(200, 11)):
             assert policy.act(theta, omega) == self.direct_torque(policy, theta, omega)
+
+    @pytest.mark.parametrize("custom", [{}, {"torque_min": -2.0, "torque_max": 3.0, "torque_levels": 4,
+                                            "omega_max": 4.0}])
+    def test_kernel_block_is_cross_gram(self, custom):
+        # act's block, read off the stored torque term, is cross_gram's block
+        # K(training inputs, features(state, grid)) bit for bit
+        params = PendulumParams(**custom)
+        model = fit_transition_model(params, n=150, seed=13)
+        policy = Policy(model=model, coefficients=model.W, params=params,
+                        values=np.zeros(model.train.n), greedy_torque=np.zeros(model.train.n))
+        theta, omega = random_states(500, 14, params.omega_max)
+        rng = np.random.default_rng(13)  # collect_dataset's draws: the training states
+        train_theta = rng.uniform(-math.pi, math.pi, model.train.n)
+        train_omega = rng.uniform(-params.omega_max, params.omega_max, model.train.n)
+        edges = [(t, w) for t in (-math.pi, 0.0, math.pi) for w in (-params.omega_max, 0.0, params.omega_max)]
+        theta = np.concatenate([theta, train_theta[:40], [t for t, _ in edges]])
+        omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
+        np.testing.assert_array_equal(features(train_theta, train_omega, 0.0)[:, :3], model.train.xs[:, :3])
+        grid = params.torque_grid
+        for t, w in zip(theta, omega):
+            expected = cross_gram(model.kspec, model.train.xs, features(t, w, grid))
+            block = policy._kernel_block(t, w)
+            assert np.array_equal(block, expected) and block.flags.c_contiguous
+
+    @pytest.mark.parametrize("kspec", [KernelSpec("linear", domain_dim=4), KernelSpec("delta")])
+    def test_non_gaussian_input_kernel_rejected(self, params, kspec):
+        data = collect_dataset(params, 30, 15)
+        model = fit(data, kspec, KernelSpec("gaussian", 1.0, 3), 1e-2)
+        with pytest.raises(UnsupportedConfigurationError):
+            Policy(model=model, coefficients=model.W, params=params,
+                   values=np.zeros(data.n), greedy_torque=np.zeros(data.n))
+
+
+class TestRandomTorquePolicy:
+    @pytest.mark.parametrize("levels", [9, 4, 1])
+    def test_draws_as_rng_choice(self, levels):
+        # rng.choice(grid) is the oracle: the same torques from the same stream
+        params = PendulumParams(torque_levels=levels)
+        policy = RandomTorquePolicy(params)
+        rng, oracle = np.random.default_rng(16), np.random.default_rng(16)
+        for _ in range(10000):
+            assert policy.act(0.0, 0.0, rng) == float(oracle.choice(params.torque_grid))
+        assert rng.random() == oracle.random()
 
 
 def per_episode_return(policy, params, episodes, horizon, seed):
