@@ -135,7 +135,7 @@ MAX_EPISODES = 1_000  # rollouts per policy
 MAX_HORIZON = 1_000  # steps per rollout
 MAX_SWEEPS = 10_000  # value-iteration sweeps
 MAX_ITER = 1_000_000  # FISTA iterations per gamma
-MAX_TORQUE_LEVELS = 100  # torque grid points; value iteration keeps an n x n block per level
+MAX_TORQUE_LEVELS = 100  # torque grid points; value iteration keeps an n x |grid| torque factor
 MAX_FOLDS = 100  # cross-validation folds
 # (check, default) of a bandwidth key: a number > 0, or "median" for median_bandwidth
 _BANDWIDTH = (lambda v: v if v == "median" else _POSITIVE(v), "median")
@@ -192,7 +192,12 @@ def read_dataset(path: str) -> embedding.TrainingSet:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            rows = [[float(v) for v in row] for row in reader if row]
+            rows = []
+            for row in filter(None, reader):  # blank lines skipped
+                if len(row) != len(header):
+                    raise ConfigError(f"malformed dataset {path}: line {reader.line_num} has "
+                                      f"{len(row)} fields, the header {len(header)}")
+                rows.append([float(v) for v in row])
     except OSError as exc:
         raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
     except (StopIteration, ValueError) as exc:

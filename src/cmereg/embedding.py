@@ -83,15 +83,6 @@ def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:
     return matmul(model.W, Kq).T
 
 
-def cond_expect(model: EmbeddingModel, h_values, x) -> float:
-    """Estimated conditional expectation of h given x, from h's values at the
-    training outputs: sum_i alpha_i(x) h(y_i)."""
-    h = np.asarray(h_values, dtype=float)
-    if h.shape != (model.train.n,):
-        raise InputError("h_values must have one entry per training point")
-    return float(matmul(alpha_batch(model, [x]), h[:, None])[0, 0])
-
-
 def _clamp_losses(vals: np.ndarray) -> np.ndarray:
     """vals with round-off below zero set to 0 (-0.0 kept, unlike np.maximum);
     raises NumericalError naming the first value below -_CLAMP."""

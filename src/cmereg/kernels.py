@@ -76,10 +76,7 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     C = _as_array(spec, cols)
     if spec.variant == "linear":
         return R @ C.T
-    return _gaussian(spec, cdist(R, C, metric="sqeuclidean"))
-
-
-def _gaussian(spec: KernelSpec, d2) -> np.ndarray:
+    d2 = cdist(R, C, metric="sqeuclidean")
     return np.exp(d2 / (-2.0 * spec.bandwidth**2))  # exp(-d2 / (2 sigma^2)) bit for bit, one pass fewer
 
 

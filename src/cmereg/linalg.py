@@ -66,15 +66,3 @@ def sym_eig_max(A) -> float:
     """
     return max(0.0, float(eigh(A, eigvals_only=True, driver="evd")[-1]))
 
-
-def soft_threshold(z, t):
-    """Shrink toward zero: sign(z) * max(|z| - t, 0). Works elementwise on arrays."""
-    t = np.asarray(t)
-    if np.any(t < 0):
-        raise InputError("threshold must be nonnegative")
-    return _shrink(z, t)
-
-
-def _shrink(z, t):
-    """soft_threshold for a checked t >= 0: z - clip(z, -t, t), the same values in two passes."""
-    return z - np.clip(z, -t, t)

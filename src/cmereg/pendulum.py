@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet
 from .errors import InputError, InstabilityError, UnsupportedConfigurationError
-from .kernels import _gaussian, cross_gram
+from .kernels import KernelSpec, cross_gram
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,11 @@ class PendulumParams:
         if self.torque_levels < 1:
             raise InputError("torque_levels must be >= 1")
 
-    @property
+    @cached_property
     def torque_grid(self) -> np.ndarray:
-        return np.linspace(self.torque_min, self.torque_max, self.torque_levels)
+        grid = np.linspace(self.torque_min, self.torque_max, self.torque_levels)
+        grid.flags.writeable = False  # built once, shared by every reader (Policy.act reads it each step)
+        return grid
 
 
 def wrap_angle(theta):
@@ -102,6 +105,17 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     return TrainingSet(features(theta, omega, u), outputs)
 
 
+def _factors(model: EmbeddingModel, grid):
+    """The gaussian input kernel as a product over (state, torque) inputs,
+    k(x_i, (s, u)) = k_3(x_i[:3], s) * k_1(x_i3, u): the state kernel's spec and
+    the n x |grid| torque factor T[i, k] = k_1(x_i3, u_k)."""
+    if model.kspec.variant != "gaussian":
+        raise UnsupportedConfigurationError("the pendulum planner needs a gaussian input kernel")
+    sigma = model.kspec.bandwidth
+    T = cross_gram(KernelSpec("gaussian", sigma), model.train.xs[:, 3], grid)
+    return KernelSpec("gaussian", sigma, 3), T
+
+
 @dataclass
 class Policy:
     """Greedy policy extracted from embedding-based value iteration (gaussian input kernel)."""
@@ -112,33 +126,19 @@ class Policy:
     values: np.ndarray  # value per training output state
     greedy_torque: np.ndarray  # greedy action per training output state
     sweep_deltas: list = field(default_factory=list)
-    # coefficients.T @ values: the greedy score of torque u at a state is
-    # weights @ Kq with Kq = K(training inputs, features(state, u)), the
-    # expression policy_iteration backs up; O(n |grid|) a step, not O(n^2 |grid|)
-    weights: np.ndarray = field(init=False, repr=False)
-    # Kq without cross_gram: u is the last input feature and cdist sums squared
-    # differences in feature order, so d^2 = state part + fixed (x_i3 - u)^2, bit for bit
-    _grid: np.ndarray = field(init=False, repr=False)
-    _state_cols: np.ndarray = field(init=False, repr=False)  # (3, n): sin, cos, omega of x_i
-    _torque_term: np.ndarray = field(init=False, repr=False)  # (n |grid|,): (x_i3 - u_k)^2 at i |grid| + k
+    # the greedy score of torque u_k at state s is sum_i (M^T V)_i T[i, k] k_3(x_i[:3], s),
+    # the score policy_iteration backs up: O(n |grid|) a step, not O(n^2 |grid|)
+    _spec: KernelSpec = field(init=False, repr=False)  # k_3, on the state columns
+    _weights: np.ndarray = field(init=False, repr=False)  # (n, |grid|): (M^T V)_i T[i, k]
 
     def __post_init__(self):
-        if self.model.kspec.variant != "gaussian":
-            raise UnsupportedConfigurationError("Policy needs a gaussian input kernel")
-        self.weights = self.coefficients.T @ self.values
-        self._grid = self.params.torque_grid
-        self._state_cols = self.model.train.xs[:, :3].T.copy()
-        self._torque_term = ((self.model.train.xs[:, 3:] - self._grid) ** 2).ravel()
-
-    def _kernel_block(self, theta, omega) -> np.ndarray:
-        """cross_gram(kspec, train.xs, features(theta, omega, grid)): the same bits, C-ordered like it."""
-        d = np.square(self._state_cols - features(theta, omega, 0.0)[:3, None])
-        state = np.repeat((d[0] + d[1]) + d[2], len(self._grid))
-        return _gaussian(self.model.kspec, self._torque_term + state).reshape(-1, len(self._grid))
+        self._spec, T = _factors(self.model, self.params.torque_grid)
+        self._weights = (self.coefficients.T @ self.values)[:, None] * T
 
     def act(self, theta, omega, rng=None) -> float:
-        scores = self.weights @ self._kernel_block(theta, omega)  # gemv's sum order follows the layout
-        return float(self._grid[np.argmax(scores)])  # ties -> smallest torque
+        state = cross_gram(self._spec, self.model.train.xs[:, :3], features(theta, omega, 0.0)[None, :3])
+        scores = state[:, 0] @ self._weights
+        return float(self.params.torque_grid[np.argmax(scores)])  # ties -> smallest torque
 
 
 class RandomTorquePolicy:
@@ -158,8 +158,9 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
 
     The backup is V_i <- max_u [ r(y_i) + discount * alpha(y_i, u) @ V ] where
     alpha comes from the conditional mean embedding (coefficients W, or a
-    sparse replacement M). alpha(y_i, u) @ V = (M^T V) @ Kq[u][:, i], with Kq[u]
-    the kernel block between the training inputs and (y_i, u): the score
+    sparse replacement M). With the gaussian input kernel as the product
+    S[i, j] * T[i, k] of a state Gram and a torque factor (see _factors),
+    alpha(y_j, u_k) @ V = sum_i (M^T V)_i T[i, k] S[i, j]: the score
     Policy.act uses. Ties go to the smallest torque.
     """
     if sweeps < 1:
@@ -169,14 +170,13 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
     theta, omega = output_state(model.train.ys)
     r = reward(theta, omega)
     grid = params.torque_grid
-    Kq = np.empty((len(grid), n, n))  # filled one torque at a time to bound the transient
-    for k, u in enumerate(grid):
-        Kq[k] = cross_gram(model.kspec, model.train.xs, features(theta, omega, u))
+    spec, T = _factors(model, grid)
+    S = cross_gram(spec, model.train.xs[:, :3], features(theta, omega, 0.0)[:, :3])  # (n, n)
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []
     for _ in range(sweeps):
-        q = r + params.discount * ((W.T @ V) @ Kq)  # (|grid|, n)
+        q = r + params.discount * (((W.T @ V)[:, None] * T).T @ S)  # (|grid|, n)
         best_u = np.argmax(q, axis=0)  # first max = smallest torque
         V_new = q[best_u, np.arange(n)]
         if np.max(np.abs(V_new)) > v_bound:

@@ -19,7 +19,7 @@ from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import DivergenceError, InputError
-from .linalg import _shrink, matmul, sym_eig_max
+from .linalg import matmul, sym_eig_max
 
 PENALTIES = ("entrywise_l1", "row_group", "col_group")
 
@@ -85,6 +85,11 @@ def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
     if M.shape != problem.W.shape:
         raise InputError("M has wrong shape")
     return matmul(matmul(2.0 * problem.K, M - problem.W), problem.L)
+
+
+def _shrink(V: np.ndarray, t: float) -> np.ndarray:
+    """sign(V) * max(|V| - t, 0) for t >= 0, as V - clip(V, -t, t): the same values in two passes."""
+    return V - np.clip(V, -t, t)
 
 
 def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:

@@ -345,6 +345,18 @@ class TestPlumbing:
         np.testing.assert_allclose(np.asarray(ts.xs), xs)
         np.testing.assert_allclose(np.asarray(ts.ys), ys)
 
+    @pytest.mark.parametrize("command", ["fit", "compare"])
+    @pytest.mark.parametrize("row", ["3", "3,4,5"])
+    def test_ragged_dataset_exits_two(self, tmp_path, capsys, command, row):
+        # a row with fewer or more fields than the header is a config error naming its line
+        path = tmp_path / "ragged.csv"
+        path.write_text(f"x0,y0\n1,2\n{row}\n5,6\n")
+        cfg = {"fit": {"dataset": str(path), "lambda": 0.1, "x_kernel": GAUSS, "y_kernel": GAUSS},
+               "compare": {"dataset": {"train": str(path), "test": str(path)}, "lambda": 0.1,
+                           "gammas": [0.0], "ranks": [1], "seed": 0}}[command]
+        assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+        assert "line 3" in capsys.readouterr().err
+
     def test_write_csv_formatting(self, tmp_path):
         path = str(tmp_path / "x.csv")
         write_csv(path, ["a", "b"], [[1, 0.5], [True, 1e-9]])

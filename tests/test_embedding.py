@@ -8,7 +8,6 @@ from cmereg.embedding import (
     TrainingSet,
     _clamp_losses,
     alpha_batch,
-    cond_expect,
     cross_validate,
     empirical_risk,
     fit,
@@ -88,29 +87,6 @@ class TestAlpha:
         x = model.train.xs[2]
         kx = cross_gram(model.kspec, model.train.xs, [x])[:, 0]
         np.testing.assert_allclose(alpha_batch(model, [x])[0], model.W @ kx, atol=1e-14)
-
-
-class TestCondExpect:
-    def test_zero_h(self):
-        model = small_model()
-        assert cond_expect(model, np.zeros(model.train.n), model.train.xs[0]) == 0.0
-
-    def test_exact_linearity(self):
-        model = small_model(seed=5)
-        rng = np.random.default_rng(9)
-        x = rng.uniform(0, 3, size=2)
-        for _ in range(10):
-            h1 = rng.standard_normal(model.train.n)
-            h2 = rng.standard_normal(model.train.n)
-            a, b = rng.standard_normal(2)
-            lhs = cond_expect(model, a * h1 + b * h2, x)
-            rhs = a * cond_expect(model, h1, x) + b * cond_expect(model, h2, x)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_length_mismatch(self):
-        model = small_model()
-        with pytest.raises(InputError):
-            cond_expect(model, np.zeros(3), model.train.xs[0])
 
 
 class TestPointLoss:

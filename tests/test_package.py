@@ -1,7 +1,8 @@
 """The package surface: exported names resolve, no module keeps an import it
-never uses, no dataclass keeps a field that nothing reads, and the modules on
-the fit -> score -> sparsify path form no product on numpy's BLAS (no linter
-ships with the project, so these scans stand in)."""
+never uses or imports another module's private name, no dataclass keeps a
+field that nothing reads, and the modules on the fit -> score -> sparsify
+path form no product on numpy's BLAS (no linter ships with the project, so
+these scans stand in)."""
 
 import ast
 import pathlib
@@ -53,6 +54,29 @@ def test_scan_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def private_imports(source: str) -> list:
+    """Underscore names imported from a cmereg module (a relative import, or one
+    from cmereg): a private name is read only in the module that defines it."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "cmereg"):
+            found += [f"{a.name} (line {node.lineno})" for a in node.names
+                      if a.name.startswith("_") and not a.name.startswith("__")]
+    return found
+
+
+def test_scan_flags_a_private_import():
+    source = ("from __future__ import annotations\nfrom .kernels import _gaussian, cross_gram\n"
+              "from cmereg.linalg import _shrink as shrink\nfrom os import _exit\n"
+              "from . import __version__, _private\nfrom numpy.linalg import _umath_linalg\n")
+    assert private_imports(source) == ["_gaussian (line 2)", "_shrink (line 3)", "_private (line 5)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == []
 
 
 def dataclass_fields(source: str) -> list:

@@ -10,6 +10,7 @@ from cmereg.pendulum import (
     PendulumParams,
     Policy,
     RandomTorquePolicy,
+    _factors,
     collect_dataset,
     evaluate_policy,
     features,
@@ -26,10 +27,9 @@ def params():
     return PendulumParams()
 
 
-def fit_transition_model(params, n=60, seed=0, lam=1e-3):
-    data = collect_dataset(params, n, seed)
-    train = data
-    kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
+def fit_transition_model(params, n=60, seed=0, lam=1e-3, bandwidth=None):
+    train = collect_dataset(params, n, seed)
+    kspec = KernelSpec("gaussian", bandwidth or median_bandwidth(train.xs), 4)
     lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
     return fit(train, kspec, lspec, lam)
 
@@ -262,15 +262,15 @@ class TestPolicyAct:
         for theta, omega in zip(*random_states(200, 11)):
             assert policy.act(theta, omega) == self.direct_torque(policy, theta, omega)
 
+    @pytest.mark.parametrize("bandwidth", [None, 0.3])
     @pytest.mark.parametrize("custom", [{}, {"torque_min": -2.0, "torque_max": 3.0, "torque_levels": 4,
                                             "omega_max": 4.0}])
-    def test_kernel_block_is_cross_gram(self, custom):
-        # act's block, read off the stored torque term, is cross_gram's block
-        # K(training inputs, features(state, grid)) bit for bit
+    def test_product_kernel_is_cross_gram(self, custom, bandwidth):
+        # the state kernel times the torque factor is cross_gram's block
+        # K(training inputs, features(state, grid)) up to rounding, at the
+        # median bandwidth and at a narrow one
         params = PendulumParams(**custom)
-        model = fit_transition_model(params, n=150, seed=13)
-        policy = Policy(model=model, coefficients=model.W, params=params,
-                        values=np.zeros(model.train.n), greedy_torque=np.zeros(model.train.n))
+        model = fit_transition_model(params, n=150, seed=13, bandwidth=bandwidth)
         theta, omega = random_states(500, 14, params.omega_max)
         rng = np.random.default_rng(13)  # collect_dataset's draws: the training states
         train_theta = rng.uniform(-math.pi, math.pi, model.train.n)
@@ -280,10 +280,11 @@ class TestPolicyAct:
         omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
         np.testing.assert_array_equal(features(train_theta, train_omega, 0.0)[:, :3], model.train.xs[:, :3])
         grid = params.torque_grid
+        spec, T = _factors(model, grid)
         for t, w in zip(theta, omega):
             expected = cross_gram(model.kspec, model.train.xs, features(t, w, grid))
-            block = policy._kernel_block(t, w)
-            assert np.array_equal(block, expected) and block.flags.c_contiguous
+            state = cross_gram(spec, model.train.xs[:, :3], features(t, w, 0.0)[None, :3])
+            np.testing.assert_allclose(state * T, expected, rtol=0, atol=4.5e-16)
 
     @pytest.mark.parametrize("kspec", [KernelSpec("linear", domain_dim=4), KernelSpec("delta")])
     def test_non_gaussian_input_kernel_rejected(self, params, kspec):
@@ -292,6 +293,8 @@ class TestPolicyAct:
         with pytest.raises(UnsupportedConfigurationError):
             Policy(model=model, coefficients=model.W, params=params,
                    values=np.zeros(data.n), greedy_torque=np.zeros(data.n))
+        with pytest.raises(UnsupportedConfigurationError):
+            policy_iteration(model, params, sweeps=1)
 
 
 class TestRandomTorquePolicy:
