@@ -7,11 +7,11 @@ score followed by an inverse; and one rollout step of the pendulum policies.
 For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
 `kernels.gram` over n points and `linalg.ridge_inverse` of that Gram with a
 fit's shift lambda*n: gaussian on 4-d standard normal points (bandwidth 2,
-lambda 1e-3, as in plan-pendulum's fits), delta on n symbols drawn from four
+lambda 1e-3, as in plan-pendulum's fits), delta on n integer codes drawn from four
 (lambda n^-1/2, the rate schedule). "score_then_invert" times
 `embedding.alpha_batch` of a model fitted to those points followed by
 `ridge_inverse`, as one rate fit's scoring precedes the next fit's inverse:
-the queries are the four symbols (delta) or 80 fresh points (gaussian, a CV
+the queries are the four codes (delta) or 80 fresh points (gaussian, a CV
 fold's held-out share at n = 400). Each case runs once as a warm-up and
 then --repeats times; the result gives min and median milliseconds.
 
@@ -133,8 +133,7 @@ def main():
         setups = {
             "gaussian": (KernelSpec("gaussian", 2.0, 4), rng.standard_normal((n, 4)), 1e-3 * n,
                          rng.standard_normal((80, 4))),
-            "delta": (KernelSpec("delta"), [str(s) for s in rng.choice(list("abcd"), n)], n**0.5,
-                      list("abcd")),
+            "delta": (KernelSpec("delta"), rng.integers(0, 4, n), n**0.5, np.arange(4)),
         }
         for variant, (spec, points, shift, queries) in setups.items():
             K = gram(spec, points)

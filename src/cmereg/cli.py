@@ -117,6 +117,7 @@ def _table(table):
 
 
 def _one_of(options):
+    options = tuple(options)  # compared by ==, so an unhashable JSON value is simply not one
     return _is(lambda v: v in options, f"one of {list(options)}")
 
 

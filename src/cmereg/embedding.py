@@ -22,18 +22,14 @@ from .linalg import matmul, ridge_inverse
 _CLAMP = 1e-10
 
 
-def _subset(points, idx):
-    if isinstance(points, np.ndarray):
-        return points[idx]
-    return [points[i] for i in idx]
-
-
 @dataclass(frozen=True)
 class TrainingSet:
-    xs: object  # (n, d) array for numeric kernels, or a list of symbols
-    ys: object
+    xs: np.ndarray  # (n,) or (n, d) numeric points; a finite alphabet as integer codes
+    ys: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "xs", np.asarray(self.xs))
+        object.__setattr__(self, "ys", np.asarray(self.ys))
         if len(self.xs) != len(self.ys):
             raise InputError("xs and ys must have equal length")
         if len(self.xs) == 0:
@@ -44,7 +40,7 @@ class TrainingSet:
         return len(self.xs)
 
     def subset(self, idx) -> "TrainingSet":
-        return TrainingSet(_subset(self.xs, idx), _subset(self.ys, idx))
+        return TrainingSet(self.xs[idx], self.ys[idx])
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 Conventions:
   * gaussian: k(a, b) = exp(-||a - b||^2 / (2 sigma^2)), sigma = bandwidth.
   * linear:   k(a, b) = <a, b>.
-  * delta:    k(a, b) = 1 if the symbols are equal, else 0. Points are
-    hashable symbols from a finite alphabet, or the rows of a 2-d array
-    (equal when every entry is); domain_dim is ignored.
+  * delta:    k(a, b) = 1 if a and b agree in every entry, else 0. A finite
+    alphabet enters as integer codes (scalar points).
+
+Every variant takes numeric points only: scalars, or rows of domain_dim
+entries, which is checked.
 """
 
 from __future__ import annotations
@@ -38,7 +40,9 @@ class KernelSpec:
 
 def _as_array(spec: KernelSpec, points) -> np.ndarray:
     """Stack numeric points into an (m, d) array, checking dimensions."""
-    arr = np.asarray(points, dtype=float)
+    arr = np.asarray(points)
+    if arr.dtype.kind not in "biuf":  # bool, int, uint, float
+        raise InputError(f"kernel points must be numeric, not {arr.dtype}")
     if arr.ndim == 1:  # sequence of scalar points
         arr = arr[:, None]
     if arr.ndim != 2:
@@ -47,33 +51,17 @@ def _as_array(spec: KernelSpec, points) -> np.ndarray:
         raise InputError(
             f"points have dimension {arr.shape[1]}, kernel expects {spec.domain_dim}"
         )
-    return arr
-
-
-def _symbols(points):
-    """Delta-kernel points as hashable symbols: data rows (a 2-d array or a
-    sequence of 1-d arrays) become tuples, in one pass; other points pass as is."""
-    if isinstance(points[0], np.ndarray):
-        return list(map(tuple, np.asarray(points).tolist()))
-    return points
+    return arr.astype(float, copy=False)
 
 
 def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
-    if spec.variant == "delta":
-        rows, cols = _symbols(rows), _symbols(cols)
-        first = type(next(iter(rows)))
-        codes = {}
-        def encode(pts):
-            out = np.empty(len(pts), dtype=np.int64)
-            for i, p in enumerate(pts):
-                if type(p) is not first:
-                    raise InputError("delta kernel points must share a type")
-                out[i] = codes.setdefault(p, len(codes))
-            return out
-        r, c = encode(rows), encode(cols)
-        return (r[:, None] == c[None, :]).astype(float)
     R = _as_array(spec, rows)
     C = _as_array(spec, cols)
+    if spec.variant == "delta":
+        same = R[:, [0]] == C[:, 0]
+        for j in range(1, R.shape[1]):
+            same &= R[:, [j]] == C[:, j]
+        return same.astype(float)
     if spec.variant == "linear":
         return R @ C.T
     d2 = cdist(R, C, metric="sqeuclidean")
@@ -82,7 +70,7 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix over one point set, exactly symmetric by construction: delta compares
-    symbols, cdist sums a pair's squared differences in one order, numpy's R @ R.T is syrk."""
+    entries, cdist sums a pair's squared differences in one order, numpy's R @ R.T is syrk."""
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
     if spec.variant == "linear":
@@ -100,9 +88,9 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
 
 def diag(spec: KernelSpec, points) -> np.ndarray:
     """k(p, p) for each point p, bit for bit as cross_gram(spec, [p], [p]) gives it."""
-    if spec.variant != "linear":
-        return np.ones(len(points))
     P = _as_array(spec, points)
+    if spec.variant != "linear":
+        return np.ones(len(P))
     return (P[:, None, :] @ P[:, :, None])[:, 0, 0]  # m 1x1 products, as in _matrix
 
 

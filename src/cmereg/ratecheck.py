@@ -22,8 +22,8 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    x_symbols: tuple
-    y_symbols: tuple
+    x_symbols: tuple  # labels of the table's rows; samples carry their indices
+    y_symbols: tuple  # labels of the table's columns
     px: np.ndarray  # marginal over x_symbols
     pyx: np.ndarray  # row-stochastic, pyx[i, j] = p(y_j | x_i)
 
@@ -53,7 +53,8 @@ class RateResult:
 
 
 def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
-    """Draw n i.i.d. pairs; deterministic per seed."""
+    """Draw n i.i.d. pairs as integer codes (indices into dist.x_symbols and
+    dist.y_symbols); deterministic per seed."""
     if n < 1:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
@@ -61,9 +62,7 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
     cum = np.cumsum(dist.pyx, axis=1)
     u = rng.random(n)
     yi = (u[:, None] > cum[xi]).sum(axis=1)
-    xs = [dist.x_symbols[i] for i in xi]
-    ys = [dist.y_symbols[j] for j in yi]
-    return TrainingSet(xs, ys)
+    return TrainingSet(xi, yi)
 
 
 def irreducible_risk(dist: DiscreteDistribution) -> float:
@@ -78,13 +77,12 @@ def _require_delta(model: EmbeddingModel):
 
 def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.ndarray:
     """Model-predicted coefficient on each y symbol, per x symbol: row x is the
-    predicted vector mu_hat(x) in simplex coordinates."""
+    predicted vector mu_hat(x) in simplex coordinates, for a model fitted on sample's codes."""
     _require_delta(model)
-    A = alpha_batch(model, list(dist.x_symbols))  # (|X|, n)
+    A = alpha_batch(model, np.arange(len(dist.x_symbols)))  # (|X|, n)
     table = np.zeros((len(dist.x_symbols), len(dist.y_symbols)))
-    yindex = {s: j for j, s in enumerate(dist.y_symbols)}
     # unbuffered, in index order: the sums of a loop over the training outputs
-    np.add.at(table, (slice(None), [yindex[y] for y in model.train.ys]), A)
+    np.add.at(table, (slice(None), model.train.ys), A)
     return table
 
 

@@ -13,6 +13,7 @@ accelerated proximal-gradient constants for this objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import blas
@@ -21,9 +22,35 @@ from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import DivergenceError, InputError
 from .linalg import matmul, sym_eig_max
 
-PENALTIES = ("entrywise_l1", "row_group", "col_group")
-
 _NNZ_EPS = 1e-12
+
+
+def _shrink(V: np.ndarray, t: float) -> np.ndarray:
+    """sign(V) * max(|V| - t, 0) for t >= 0, as V - clip(V, -t, t): the same values in two passes."""
+    return V - np.clip(V, -t, t)
+
+
+def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:
+    """Shrink each group's l2 norm by t; a group runs along axis (1: rows, 0: columns)."""
+    norms = np.sqrt(np.sum(V * V, axis=axis, keepdims=True))
+    scale = np.zeros_like(norms)
+    nz = norms > 0
+    scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
+    return V * scale
+
+
+# name -> (penalty at M, proximal map of t * penalty at V for t > 0)
+PENALTIES = {
+    "entrywise_l1": (lambda M: np.sum(np.abs(M)), _shrink),
+    "row_group": (lambda M: np.sum(np.sqrt(np.sum(M * M, axis=1))), partial(_group_shrink, axis=1)),
+    "col_group": (lambda M: np.sum(np.sqrt(np.sum(M * M, axis=0))), partial(_group_shrink, axis=0)),
+}
+
+
+def _penalty(name: str):
+    if not isinstance(name, str) or name not in PENALTIES:
+        raise InputError(f"unknown penalty {name!r}")
+    return PENALTIES[name]
 
 
 @dataclass(frozen=True)
@@ -44,8 +71,7 @@ class SparseProblem:
             raise InputError("K, L, W must be finite-valued")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
-        if self.penalty not in PENALTIES:
-            raise InputError(f"unknown penalty {self.penalty!r}")
+        _penalty(self.penalty)
 
 
 @dataclass(frozen=True)
@@ -59,13 +85,7 @@ class SparseSolution:
 
 
 def penalty_value(penalty: str, M: np.ndarray) -> float:
-    if penalty == "entrywise_l1":
-        return float(np.sum(np.abs(M)))
-    if penalty == "row_group":
-        return float(np.sum(np.sqrt(np.sum(M * M, axis=1))))
-    if penalty == "col_group":
-        return float(np.sum(np.sqrt(np.sum(M * M, axis=0))))
-    raise InputError(f"unknown penalty {penalty!r}")
+    return float(_penalty(penalty)[0](M))
 
 
 def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
@@ -73,31 +93,21 @@ def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
     return float(np.sum(matmul(matmul(problem.K, D), problem.L) * D))
 
 
-def lasso_objective(problem: SparseProblem, M: np.ndarray) -> float:
+def _shaped(problem: SparseProblem, M) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.shape != problem.W.shape:
         raise InputError("M has wrong shape")
+    return M
+
+
+def lasso_objective(problem: SparseProblem, M: np.ndarray) -> float:
+    M = _shaped(problem, M)
     return smooth_part(problem, M) + problem.gamma * penalty_value(problem.penalty, M)
 
 
 def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if M.shape != problem.W.shape:
-        raise InputError("M has wrong shape")
+    M = _shaped(problem, M)
     return matmul(matmul(2.0 * problem.K, M - problem.W), problem.L)
-
-
-def _shrink(V: np.ndarray, t: float) -> np.ndarray:
-    """sign(V) * max(|V| - t, 0) for t >= 0, as V - clip(V, -t, t): the same values in two passes."""
-    return V - np.clip(V, -t, t)
-
-
-def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:
-    norms = np.sqrt(np.sum(V * V, axis=1 - axis, keepdims=True))
-    scale = np.zeros_like(norms)
-    nz = norms > 0
-    scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
-    return V * scale
 
 
 def prox(penalty: str, V: np.ndarray, t: float) -> np.ndarray:
@@ -107,21 +117,13 @@ def prox(penalty: str, V: np.ndarray, t: float) -> np.ndarray:
     V = np.asarray(V, dtype=float)
     if t == 0:
         return V.copy()
-    if penalty == "entrywise_l1":
-        return _shrink(V, t)
-    if penalty == "row_group":
-        return _group_shrink(V, t, axis=0)
-    if penalty == "col_group":
-        return _group_shrink(V, t, axis=1)
-    raise InputError(f"unknown penalty {penalty!r}")
+    return _penalty(penalty)[1](V, t)
 
 
 def kl_distance(problem: SparseProblem, M: np.ndarray) -> float:
     """Tensor-product RKHS distance between the embeddings represented by M
     and by W: sqrt(tr((M-W)^T K (M-W) L))."""
-    M = np.asarray(M, dtype=float)
-    if M.shape != problem.W.shape:
-        raise InputError("M has wrong shape")
+    M = _shaped(problem, M)
     return float(np.sqrt(max(smooth_part(problem, M), 0.0)))
 
 

@@ -8,6 +8,14 @@ coordinate descent, so agreement is meaningful.
 import numpy as np
 
 
+def delta_by_tuples(rows, cols):
+    """Delta kernel by Python tuple equality of the points (scalars as 1-tuples):
+    1.0 where two points agree in every entry, so -0.0 equals 0.0."""
+    rows = [tuple(np.atleast_1d(p).tolist()) for p in rows]
+    cols = [tuple(np.atleast_1d(p).tolist()) for p in cols]
+    return np.array([[1.0 if r == c else 0.0 for c in cols] for r in rows])
+
+
 def smooth_objective_quadloop(K, L, W, M):
     """tr((M-W)^T K (M-W) L) by explicit summation."""
     n = K.shape[0]

@@ -13,7 +13,7 @@ import pytest
 
 from cmereg import embedding, lowrank, pendulum, ratecheck, sparse
 from cmereg.cli import main as cli_main
-from cmereg.embedding import TrainingSet, fit
+from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram, median_bandwidth
 from cmereg.sparse import SparseProblem, fista_solve, grad_smooth, smooth_part
 
@@ -166,11 +166,11 @@ def test_criterion_4_per_symbol_ridge_equivalence():
     K = gram(DELTA, train.xs)
     n = train.n
     # brute-force oracle: one scalar kernel ridge regression per output symbol,
-    # on indicator targets
-    Z = np.array([[1.0 if y == b else 0.0 for b in DIST.y_symbols] for y in train.ys])
+    # on indicator targets; sample draws symbol codes
+    Z = np.array([[1.0 if y == b else 0.0 for b in range(len(DIST.y_symbols))] for y in train.ys])
     ridge = np.linalg.solve(K + lam * n * np.eye(n), Z)
     worst = 0.0
-    for x in DIST.x_symbols:
+    for x in range(len(DIST.x_symbols)):
         kq = np.array([1.0 if xi == x else 0.0 for xi in train.xs])
         krr_pred = kq @ ridge
         cme_pred = embedding.alpha_batch(model, [x])[0] @ Z

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from cmereg.embedding import (
-    CvReport,
     TrainingSet,
     _clamp_losses,
     alpha_batch,
@@ -78,9 +77,9 @@ class TestAlpha:
         np.testing.assert_allclose(alpha_batch(model, [0.0])[0], [0.5])
 
     def test_delta_unseen_symbol_gives_zero(self):
-        ts = TrainingSet(["a", "b"], ["u", "v"])
+        ts = TrainingSet([0, 1], [0, 1])
         model = fit(ts, DELTA, DELTA, 0.1)
-        np.testing.assert_array_equal(alpha_batch(model, ["z"])[0], np.zeros(2))
+        np.testing.assert_array_equal(alpha_batch(model, [2])[0], np.zeros(2))
 
     def test_matches_matrix_vector_oracle(self):
         model = small_model(seed=3)
@@ -92,9 +91,9 @@ class TestAlpha:
 class TestPointLoss:
     def test_zero_alpha_gives_lyy(self):
         # disjoint delta alphabet forces alpha(x) = 0
-        ts = TrainingSet(["a", "b"], ["u", "v"])
+        ts = TrainingSet([0, 1], [0, 1])
         model = fit(ts, DELTA, DELTA, 0.1)
-        assert empirical_risk(model, TrainingSet(["z"], ["u"])) == pytest.approx(1.0)
+        assert empirical_risk(model, TrainingSet([2], [0])) == pytest.approx(1.0)
 
     def test_hand_expansion_n1(self):
         # L(y1,y1)=1, alpha=0.5 at the training point with K11=1, lam=1:
@@ -104,20 +103,21 @@ class TestPointLoss:
 
     def test_matches_explicit_feature_oracle(self):
         # delta output kernel: L(y,.) is a standard basis vector, so the loss
-        # can be computed as a finite-dimensional squared distance
+        # can be computed as a finite-dimensional squared distance; sample
+        # draws symbol codes, so a code is its basis index
         dist = DiscreteDistribution(("a", "b", "c"), ("u", "v"), np.array([0.4, 0.3, 0.3]),
                                     np.array([[0.7, 0.3], [0.5, 0.5], [0.1, 0.9]]))
         ts = sample(dist, 30, 0)
         model = fit(ts, DELTA, DELTA, 0.05)
-        ysym = list(dist.y_symbols)
-        for x in dist.x_symbols:
-            for y in ysym:
+        ny = len(dist.y_symbols)
+        for x in range(len(dist.x_symbols)):
+            for y in range(ny):
                 a = alpha_batch(model, [x])[0]
-                vec = np.zeros(len(ysym))
+                vec = np.zeros(ny)
                 for i, yi in enumerate(ts.ys):
-                    vec[ysym.index(yi)] += a[i]
-                e = np.zeros(len(ysym))
-                e[ysym.index(y)] = 1.0
+                    vec[yi] += a[i]
+                e = np.zeros(ny)
+                e[y] = 1.0
                 expected = float(np.sum((e - vec) ** 2))
                 assert empirical_risk(model, TrainingSet([x], [y])) == pytest.approx(expected, abs=1e-10)
 
@@ -133,14 +133,14 @@ class TestPointLoss:
 class TestEmpiricalRisk:
     def test_interpolation_limit_near_zero(self):
         # distinct delta inputs and tiny lam: the model interpolates
-        ts = TrainingSet(["a", "b", "c"], ["u", "v", "u"])
+        ts = TrainingSet([0, 1, 2], [0, 1, 0])
         model = fit(ts, DELTA, DELTA, 1e-9)
         assert empirical_risk(model, ts) < 1e-6
 
     def test_zero_model_mean_lyy(self):
-        ts = TrainingSet(["a", "b"], [0.0, 1.0])
+        ts = TrainingSet([0, 1], [0.0, 1.0])
         model = fit(ts, DELTA, KernelSpec("gaussian", 1.0), 0.1)
-        test = TrainingSet(["p", "q"], [0.0, 1.0])  # disjoint alphabet: alpha = 0
+        test = TrainingSet([2, 3], [0.0, 1.0])  # disjoint alphabet: alpha = 0
         assert empirical_risk(model, test) == pytest.approx(1.0)  # mean of L(y,y) = 1
 
     def test_train_risk_bounded_by_zero_function(self):
@@ -229,10 +229,10 @@ def test_delta_krr_equivalence():
     n = ts.n
     K = gram(DELTA, ts.xs)
     A = K + lam * n * np.eye(n)
-    for y in dist.y_symbols:
+    for y in range(len(dist.y_symbols)):  # sample draws symbol codes
         target = np.array([1.0 if yi == y else 0.0 for yi in ts.ys])
         coef = np.linalg.solve(A, target)  # independent KRR path
-        for x in dist.x_symbols:
+        for x in range(len(dist.x_symbols)):
             kx = np.array([1.0 if xi == x else 0.0 for xi in ts.xs])
             krr = float(coef @ kx)
             a = alpha_batch(model, [x])[0]
@@ -260,7 +260,7 @@ class TestCrossValidate:
     def test_tie_breaks_to_larger_lambda(self):
         # disjoint-alphabet inputs force alpha = 0 for held-out points, so every
         # lambda has identical fold errors and the largest lambda must win
-        ts = TrainingSet([f"s{i}" for i in range(12)], ["u", "v"] * 6)
+        ts = TrainingSet(np.arange(12), [0, 1] * 6)
         report = cross_validate(ts, DELTA, DELTA, [(0.01, None), (1.0, None), (0.1, None)], folds=4, seed=0)
         means = report.fold_errors.mean(axis=1)
         assert means[0] == means[1] == means[2]

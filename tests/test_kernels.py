@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from cmereg.errors import InputError
 from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
 
+from oracles import delta_by_tuples
+
 
 def pair(spec, a, b):
     """The kernel on one pair of points: the 1x1 block of cross_gram."""
@@ -47,14 +49,36 @@ def test_eval_dimension_mismatch():
         pair(spec, [1.0], [2.0])
 
 
-def test_delta_type_mismatch():
-    spec = KernelSpec("delta")
+def test_non_numeric_points_rejected():
     with pytest.raises(InputError):
-        pair(spec, "a", 1)
+        gram(KernelSpec("gaussian", 1.0), ["a", "b"])
+    with pytest.raises(InputError):
+        pair(KernelSpec("delta"), "a", 1)
+
+
+def test_delta_checks_domain_dim():
+    rows = np.zeros((4, 3))
+    with pytest.raises(InputError):
+        gram(KernelSpec("delta", domain_dim=2), rows)
+    with pytest.raises(InputError):
+        cross_gram(KernelSpec("delta", domain_dim=2), rows, rows)
+
+
+@pytest.mark.parametrize("dim,rows,cols", [
+    pytest.param(1, np.random.default_rng(7).integers(0, 5, 40), np.arange(-1, 7), id="codes"),
+    pytest.param(4, np.random.default_rng(8).integers(0, 2, (60, 4)).astype(float),
+                 np.random.default_rng(9).integers(0, 2, (9, 4)).astype(float), id="rows-4"),
+    pytest.param(2, np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]]),
+                 np.array([[-0.0, 1.0], [0.0, 0.0], [1.0, -0.0]]), id="signed-zeros"),
+])
+def test_delta_matches_tuple_equality_oracle(dim, rows, cols):
+    spec = KernelSpec("delta", domain_dim=dim)
+    assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
+    assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
 
 
 def test_gram_delta_identity():
-    g = gram(KernelSpec("delta"), ["a", "b", "c"])
+    g = gram(KernelSpec("delta"), [0, 1, 2])
     np.testing.assert_array_equal(g, np.eye(3))
 
 
@@ -81,8 +105,8 @@ _RNG = np.random.default_rng(3)
 
 
 @pytest.mark.parametrize("spec,pts", [
-    pytest.param(KernelSpec("delta"), [str(v) for v in _RNG.integers(0, 5, 300)], id="delta-strings"),
-    pytest.param(KernelSpec("delta"), _RNG.integers(0, 2, (300, 3)).astype(float), id="delta-rows"),
+    pytest.param(KernelSpec("delta"), _RNG.integers(0, 5, 300), id="delta-codes"),
+    pytest.param(KernelSpec("delta", domain_dim=3), _RNG.integers(0, 2, (300, 3)).astype(float), id="delta-rows"),
     pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((20, 3)), id="gaussian-20"),
     pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((300, 3)) * 100.0,
                  id="gaussian-300-scaled"),
@@ -106,7 +130,7 @@ def test_cross_gram_equals_gram_on_same_points():
 
 
 def test_cross_gram_disjoint_delta_alphabets():
-    cg = cross_gram(KernelSpec("delta"), ["a", "b"], ["c", "d", "e"])
+    cg = cross_gram(KernelSpec("delta"), [0, 1], [2, 3, 4])
     np.testing.assert_array_equal(cg, np.zeros((2, 3)))
 
 
@@ -125,11 +149,11 @@ def test_symmetric_gram_psd_tolerance(variant, bw):
     rng = np.random.default_rng(42)
     for _ in range(100):
         n = rng.integers(2, 9)
-        if variant == "delta":
-            pts = [str(s) for s in rng.integers(0, 4, size=n)]
+        if variant == "delta":  # integer codes, scalar points
+            pts = rng.integers(0, 4, size=n)
         else:
             pts = rng.standard_normal((n, 2))
-        spec = KernelSpec(variant, bw, domain_dim=2)
+        spec = KernelSpec(variant, bw, domain_dim=1 if variant == "delta" else 2)
         g = gram(spec, pts)
         lam_min = np.min(np.linalg.eigvalsh(g))
         assert lam_min >= -1e-8 * np.trace(g)
@@ -167,12 +191,13 @@ def test_median_bandwidth_scalar_points():
 
 def test_delta_gram_of_array_rows_is_row_equality():
     rows = np.random.default_rng(3).integers(0, 2, size=(25, 3)).astype(float)
-    K = gram(KernelSpec("delta"), rows)
+    spec = KernelSpec("delta", domain_dim=3)
+    K = gram(spec, rows)
     np.testing.assert_array_equal(K, np.all(rows[:, None, :] == rows[None, :, :], axis=2))
-    C = cross_gram(KernelSpec("delta"), rows, rows[:4])
+    C = cross_gram(spec, rows, rows[:4])
     np.testing.assert_array_equal(C, K[:, :4])
-    np.testing.assert_array_equal(cross_gram(KernelSpec("delta"), rows, [rows[2]]), K[:, 2:3])
-    assert pair(KernelSpec("delta"), rows[0], rows[0]) == 1.0
+    np.testing.assert_array_equal(cross_gram(spec, rows, [rows[2]]), K[:, 2:3])
+    assert pair(spec, rows[0], rows[0]) == 1.0
 
 
 def _diag_by_blocks(spec, points):
@@ -199,10 +224,11 @@ def test_diag_linear_bitwise_equal_to_blocks(dim):
         assert np.all(diag(spec, scalars) == _diag_by_blocks(spec, scalars))
 
 
-def test_diag_delta_on_strings_and_rows():
+def test_diag_delta_on_codes_and_rows():
     spec = KernelSpec("delta")
-    symbols = ["a", "b", "a", "c"]
-    assert np.all(diag(spec, symbols) == _diag_by_blocks(spec, symbols))
+    codes = [0, 1, 0, 2]
+    assert np.all(diag(spec, codes) == _diag_by_blocks(spec, codes))
     rows = np.random.default_rng(2).integers(0, 2, size=(12, 3)).astype(float)
+    spec = KernelSpec("delta", domain_dim=3)
     assert np.all(diag(spec, rows) == _diag_by_blocks(spec, rows))
     assert np.all(diag(spec, list(rows)) == 1.0)

@@ -81,7 +81,7 @@ class TestSolveSpd:
 
     def test_singular_gram_names_pivot(self):
         # the third symbol repeats the second, so the third leading minor is 0
-        K = gram(KernelSpec("delta"), ["a", "b", "b", "c"])
+        K = gram(KernelSpec("delta"), [0, 1, 1, 2])
         with pytest.raises(SingularMatrixError) as exc:
             solve_spd(K)
         assert exc.value.pivot_index == 2

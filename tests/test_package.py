@@ -1,8 +1,9 @@
 """The package surface: exported names resolve, no module keeps an import it
 never uses or imports another module's private name, no dataclass keeps a
-field that nothing reads, and the modules on the fit -> score -> sparsify
-path form no product on numpy's BLAS (no linter ships with the project, so
-these scans stand in)."""
+field that nothing reads, no public name is read only by tests without a
+stated reason, and the modules on the fit -> score -> sparsify path form no
+product on numpy's BLAS (no linter ships with the project, so these scans
+stand in)."""
 
 import ast
 import pathlib
@@ -14,7 +15,8 @@ import cmereg
 SRC = pathlib.Path(cmereg.__file__).parent
 MODULES = sorted(SRC.glob("*.py"))
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+READERS = MODULES + sorted((ROOT / "tests").glob("*.py")) + SCRIPTS
 
 
 def test_all_names_resolve_once():
@@ -51,7 +53,7 @@ def test_scan_flags_an_unused_import():
     assert unused_imports(source) == ["os (line 1)"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", READERS, ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -114,6 +116,51 @@ def test_scan_flags_an_unread_field():
 
 def test_no_unread_dataclass_fields():
     assert unread_fields([p.read_text() for p in MODULES], [p.read_text() for p in READERS]) == []
+
+
+def public_names(source: str) -> set:
+    """Top-level functions, classes and assigned names of a module without a leading underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {name for name in names if not name.startswith("_")}
+
+
+def names_read(source: str) -> set:
+    """Every name a module reads, bare (x) or as an attribute (m.x)."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_public_names(sources, readers) -> list:
+    """Public top-level names of sources that no reader reads; a definition or an
+    import does not count as a read, so an __init__ re-export is none either."""
+    read = set().union(*(names_read(r) for r in readers))
+    return sorted(set().union(*(public_names(s) for s in sources)) - read)
+
+
+def test_scan_flags_an_unread_public_name():
+    source = ("import os\nLIMIT = 3\n_CACHE = {}\n\ndef used(x):\n    return x + LIMIT\n\n"
+              "def unused():\n    return used(1)\n\nclass Spec:\n    pass\n\nclass Other:\n    pass\n")
+    reader = "from m import Spec, Other, used\nimport m\nm.unused\nprint(Spec)\n"
+    assert unread_public_names([source], [source, reader]) == ["Other"]  # imported, never read
+    assert unread_public_names([source], [source]) == ["Other", "Spec", "unused"]
+
+
+# Public names that only tests read, each with the reason it stays.
+TEST_ONLY = {
+    "regularized_objective": "the loss the paper says the embedding minimises",
+    "lasso_objective": "the objective TestFista checks fista_solve's reported objective against",
+    "grad_smooth": "the gradient of criterion 2's optimality check and criterion 3's central differences",
+}
+
+
+def test_public_names_read_outside_tests():
+    sources = [p.read_text() for p in MODULES if p.name != "__init__.py"]
+    assert unread_public_names(sources, sources + [p.read_text() for p in SCRIPTS]) == sorted(TEST_ONLY)
 
 
 # Modules whose products run on scipy's BLAS (linalg.matmul, scipy.linalg.blas);

@@ -286,7 +286,7 @@ class TestPolicyAct:
             state = cross_gram(spec, model.train.xs[:, :3], features(t, w, 0.0)[None, :3])
             np.testing.assert_allclose(state * T, expected, rtol=0, atol=4.5e-16)
 
-    @pytest.mark.parametrize("kspec", [KernelSpec("linear", domain_dim=4), KernelSpec("delta")])
+    @pytest.mark.parametrize("kspec", [KernelSpec("linear", domain_dim=4), KernelSpec("delta", domain_dim=4)])
     def test_non_gaussian_input_kernel_rejected(self, params, kspec):
         data = collect_dataset(params, 30, 15)
         model = fit(data, kspec, KernelSpec("gaussian", 1.0, 3), 1e-2)
