@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the dense layers of a fit: kernels.gram, linalg.ridge_inverse, and a
-score followed by an inverse; and one rollout step of the pendulum policies.
+"""Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a score followed
+by an inverse and a whole embedding.fit; and one rollout step of the pendulum
+policies.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
@@ -12,8 +13,11 @@ lambda 1e-3, as in plan-pendulum's fits), delta on n integer codes drawn from fo
 `embedding.alpha_batch` of a model fitted to those points followed by
 `ridge_inverse`, as one rate fit's scoring precedes the next fit's inverse:
 the queries are the four codes (delta) or 80 fresh points (gaussian, a CV
-fold's held-out share at n = 400). Each case runs once as a warm-up and
-then --repeats times; the result gives min and median milliseconds.
+fold's held-out share at n = 400). "fit" times `embedding.fit` on those
+points as inputs and outputs, with the same kernel on both sides and the same
+shift: the dense inverse for gaussian, the inverse through the classes for
+delta. Each case runs once as a warm-up and then --repeats times; the result
+gives min and median milliseconds.
 
 "rollout_step" gives min and median microseconds per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
@@ -137,12 +141,14 @@ def main():
         }
         for variant, (spec, points, shift, queries) in setups.items():
             K = gram(spec, points)
-            model = fit(TrainingSet(points, points), spec, spec, shift / n)
+            train = TrainingSet(points, points)
+            model = fit(train, spec, spec, shift / n)
             cases[f"{variant}-{n}"] = {
                 "gram": timed(lambda: gram(spec, points), args.repeats),
                 "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
                 "score_then_invert": timed(
                     lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
+                "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
             }
     cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
     result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram, diag, gram
-from .linalg import matmul, ridge_inverse
+from .linalg import class_ridge_inverse, matmul, ridge_inverse
 
 _CLAMP = 1e-10
 
@@ -28,8 +28,14 @@ class TrainingSet:
     ys: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "xs", np.asarray(self.xs))
-        object.__setattr__(self, "ys", np.asarray(self.ys))
+        for name in ("xs", "ys"):
+            try:
+                arr = np.asarray(getattr(self, name))
+            except ValueError:  # numpy's "inhomogeneous shape"
+                raise InputError(f"{name} must be points of one shape") from None
+            if arr.dtype.kind == "f" and not np.all(np.isfinite(arr)):
+                raise InputError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
         if len(self.xs) != len(self.ys):
             raise InputError("xs and ys must have equal length")
         if len(self.xs) == 0:
@@ -68,9 +74,16 @@ def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) ->
         raise InputError("lam must be positive")
     n = train.n
     kg = gram(kspec, train.xs)
-    W = ridge_inverse(kg, lam * n)
+    W = ridge_coefficients(kspec, kg, lam * n)
     lg = gram(lspec, train.ys)
     return EmbeddingModel(train=train, kspec=kspec, lspec=lspec, lam=lam, W=W, kgram=kg, lgram=lg)
+
+
+def ridge_coefficients(kspec: KernelSpec, K, shift: float) -> np.ndarray:
+    """(K + shift*I)^{-1} for a Gram K of kspec: through its classes for a delta
+    kernel, else the dense SPD inverse."""
+    inverse = class_ridge_inverse if kspec.variant == "delta" else ridge_inverse
+    return inverse(K, shift)
 
 
 def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:

@@ -40,7 +40,10 @@ class KernelSpec:
 
 def _as_array(spec: KernelSpec, points) -> np.ndarray:
     """Stack numeric points into an (m, d) array, checking dimensions."""
-    arr = np.asarray(points)
+    try:
+        arr = np.asarray(points)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise InputError("kernel points must all have one shape") from None
     if arr.dtype.kind not in "biuf":  # bool, int, uint, float
         raise InputError(f"kernel points must be numeric, not {arr.dtype}")
     if arr.ndim == 1:  # sequence of scalar points

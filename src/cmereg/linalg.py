@@ -47,6 +47,23 @@ def ridge_inverse(K, shift: float) -> np.ndarray:
     return solve_spd(A).solution
 
 
+def class_ridge_inverse(K, shift: float) -> np.ndarray:
+    """(K + shift*I)^{-1} in O(n^2) for a delta Gram K (0/1, "same point") and
+    shift > 0. K = P P^T for the one-hot P of its classes (a row's first 1 names
+    its class); solve_spd inverts the m x m primal system P^T P + shift*I =
+    diag(c + shift), c the class sizes. With g = 1/(c + shift) of a point's class,
+    the inverse has g*(shift + c - 1)/shift on the diagonal, -g/shift between two
+    points of one class and 0 elsewhere; c - 1 is an exact count, so nothing cancels.
+    """
+    K = np.asarray(K, dtype=float)
+    _, cls, counts = np.unique(np.argmax(K, axis=1), return_inverse=True, return_counts=True)
+    g = np.diagonal(solve_spd(np.diag(counts + shift)).solution)
+    W = K * (-g / shift)[cls][:, None]
+    W += 0.0  # -0.0 (0 times a negative) becomes 0.0; every other entry stays
+    W.flat[:: len(W) + 1] = (g * (shift + (counts - 1)) / shift)[cls]
+    return W
+
+
 def matmul(A, B) -> np.ndarray:
     """A @ B by scipy's dgemm, C-ordered: dgemm forms the Fortran-ordered
     B^T A^T from views, so C- and F-ordered operands are never copied."""

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .embedding import TrainingSet
+from .embedding import TrainingSet, ridge_coefficients
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, gram
-from .linalg import ridge_inverse
 
 
 @dataclass(frozen=True)
@@ -72,5 +71,6 @@ def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> n
     if any(p < 0 or p >= train.n for p in pivots):
         raise InputError("pivot index out of range")
     M = np.zeros((train.n, train.n))
-    M[np.ix_(pivots, pivots)] = ridge_inverse(gram(kspec, train.subset(pivots).xs), lam * len(pivots))
+    M[np.ix_(pivots, pivots)] = ridge_coefficients(
+        kspec, gram(kspec, train.subset(pivots).xs), lam * len(pivots))
     return M

@@ -5,6 +5,8 @@ quadruple loops, dense eigendecompositions, finite differences, and
 coordinate descent, so agreement is meaningful.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -14,6 +16,20 @@ def delta_by_tuples(rows, cols):
     rows = [tuple(np.atleast_1d(p).tolist()) for p in rows]
     cols = [tuple(np.atleast_1d(p).tolist()) for p in cols]
     return np.array([[1.0 if r == c else 0.0 for c in cols] for r in rows])
+
+
+def delta_ridge_inverse_exact(points, shift):
+    """(K + shift*I)^{-1} of the delta Gram of points, as nested lists of Fractions.
+
+    Points are equal by tuple equality, as in delta_by_tuples. Each class of c
+    equal points is a block 11^T + sI, whose inverse is (I - 11^T/(s + c))/s:
+    (s + c - 1)/(s(s + c)) on the diagonal, -1/(s(s + c)) off it; 0 across classes.
+    """
+    keys = [tuple(np.atleast_1d(p).tolist()) for p in points]
+    s = Fraction(shift)
+    size = {k: keys.count(k) for k in keys}
+    return [[(s + size[a] - 1 if i == j else -1) / (s * (s + size[a])) if a == b else Fraction(0)
+             for j, b in enumerate(keys)] for i, a in enumerate(keys)]
 
 
 def smooth_objective_quadloop(K, L, W, M):

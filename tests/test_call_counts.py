@@ -1,0 +1,56 @@
+"""The call structure the command-line benchmark pins (clibench EXPECTED_CALLS).
+
+Each fit makes one linalg.solve_spd and two kernels.gram calls, whichever
+ridge path it takes, so `cmereg rate` makes as many solves as fits and twice
+as many Gram builds. Counting wrappers are bound wherever cmereg holds each
+function, as the benchmark's tracer binds its spans.
+"""
+
+import json
+import sys
+from collections import Counter
+
+import pytest
+
+from cmereg import cli, embedding, kernels, linalg
+from cmereg.embedding import TrainingSet
+from cmereg.kernels import KernelSpec
+
+COUNTED = {"embedding.fit": embedding.fit, "linalg.solve_spd": linalg.solve_spd, "kernels.gram": kernels.gram}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, fn in COUNTED.items():
+        wrapper = counting(name, fn)
+        for mod in [m for key, m in sys.modules.items() if key == "cmereg" or key.startswith("cmereg.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize("kspec,points", [
+    (KernelSpec("delta"), [0, 1, 1, 2, 3, 3, 3]),
+    (KernelSpec("gaussian", 1.0), [0.0, 0.5, 1.0, 2.0, 3.5]),
+], ids=["delta", "gaussian"])
+def test_fit_makes_one_solve_and_two_grams(calls, kspec, points):
+    embedding.fit(TrainingSet(points, points), kspec, KernelSpec("delta"), 0.1)
+    assert dict(calls) == {"embedding.fit": 1, "linalg.solve_spd": 1, "kernels.gram": 2}
+
+
+def test_rate_command_counts(calls, tmp_path):
+    cfg = tmp_path / "rate.json"
+    cfg.write_text(json.dumps({"px": [0.5, 0.5], "pyx": [[0.9, 0.1], [0.2, 0.8]],
+                               "n_grid": [20, 40, 80], "seeds": [0, 1]}))
+    assert cli.main(["rate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert dict(calls) == {"embedding.fit": 6, "linalg.solve_spd": 6, "kernels.gram": 12}
+

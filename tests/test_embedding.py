@@ -1,4 +1,6 @@
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, gram
 from cmereg.linalg import sym_eig_max
 from cmereg.ratecheck import DiscreteDistribution, sample
+from oracles import delta_ridge_inverse_exact
 
 DELTA = KernelSpec("delta")
 
@@ -32,6 +35,20 @@ def test_training_set_validation():
         TrainingSet([1.0], [])
     with pytest.raises(InputError):
         TrainingSet([], [])
+
+
+@pytest.mark.parametrize("xs,ys", [([[1.0, 2.0], [3.0]], [0, 1]), ([0, 1], [[1.0, 2.0], [3.0]])])
+def test_training_set_rejects_ragged_points(xs, ys):
+    with pytest.raises(InputError):
+        TrainingSet(xs, ys)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_training_set_rejects_non_finite_points(bad):
+    with pytest.raises(InputError):
+        TrainingSet([0.0, bad], [0, 1])
+    with pytest.raises(InputError):
+        TrainingSet([[0.0, 1.0], [2.0, 3.0]], [[1.0], [bad]])
 
 
 class TestFit:
@@ -69,6 +86,51 @@ class TestFit:
     def test_bad_lambda(self):
         with pytest.raises(InputError):
             fit(TrainingSet([0.0], [0.0]), KernelSpec("linear"), KernelSpec("linear"), 0.0)
+
+
+def _draws(n, codes, seed):
+    return np.random.default_rng(seed).integers(0, codes, n)
+
+
+SIGNED_ZERO_ROWS = [[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [1.0, -0.0, 0.0],
+                    [1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
+
+
+class TestDeltaFitExact:
+    """A delta fit's W against (K + sI)^{-1} in exact rational arithmetic."""
+
+    @pytest.mark.parametrize("points,shift", [
+        ([0, 1, 2], 3e-9),
+        ([0, 1, 1, 2, 3, 3, 3], 1e-12),
+        (_draws(60, 4, 1), 60**0.5),
+        (_draws(60, 30, 2), 1e-6),
+        (_draws(40, 10, 3), 1e6),
+        (SIGNED_ZERO_ROWS, 0.3),
+    ], ids=["singletons", "tiny-shift", "4-codes", "30-codes", "huge-shift", "signed-zero-rows"])
+    def test_matches_rational_inverse(self, points, shift):
+        points = np.asarray(points)
+        spec = KernelSpec("delta", domain_dim=1 if points.ndim == 1 else points.shape[1])
+        n = len(points)
+        lam = shift / n
+        W = fit(TrainingSet(points, np.zeros(n)), spec, KernelSpec("linear"), lam).W
+        exact = delta_ridge_inverse_exact(points, lam * n)  # the shift fit forms
+        assert np.array_equal(W, W.T)
+        for i in range(n):
+            for j in range(n):
+                if exact[i][j] == 0:
+                    assert W[i, j] == 0.0 and not np.signbit(W[i, j]), (i, j)
+                else:
+                    rel = abs(Fraction(W[i, j]) - exact[i][j]) / abs(exact[i][j])
+                    assert rel <= 2e-15, (i, j, float(rel))
+
+    def test_oracle_inverts_shifted_gram(self):
+        points, s = [0, 1, 1, 2, 3, 3, 3], Fraction(1e-12)
+        exact = delta_ridge_inverse_exact(points, 1e-12)
+        n = len(points)
+        for i in range(n):
+            for j in range(n):
+                row = [(points[i] == points[k]) + (s if i == k else 0) for k in range(n)]
+                assert sum(a * exact[k][j] for k, a in enumerate(row)) == (i == j)
 
 
 class TestAlpha:

@@ -56,6 +56,16 @@ def test_non_numeric_points_rejected():
         pair(KernelSpec("delta"), "a", 1)
 
 
+@pytest.mark.parametrize("spec", [KernelSpec("linear", domain_dim=2), KernelSpec("gaussian", 1.0, 2),
+                                  KernelSpec("delta", domain_dim=2)], ids=lambda s: s.variant)
+def test_ragged_points_rejected(spec):
+    ragged, rows = [[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0]]
+    for call in (lambda: gram(spec, ragged), lambda: cross_gram(spec, rows, ragged),
+                 lambda: cross_gram(spec, ragged, rows), lambda: diag(spec, ragged)):
+        with pytest.raises(InputError):
+            call()
+
+
 def test_delta_checks_domain_dim():
     rows = np.zeros((4, 3))
     with pytest.raises(InputError):
