@@ -26,7 +26,7 @@ import numpy as np
 from . import embedding, lowrank, pendulum, ratecheck, sparse
 from .errors import InputError, NumericalError
 from .kernels import VARIANTS, KernelSpec, median_bandwidth
-from .linalg import matmul, sym_eig_max
+from .linalg import sym_eig_max
 
 
 class ConfigError(Exception):
@@ -267,7 +267,7 @@ def run_fit(cfg: dict, out: str):
     kspec = _kernel(**cfg["x_kernel"], points=train.xs)
     lspec = _kernel(**cfg["y_kernel"], points=train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    opnorm = sym_eig_max(matmul(model.W, model.W.T)) ** 0.5
+    opnorm = sym_eig_max(model.W)  # W = (K + lam*n*I)^{-1} is symmetric positive definite
     bound = 1.0 / (lam * train.n) + 1e-8
     write_csv(
         os.path.join(out, "summary.csv"),
@@ -326,17 +326,12 @@ def run_compare(cfg: dict, out: str):
     rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk, int(r.converged)]
             for r in sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"],
                                            cfg["max_iter"], cfg["tol"])]
-    problem = sparse.SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
+    # Greedy pivots are nested: the first `rank` of one run to max(ranks) are a run to `rank`.
+    pivots = lowrank.incomplete_cholesky(model.kgram, max(cfg["ranks"])).pivots
     for rank in cfg["ranks"]:
-        ic = lowrank.incomplete_cholesky(model.kgram, rank)
-        M = lowrank.subset_refit(train, ic.pivots, kspec, lam)
-        rows.append([
-            "cholesky", rank,
-            sparse.nnz_fraction(M),
-            sparse.kl_distance(problem, M),
-            embedding.empirical_risk(model.with_coefficients(M), test),
-            1,
-        ])
+        M = lowrank.subset_refit(train, pivots[:rank], kspec, lam)
+        nnz, _, kl, risk = sparse.score(model, test, M)
+        rows.append(["cholesky", rank, nnz, kl, risk, 1])
     write_csv(os.path.join(out, "compare.csv"),
               ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk", "converged"], rows)
 

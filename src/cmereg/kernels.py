@@ -97,14 +97,18 @@ def diag(spec: KernelSpec, points) -> np.ndarray:
     return (P[:, None, :] @ P[:, :, None])[:, 0, 0]  # m 1x1 products, as in _matrix
 
 
-def median_bandwidth(points, max_points: int = 500, seed: int = 0) -> float:
+_MEDIAN_MAX_POINTS = 500  # median_bandwidth reads a seeded subsample of this many points
+_MEDIAN_SEED = 0
+
+
+def median_bandwidth(points) -> float:
     """Median pairwise distance heuristic for picking a gaussian bandwidth."""
     arr = np.asarray(points, dtype=float)
     if arr.ndim < 2:  # scalar points, as in _as_array
         arr = arr.reshape(-1, 1)
     n = arr.shape[0]
-    if n > max_points:
-        idx = np.random.default_rng(seed).choice(n, size=max_points, replace=False)
+    if n > _MEDIAN_MAX_POINTS:
+        idx = np.random.default_rng(_MEDIAN_SEED).choice(n, size=_MEDIAN_MAX_POINTS, replace=False)
         arr = arr[np.sort(idx)]
     d = cdist(arr, arr)
     vals = d[np.triu_indices_from(d, k=1)]

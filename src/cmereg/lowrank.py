@@ -25,18 +25,17 @@ class IncompleteCholesky:
     residual_diag: tuple  # residual diagonal after each step (step 0 = K's diagonal)
 
 
-def incomplete_cholesky(K: np.ndarray, max_rank: int, tol: float = 0.0) -> IncompleteCholesky:
+def incomplete_cholesky(K: np.ndarray, max_rank: int) -> IncompleteCholesky:
     """Greedy max-residual-diagonal pivoting of a symmetric matrix (exactly
     equal to its transpose, as gram() builds it); stops at max_rank or when the
-    largest residual diagonal entry falls to tol. Ties go to the lowest index."""
+    largest residual diagonal entry falls to 0. Ties go to the lowest index, so
+    the pivots of a run to a smaller max_rank are a prefix of these."""
     A = np.asarray(K, dtype=float)
     if A.ndim != 2 or not np.array_equal(A, A.T):
         raise InputError("incomplete_cholesky needs a symmetric Gram matrix")
     n = A.shape[0]
     if not 1 <= max_rank <= n:
         raise InputError("max_rank must satisfy 1 <= max_rank <= n")
-    if tol < 0:
-        raise InputError("tol must be nonnegative")
     d = np.diag(A).copy()
     G = np.zeros((n, max_rank), order="F")  # G[:, :t] is Fortran-contiguous for dgemv
     pivots = []
@@ -44,7 +43,7 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int, tol: float = 0.0) -> Incom
     scale = max(float(np.trace(A)), 1.0)
     for t in range(max_rank):
         j = int(np.argmax(d))  # argmax takes the lowest index on ties
-        if d[j] <= tol:
+        if d[j] <= 0.0:
             break
         col = A[:, j] - blas.dgemv(1.0, G[:, :t], G[j, :t]) if t else A[:, j]
         G[:, t] = col / np.sqrt(d[j])

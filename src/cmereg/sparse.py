@@ -79,8 +79,6 @@ class SparseSolution:
     M: np.ndarray
     objective: float
     iterations: int
-    nnz_fraction: float
-    kl_distance: float
     converged: bool  # the relative-objective rule fired before max_iter ran out
 
 
@@ -153,7 +151,7 @@ def fista_solve(
         if not np.all(np.isfinite(Z)):
             raise InputError("start must be finite-valued")
     if problem.gamma == 0:
-        return SparseSolution(W.copy(), 0.0, 0, nnz_fraction(W), kl_distance=0.0, converged=True)
+        return SparseSolution(W.copy(), 0.0, 0, converged=True)
     lip = 2.0 * sym_eig_max(K) * sym_eig_max(L)
     step = 1.0 / lip if lip > 0 else 1.0
     thresh = problem.gamma * step
@@ -185,14 +183,7 @@ def fista_solve(
             converged = True
             break
         obj_prev = obj
-    return SparseSolution(
-        M=Z,
-        objective=obj,
-        iterations=it,
-        nnz_fraction=nnz_fraction(Z),
-        kl_distance=kl_distance(problem, Z),
-        converged=converged,
-    )
+    return SparseSolution(M=Z, objective=obj, iterations=it, converged=converged)
 
 
 def nnz_fraction(M: np.ndarray) -> float:
@@ -203,6 +194,16 @@ def nnz_fraction(M: np.ndarray) -> float:
 def row_occupancy(M: np.ndarray) -> float:
     """Fraction of rows carrying at least one nonzero entry."""
     return float(np.mean(np.any(np.abs(M) > _NNZ_EPS, axis=1)))
+
+
+def score(model: EmbeddingModel, test: TrainingSet, M) -> tuple:
+    """(nnz_fraction, row_occupancy, kl_distance, test_risk) of M used in place
+    of model.W: its sparsity, its RKHS distance from the embedding model.W
+    represents and its held-out risk on test."""
+    M = np.asarray(M, dtype=float)
+    problem = SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
+    return (nnz_fraction(M), row_occupancy(M), kl_distance(problem, M),
+            empirical_risk(model.with_coefficients(M), test))
 
 
 @dataclass(frozen=True)
@@ -240,20 +241,10 @@ def sparsity_sweep(
         problem = SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=g, penalty=penalty)
         try:
             sol = fista_solve(problem, max_iter=max_iter, tol=tol, start=M)
-            risk = empirical_risk(model.with_coefficients(sol.M), test)
+            scores = score(model, test, sol.M)
         except Exception as exc:
             exc.args = (f"gamma={g}: {exc}",)
             raise
         M = sol.M
-        rows.append(
-            SweepRow(
-                gamma=g,
-                nnz_fraction=sol.nnz_fraction,
-                row_occupancy=row_occupancy(sol.M),
-                kl_distance=sol.kl_distance,
-                test_risk=risk,
-                iterations=sol.iterations,
-                converged=sol.converged,
-            )
-        )
+        rows.append(SweepRow(g, *scores, iterations=sol.iterations, converged=sol.converged))
     return rows[::-1]

@@ -90,9 +90,8 @@ def pendulum_compare():
     for rank in (10, 25, 40, 60, 80, 110, 140):
         ic = lowrank.incomplete_cholesky(model.kgram, rank)
         M = lowrank.subset_refit(train, ic.pivots, kspec, 1e-2)
-        prob = SparseProblem(K=model.kgram, L=model.lgram, W=model.W, gamma=0.0)
-        nnz = float(np.count_nonzero(np.abs(M) > 1e-12)) / M.size
-        chol.append((nnz, sparse.kl_distance(prob, M)))
+        nnz, _, kl, _ = sparse.score(model, test, M)
+        chol.append((nnz, kl))
     return lasso, chol, time.perf_counter() - t0
 
 

@@ -2,21 +2,26 @@
 
 Each fit makes one linalg.solve_spd and two kernels.gram calls, whichever
 ridge path it takes, so `cmereg rate` makes as many solves as fits and twice
-as many Gram builds. Counting wrappers are bound wherever cmereg holds each
-function, as the benchmark's tracer binds its spans.
+as many Gram builds. `cmereg compare` makes one FISTA solve (two eigenvalue
+calls) per gamma, one pivot run and one refit (a solve and a Gram) per rank.
+Counting wrappers are bound wherever cmereg holds each function, as the
+benchmark's tracer binds its spans.
 """
 
 import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
-from cmereg import cli, embedding, kernels, linalg
+from cmereg import cli, embedding, kernels, linalg, lowrank, sparse
 from cmereg.embedding import TrainingSet
 from cmereg.kernels import KernelSpec
 
-COUNTED = {"embedding.fit": embedding.fit, "linalg.solve_spd": linalg.solve_spd, "kernels.gram": kernels.gram}
+COUNTED = {"embedding.fit": embedding.fit, "linalg.solve_spd": linalg.solve_spd, "kernels.gram": kernels.gram,
+           "sparse.fista_solve": sparse.fista_solve, "linalg.sym_eig_max": linalg.sym_eig_max,
+           "lowrank.incomplete_cholesky": lowrank.incomplete_cholesky}
 
 
 @pytest.fixture
@@ -54,3 +59,18 @@ def test_rate_command_counts(calls, tmp_path):
     assert cli.main(["rate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
     assert dict(calls) == {"embedding.fit": 6, "linalg.solve_spd": 6, "kernels.gram": 12}
 
+
+
+def test_compare_command_counts(calls, tmp_path):
+    rows = np.random.default_rng(0).uniform(0, 3, (20, 3)).tolist()
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1,y0\n" + "".join(f"{a!r},{b!r},{c!r}\n" for a, b, c in rows))
+    gammas, ranks = [0.001, 0.01, 0.1], [3, 12, 7]
+    cfg = tmp_path / "compare.json"
+    cfg.write_text(json.dumps({"dataset": {"train": str(data), "test": str(data)}, "lambda": 0.1,
+                               "x_bandwidth": 0.5, "y_bandwidth": 0.5, "gammas": gammas, "ranks": ranks,
+                               "seed": 0, "max_iter": 50}))
+    assert cli.main(["compare", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    g, r = len(gammas), len(ranks)
+    assert dict(calls) == {"embedding.fit": 1, "sparse.fista_solve": g, "linalg.sym_eig_max": 2 * g,
+                           "lowrank.incomplete_cholesky": 1, "linalg.solve_spd": 1 + r, "kernels.gram": 2 + r}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from cmereg import cli
 from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
+from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.ratecheck import RateResult, rate_slope
 
 
@@ -125,6 +126,23 @@ class TestFit:
         out = tmp_path / "out"
         assert main(["fit", "--config", cfg, "--out", str(out)]) == 0
         assert read_rows(out / "summary.csv")[0]["bound_ok"] == "1"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_w_opnorm_is_spectral_norm(self, tmp_path, monkeypatch, seed):
+        # the fit of the plan-pendulum benchmark workload: n=400 pendulum transitions, lambda 1e-3
+        train = collect_dataset(PendulumParams(), 400, seed)
+        data = write_dataset(tmp_path / "data.csv", train.xs, train.ys)
+        cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-3,
+                                      "x_kernel": {"variant": "gaussian", "bandwidth": 2.0},
+                                      "y_kernel": {"variant": "gaussian", "bandwidth": 1.5}})
+        written = {}
+        monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: written.update(
+            {os.path.basename(path): (list(header), rows)}))
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        header, rows = written["summary.csv"]
+        opnorm = rows[0][header.index("w_opnorm")]
+        exact = np.linalg.norm(written["coefficients.csv"][1], 2)
+        assert abs(opnorm - exact) <= 1e-12 * exact
 
 
 class TestCv:
@@ -240,6 +258,42 @@ class TestCompare:
         converged = {(r["method"], float(r["sparsity_level"])): r["converged"]
                      for r in read_rows(out / "compare.csv")}
         assert converged == {("lasso", 0.0): "1", ("lasso", 0.01): "0", ("cholesky", 5.0): "1"}
+
+    def compare_config(self, tmp_path, **change):
+        train = random_dataset(tmp_path / "train.csv", n=20, seed=3)
+        test = random_dataset(tmp_path / "test.csv", n=10, seed=4)
+        cfg = {"dataset": {"train": train, "test": test}, "lambda": 0.1, "x_bandwidth": 0.3,
+               "y_bandwidth": 0.4, "gammas": [0.001, 0.01, 0.1], "ranks": [5], "seed": 0, "max_iter": 300}
+        return {**cfg, **change}
+
+    def run_compare(self, tmp_path, name, cfg):
+        out = tmp_path / name
+        assert main(["compare", "--config", write_config(tmp_path, cfg, name + ".json"), "--out", str(out)]) == 0
+        return read_rows(out / "compare.csv")
+
+    def test_lasso_rows_match_sparsify(self, tmp_path):
+        cfg = self.compare_config(tmp_path)
+        lasso = [r for r in self.run_compare(tmp_path, "compare", cfg) if r["method"] == "lasso"]
+        sparsify = {"dataset": cfg["dataset"]["train"], "test_dataset": cfg["dataset"]["test"],
+                    "x_kernel": {"variant": "gaussian", "bandwidth": cfg["x_bandwidth"]},
+                    "y_kernel": {"variant": "gaussian", "bandwidth": cfg["y_bandwidth"]},
+                    "lambda": cfg["lambda"], "gammas": cfg["gammas"], "max_iter": cfg["max_iter"]}
+        out = tmp_path / "sparsify"
+        assert main(["sparsify", "--config", write_config(tmp_path, sparsify, "sparsify.json"),
+                     "--out", str(out)]) == 0
+        rows = read_rows(out / "sparsify.csv")
+        assert len(rows) == len(lasso) == 3
+        for s_row, c_row in zip(rows, lasso):
+            assert s_row["gamma"] == c_row["sparsity_level"]
+            for key in ("nnz_fraction", "kl_distance", "test_risk", "converged"):
+                assert s_row[key] == c_row[key], key
+
+    def test_ranks_in_one_run_match_single_rank_runs(self, tmp_path):
+        def cholesky(name, ranks):
+            cfg = self.compare_config(tmp_path, gammas=[0.1], ranks=ranks)
+            return [r for r in self.run_compare(tmp_path, name, cfg) if r["method"] == "cholesky"]
+
+        assert cholesky("both", [5, 12]) == cholesky("five", [5]) + cholesky("twelve", [12])
 
     def test_both_data_sources_rejected(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {

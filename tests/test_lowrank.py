@@ -16,31 +16,31 @@ def random_gram(seed=0, n=10, bw=0.8):
 class TestIncompleteCholesky:
     def test_full_rank_exact(self):
         K, _ = random_gram(seed=1)
-        ic = incomplete_cholesky(K, max_rank=10, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=10)
         err = np.linalg.norm(ic.factor @ ic.factor.T - K)
         assert err <= 1e-8 * np.linalg.norm(K)
 
     def test_rank_one_outer_product(self):
         v = np.array([1.0, 2.0, 3.0])
         K = np.outer(v, v)
-        ic = incomplete_cholesky(K, max_rank=1, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=1)
         np.testing.assert_allclose(ic.factor @ ic.factor.T, K, atol=1e-12)
 
     def test_identity_residual_trace(self):
         # each pivot of I removes exactly one unit diagonal entry
         K = np.eye(5)
-        ic = incomplete_cholesky(K, max_rank=3, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=3)
         assert np.sum(ic.residual_diag[-1]) == pytest.approx(2.0)
 
     def test_trace_residual_matches_diag_sum(self):
         K, _ = random_gram(seed=2)
-        ic = incomplete_cholesky(K, max_rank=4, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=4)
         resid = K - ic.factor @ ic.factor.T
         assert np.trace(resid) == pytest.approx(np.sum(ic.residual_diag[-1]), abs=1e-8)
 
     def test_residual_maxima_non_increasing(self):
         K, _ = random_gram(seed=3, n=12)
-        ic = incomplete_cholesky(K, max_rank=12, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=12)
         maxima = [np.max(d) for d in ic.residual_diag]
         for a, b in zip(maxima, maxima[1:]):
             assert b <= a + 1e-12
@@ -49,26 +49,26 @@ class TestIncompleteCholesky:
         K, _ = random_gram(seed=4, n=12)
         errs = []
         for m in range(1, 13):
-            ic = incomplete_cholesky(K, max_rank=m, tol=0.0)
+            ic = incomplete_cholesky(K, max_rank=m)
             errs.append(np.linalg.norm(ic.factor @ ic.factor.T - K))
         for a, b in zip(errs, errs[1:]):
             assert b <= a + 1e-10
 
     def test_pivots_are_distinct(self):
         K, _ = random_gram(seed=5, n=15)
-        ic = incomplete_cholesky(K, max_rank=15, tol=0.0)
+        ic = incomplete_cholesky(K, max_rank=15)
         assert len(set(ic.pivots)) == len(ic.pivots)
 
     def test_nested_pivot_prefix(self):
         K, _ = random_gram(seed=6, n=10)
-        ic_small = incomplete_cholesky(K, max_rank=4, tol=0.0)
-        ic_big = incomplete_cholesky(K, max_rank=8, tol=0.0)
+        ic_small = incomplete_cholesky(K, max_rank=4)
+        ic_big = incomplete_cholesky(K, max_rank=8)
         assert ic_big.pivots[:4] == ic_small.pivots
 
     def test_not_psd_raises(self):
         A = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
         with pytest.raises(NumericalError):
-            incomplete_cholesky(A, max_rank=2, tol=0.0)
+            incomplete_cholesky(A, max_rank=2)
 
     def test_accepts_gram_and_plain_symmetric_arrays(self):
         K, _ = random_gram(seed=7, n=6)

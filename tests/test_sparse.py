@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmereg.embedding import TrainingSet, fit
+from cmereg.embedding import TrainingSet, empirical_risk, fit
 from cmereg.errors import InputError
 from cmereg.kernels import KernelSpec
 from cmereg.sparse import (
@@ -12,8 +12,10 @@ from cmereg.sparse import (
     grad_smooth,
     kl_distance,
     lasso_objective,
+    nnz_fraction,
     prox,
     row_occupancy,
+    score,
     smooth_part,
     sparsity_sweep,
 )
@@ -125,7 +127,7 @@ class TestFista:
             np.testing.assert_array_equal(sol.M, prob.W)
             assert sol.M is not prob.W
             assert sol.objective == lasso_objective(prob, prob.W) == 0.0
-            assert sol.kl_distance == kl_distance(prob, prob.W) == 0.0
+            assert kl_distance(prob, sol.M) == kl_distance(prob, prob.W) == 0.0
 
     def test_large_gamma_zero_solution(self):
         prob, model = make_problem(seed=2, n=5, gamma=0.0)
@@ -231,6 +233,16 @@ class TestSweep:
             rng.uniform(0, 3, size=(10, 2)), rng.uniform(0, 3, size=(10, 2))
         )
 
+    def test_score_at_w_and_zero(self):
+        model, test = self.make_model()
+        W = model.W
+        assert score(model, test, W) == (nnz_fraction(W), row_occupancy(W), 0.0, empirical_risk(model, test))
+        zero = np.zeros_like(model.W)
+        nnz, occupancy, kl, risk = score(model, test, zero)
+        assert (nnz, occupancy) == (0.0, 0.0)
+        assert kl == pytest.approx(np.sqrt(np.sum(model.kgram * (W @ model.lgram @ W.T))), rel=1e-12)
+        assert risk == empirical_risk(model.with_coefficients(zero), test)
+
     def test_gamma_zero_row(self):
         model, test = self.make_model()
         rows = sparsity_sweep(model, test, [0.0])
@@ -257,6 +269,8 @@ class TestSweep:
         assert [r.gamma for r in rows] == gammas
         M = None
         for g, row in reversed(list(zip(gammas, rows))):
-            sol = fista_solve(SparseProblem(model.kgram, model.lgram, model.W, g), start=M)
-            assert (row.kl_distance, row.iterations, row.converged) == (sol.kl_distance, sol.iterations, True)
+            p = SparseProblem(model.kgram, model.lgram, model.W, g)
+            sol = fista_solve(p, start=M)
+            assert (row.kl_distance, row.iterations, row.converged) == (
+                kl_distance(p, sol.M), sol.iterations, True)
             M = sol.M
