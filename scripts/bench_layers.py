@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a score followed
-by an inverse and a whole embedding.fit; and one rollout step of the pendulum
-policies.
+by an inverse and a whole embedding.fit; one rollout step of the pendulum
+policies; and a FISTA iteration at each gamma of the sparse path.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
@@ -25,6 +25,12 @@ timed over the same 1000 seeded states, on plan-pendulum's model: 800
 transitions (seed 1), median bandwidths, lambda 1e-4, 80 sweeps of
 `policy_iteration`.
 
+"fista_per_gamma" gives, for each gamma of criterion 7 (the sparsify-pendulum
+problem: 120 transitions, seed 0, bandwidths 2.0/1.5, lambda 1e-2), the
+iterations of `sparse.fista_solve` (max_iter 8000, warm-started from the
+previous gamma's solution, largest gamma first) and min and median
+microseconds per iteration of that solve.
+
 --src is the source tree cmereg is imported from (default: this checkout's
 src), so one script times two commits alike. The result, with its
 provenance (machine, library versions, BLAS builds, `git describe --dirty`
@@ -41,9 +47,11 @@ import statistics
 import subprocess
 import sys
 import time
+from functools import partial
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (320, 800, 1600)
+GAMMAS = (0.159, 5e-2, 1.6e-2, 5e-3, 1.6e-3, 5e-4, 1.6e-4)  # criterion 7's, largest first
 
 
 def _blas(config: dict) -> dict:
@@ -117,6 +125,24 @@ def rollout_step(repeats: int) -> dict:
             "random": per_call(lambda: run(rand), len(states), repeats)}
 
 
+def fista_per_gamma(repeats: int) -> dict:
+    from cmereg import pendulum
+    from cmereg.embedding import fit
+    from cmereg.kernels import KernelSpec
+    from cmereg.sparse import SparseProblem, fista_solve
+
+    train = pendulum.collect_dataset(pendulum.PendulumParams(), 120, 0)
+    model = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-2)
+    result, start = {}, None
+    for gamma in GAMMAS:
+        problem = SparseProblem(model.kgram, model.lgram, model.W, gamma)
+        solve = partial(fista_solve, problem, max_iter=8000, start=start)
+        sol = solve()
+        result[f"{gamma:g}"] = {"iterations": sol.iterations, **per_call(solve, sol.iterations, repeats)}
+        start = sol.M
+    return result
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--src", default=os.path.join(ROOT, "src"), help="source tree to import cmereg from")
@@ -151,6 +177,7 @@ def main():
                 "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
             }
     cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
+    cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
     result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
     print(json.dumps(result, indent=1))
     if args.out:

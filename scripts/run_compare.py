@@ -2,7 +2,7 @@
 """Sparse-coefficient lasso vs incomplete-Cholesky baseline on pendulum data.
 
 Writes compare.csv (method, sparsity_level, nnz_fraction, kl_distance,
-test_risk, converged) ready for plotting approximation error against sparsity.
+test_risk, converged, gap) ready for plotting approximation error against sparsity.
 """
 
 import argparse

@@ -302,9 +302,9 @@ def run_sparsify(cfg: dict, out: str):
     rows = sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"], cfg["max_iter"], cfg["tol"])
     write_csv(os.path.join(out, "sparsify.csv"),
               ["gamma", "nnz_fraction", "row_occupancy", "kl_distance", "test_risk", "iterations",
-               "converged"],
+               "converged", "gap"],
               [[r.gamma, r.nnz_fraction, r.row_occupancy, r.kl_distance, r.test_risk, r.iterations,
-                int(r.converged)] for r in rows])
+                int(r.converged), r.gap] for r in rows])
 
 
 def run_compare(cfg: dict, out: str):
@@ -323,7 +323,7 @@ def run_compare(cfg: dict, out: str):
     kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
     lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
-    rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk, int(r.converged)]
+    rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk, int(r.converged), r.gap]
             for r in sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"],
                                            cfg["max_iter"], cfg["tol"])]
     # Greedy pivots are nested: the first `rank` of one run to max(ranks) are a run to `rank`.
@@ -331,9 +331,9 @@ def run_compare(cfg: dict, out: str):
     for rank in cfg["ranks"]:
         M = lowrank.subset_refit(train, pivots[:rank], kspec, lam)
         nnz, _, kl, risk = sparse.score(model, test, M)
-        rows.append(["cholesky", rank, nnz, kl, risk, 1])
+        rows.append(["cholesky", rank, nnz, kl, risk, 1, 0.0])  # an exact refit: no gap to its own problem
     write_csv(os.path.join(out, "compare.csv"),
-              ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk", "converged"], rows)
+              ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk", "converged", "gap"], rows)
 
 
 def run_rate(cfg: dict, out: str):

@@ -1,17 +1,22 @@
 """Sparse approximation of the embedding coefficient matrix.
 
-Minimizes  tr((M - W)^T K (M - W) L) + gamma * penalty(M)  with FISTA.
+Minimizes  F(M) = tr((M - W)^T K (M - W) L) + gamma * penalty(M)  with FISTA
+(Beck & Teboulle 2009).
 
 Penalties: entrywise_l1 (sum |M_ij|), row_group (sum of row l2 norms),
-col_group (sum of column l2 norms).
+col_group (sum of column l2 norms). PENALTIES gives each one's value,
+proximal map and dual norm.
 
 The gradient step uses the standard step size 1/Lip with
 Lip = 2 * lammax(K) * lammax(L) and threshold gamma/Lip, the standard
-accelerated proximal-gradient constants for this objective.
+accelerated proximal-gradient constants for this objective. Every solution
+carries its relative duality gap (duality_gap), which bounds how far F(M)
+lies above the optimum.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -25,25 +30,34 @@ from .linalg import matmul, sym_eig_max
 _NNZ_EPS = 1e-12
 
 
-def _shrink(V: np.ndarray, t: float) -> np.ndarray:
+def _shrink(V, t: float, out=None):
     """sign(V) * max(|V| - t, 0) for t >= 0, as V - clip(V, -t, t): the same values in two passes."""
-    return V - np.clip(V, -t, t)
+    clipped = np.clip(V, -t, t, out=out)
+    return np.subtract(V, clipped, out=out)
 
 
-def _group_shrink(V: np.ndarray, t: float, axis: int) -> np.ndarray:
-    """Shrink each group's l2 norm by t; a group runs along axis (1: rows, 0: columns)."""
-    norms = np.sqrt(np.sum(V * V, axis=axis, keepdims=True))
+def _group_norms(V: np.ndarray, axis: int) -> np.ndarray:
+    """The l2 norm of each group; a group runs along axis (1: rows, 0: columns)."""
+    return np.sqrt(np.sum(V * V, axis=axis, keepdims=True))
+
+
+def _group_shrink(V: np.ndarray, t: float, axis: int, out=None) -> np.ndarray:
+    """Shrink each group's l2 norm by t."""
+    norms = _group_norms(V, axis)
     scale = np.zeros_like(norms)
     nz = norms > 0
     scale[nz] = np.maximum(1.0 - t / norms[nz], 0.0)
-    return V * scale
+    return np.multiply(V, scale, out=out)
 
 
-# name -> (penalty at M, proximal map of t * penalty at V for t > 0)
+# name -> (penalty at M, proximal map of t * penalty at V for t >= 0 (written
+# into out when given), dual norm at G)
 PENALTIES = {
-    "entrywise_l1": (lambda M: np.sum(np.abs(M)), _shrink),
-    "row_group": (lambda M: np.sum(np.sqrt(np.sum(M * M, axis=1))), partial(_group_shrink, axis=1)),
-    "col_group": (lambda M: np.sum(np.sqrt(np.sum(M * M, axis=0))), partial(_group_shrink, axis=0)),
+    "entrywise_l1": (lambda M: blas.dasum(np.ravel(M)), _shrink, lambda G: np.max(np.abs(G))),
+    "row_group": (lambda M: np.sum(_group_norms(M, 1)), partial(_group_shrink, axis=1),
+                  lambda G: np.max(_group_norms(G, 1))),
+    "col_group": (lambda M: np.sum(_group_norms(M, 0)), partial(_group_shrink, axis=0),
+                  lambda G: np.max(_group_norms(G, 0))),
 }
 
 
@@ -80,6 +94,7 @@ class SparseSolution:
     objective: float
     iterations: int
     converged: bool  # the relative-objective rule fired before max_iter ran out
+    gap: float  # relative duality gap at M (duality_gap)
 
 
 def penalty_value(penalty: str, M: np.ndarray) -> float:
@@ -108,16 +123,6 @@ def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
     return matmul(matmul(2.0 * problem.K, M - problem.W), problem.L)
 
 
-def prox(penalty: str, V: np.ndarray, t: float) -> np.ndarray:
-    """Proximal map of t * penalty at V."""
-    if t < 0:
-        raise InputError("prox step must be nonnegative")
-    V = np.asarray(V, dtype=float)
-    if t == 0:
-        return V.copy()
-    return _penalty(penalty)[1](V, t)
-
-
 def kl_distance(problem: SparseProblem, M: np.ndarray) -> float:
     """Tensor-product RKHS distance between the embeddings represented by M
     and by W: sqrt(tr((M-W)^T K (M-W) L))."""
@@ -125,65 +130,102 @@ def kl_distance(problem: SparseProblem, M: np.ndarray) -> float:
     return float(np.sqrt(max(smooth_part(problem, M), 0.0)))
 
 
+def duality_gap(problem: SparseProblem, M, KDL) -> float:
+    """Relative duality gap (F - D) / F at M, given KDL = K (M - W) L.
+
+    With h = <M - W, KDL> the smooth part, F = h + gamma * penalty(M) and
+    G = 2 KDL the gradient at M, Y = -c G with c = min(1, gamma / pen*(G))
+    (pen* the penalty's dual norm) is dual feasible. Its dual value is
+    D = -c <G, W> - c^2 h, which needs no inverse of K or L, and F - D >= 0
+    bounds F - min F. Reads 0 where F <= 0, since no M does better.
+    """
+    M = _shaped(problem, M)
+    value, _, dual_norm = _penalty(problem.penalty)
+    gamma, kdl = problem.gamma, np.ravel(KDL)
+    h = float(blas.ddot(np.ravel(M - problem.W), kdl))
+    F = h + gamma * float(value(M))
+    if not F > 0:
+        return 0.0
+    dual = 2.0 * float(dual_norm(KDL))
+    c = 1.0 if dual <= gamma else gamma / dual
+    D = -2.0 * c * float(blas.ddot(kdl, np.ravel(problem.W))) - c * c * h
+    return (F - D) / F
+
+
 def fista_solve(
     problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8, start=None
 ) -> SparseSolution:
     """Accelerated proximal gradient descent from M = start (zero by default).
 
-    Each iteration forms one product K Z L for the new iterate Z and
-    extrapolates K Q L from it with the same weight that extrapolates Q, so
-    the gradient 2 (K Q L - K W L) and the objective need no other n x n
-    products. Stops when the relative objective change drops below tol
-    (converged) or max_iter is reached; deterministic. At gamma = 0 it
-    returns the minimizer W, converged after 0 iterations.
+    With c = 2/Lip, P(Z) = Z - c K (Z - W) L is the gradient step at Z. P is
+    affine and the extrapolation weights 1 + beta and -beta sum to 1, so the
+    step at the extrapolated point is (1 + beta) P(Z_k) - beta P(Z_{k-1}).
+    Each iteration therefore forms one product K D L on D = Z - W, into
+    buffers allocated once per solve; it gives both the objective
+    <D, K D L> + gamma * penalty(Z) and the next P. Stops when the relative
+    objective change drops below tol (converged) or max_iter is reached;
+    deterministic. At gamma = 0 it returns the minimizer W, converged after 0
+    iterations with gap 0.
     """
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     if not tol > 0:
         raise InputError("tol must be positive")
-    K, L, W = problem.K, problem.L, problem.W
+    W = np.ascontiguousarray(problem.W, dtype=float)
     if start is None:
         Z = np.zeros_like(W)
     else:
-        Z = np.array(start, dtype=float)
+        Z = np.array(start, dtype=float, order="C")
         if Z.shape != W.shape:
             raise InputError("start has wrong shape")
         if not np.all(np.isfinite(Z)):
             raise InputError("start must be finite-valued")
     if problem.gamma == 0:
-        return SparseSolution(W.copy(), 0.0, 0, converged=True)
-    lip = 2.0 * sym_eig_max(K) * sym_eig_max(L)
+        return SparseSolution(W.copy(), 0.0, 0, converged=True, gap=0.0)
+    gamma = problem.gamma
+    value, shrink, _ = PENALTIES[problem.penalty]
+    lip = 2.0 * sym_eig_max(problem.K) * sym_eig_max(problem.L)
     step = 1.0 / lip if lip > 0 else 1.0
-    thresh = problem.gamma * step
-    KWL = matmul(matmul(K, W), L)
-    KZL = matmul(matmul(K, Z), L)
+    c, thresh = 2.0 * step, gamma * step
+    # dgemm forms (K D L)^T = L^T (D^T K^T) from F-ordered operands into
+    # F-ordered buffers; its transpose is K D L, C-ordered like every other array.
+    Kt = np.asfortranarray(problem.K.T, dtype=float)
+    Lt = np.asfortranarray(problem.L.T, dtype=float)
+    DK, DKL = np.empty_like(W, order="F"), np.empty_like(W, order="F")
+    D, V = np.empty_like(W), np.empty_like(W)
 
-    def objective(Z, KZL):
-        # tr((Z - W)^T K (Z - W) L) = <Z - W, KZL - KWL>
-        smooth = blas.ddot((Z - W).ravel(), (KZL - KWL).ravel())
-        return float(smooth) + problem.gamma * penalty_value(problem.penalty, Z)
+    def objective() -> float:
+        """F(Z), leaving D = Z - W and (K D L)^T in the buffers."""
+        nonlocal DK, DKL
+        np.subtract(Z, W, out=D)
+        DK = blas.dgemm(1.0, D.T, Kt, c=DK, overwrite_c=1)
+        DKL = blas.dgemm(1.0, Lt, DK, c=DKL, overwrite_c=1)
+        return float(blas.ddot(D.reshape(-1), DKL.T.reshape(-1))) + gamma * float(value(Z))
 
-    Q, KQL = Z, KZL
-    theta = 1.0
-    obj = obj_prev = objective(Z, KZL)
+    obj = obj_prev = objective()
+    P = Z - c * DKL.T
+    P_prev = P.copy()
+    theta, beta = 1.0, 0.0
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        Z_new = prox(problem.penalty, Q - (2.0 * step) * (KQL - KWL), thresh)
-        KZL_new = matmul(matmul(K, Z_new), L)
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        beta = (theta - 1.0) / theta_new
-        Q = Z_new + beta * (Z_new - Z)
-        KQL = KZL_new + beta * (KZL_new - KZL)
-        Z, KZL, theta = Z_new, KZL_new, theta_new
-        obj = objective(Z, KZL)
-        if not np.isfinite(obj):
+        np.multiply(P, 1.0 + beta, out=V)
+        blas.daxpy(P_prev.reshape(-1), V.reshape(-1), a=-beta)  # in place: V is a C-ordered float buffer
+        shrink(V, thresh, out=Z)
+        obj = objective()
+        if not math.isfinite(obj):
             raise DivergenceError(f"objective became non-finite at iteration {it}")
         if obj == obj_prev or abs(obj - obj_prev) <= tol * abs(obj_prev):
             converged = True
             break
         obj_prev = obj
-    return SparseSolution(M=Z, objective=obj, iterations=it, converged=converged)
+        P, P_prev = P_prev, P
+        np.multiply(DKL.T, -c, out=P)
+        P += Z
+        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        beta, theta = (theta - 1.0) / theta_new, theta_new
+    return SparseSolution(M=Z, objective=obj, iterations=it, converged=converged,
+                          gap=duality_gap(problem, Z, DKL.T))
 
 
 def nnz_fraction(M: np.ndarray) -> float:
@@ -215,6 +257,7 @@ class SweepRow:
     test_risk: float
     iterations: int
     converged: bool
+    gap: float
 
 
 def sparsity_sweep(
@@ -246,5 +289,5 @@ def sparsity_sweep(
             exc.args = (f"gamma={g}: {exc}",)
             raise
         M = sol.M
-        rows.append(SweepRow(g, *scores, iterations=sol.iterations, converged=sol.converged))
+        rows.append(SweepRow(g, *scores, iterations=sol.iterations, converged=sol.converged, gap=sol.gap))
     return rows[::-1]

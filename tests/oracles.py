@@ -92,10 +92,82 @@ def cd_objective(K, L, W, M, gamma):
     return float(np.trace(D.T @ K @ D @ L)) + gamma * float(np.sum(np.abs(M)))
 
 
+def lasso_dual_value(K, L, W, Y):
+    """Dual objective <Y, W> - tr(Y^T K^-1 Y L^-1) / 4 of the lasso at a dual
+    point Y, by explicit solves: -f*(-Y) for f(M) = tr((M-W)^T K (M-W) L).
+    Y is feasible when its dual norm is at most gamma."""
+    return float(np.sum(Y * W)) - 0.25 * float(np.sum(Y * np.linalg.solve(K, np.linalg.solve(L, Y.T).T)))
+
+
+def dual_norm_oracle(penalty, G):
+    """Dual norm of a penalty at G: the largest |G_ij|, row l2 norm or column l2 norm."""
+    if penalty == "entrywise_l1":
+        return float(np.max(np.abs(G)))
+    return float(np.max(np.linalg.norm(G, axis=1 if penalty == "row_group" else 0)))
+
+
+def shrink_oracle(penalty, V, t):
+    """Proximal map of t * penalty at V: soft threshold, or a group's l2 norm shrunk by t."""
+    if penalty == "entrywise_l1":
+        return np.sign(V) * np.maximum(np.abs(V) - t, 0.0)
+    axis = 1 if penalty == "row_group" else 0
+    norms = np.linalg.norm(V, axis=axis, keepdims=True)
+    return V * np.maximum(1.0 - t / np.where(norms > 0, norms, np.inf), 0.0)
+
+
+def fista_three_products(K, L, W, gamma, penalty, iterations, start=None):
+    """FISTA's iterates Z_1..Z_iterations in three-product form, the reference
+    for fista_solve's forward-step form (the same iterates in exact arithmetic).
+
+    Each iteration takes the gradient step at the extrapolated point Q from
+    2 (K Q L - K W L), forms K Z L for the new iterate Z, and extrapolates
+    K Q L with the weight that extrapolates Q; K W L is formed once. Step
+    1/Lip with Lip = 2 lammax(K) lammax(L), threshold gamma/Lip.
+    """
+    step = 1.0 / (2.0 * eig_max_dense(K) * eig_max_dense(L))
+    KWL = K @ W @ L
+    Z = np.zeros_like(W) if start is None else np.array(start, dtype=float)
+    KZL = K @ Z @ L
+    Q, KQL, theta = Z, KZL, 1.0
+    out = []
+    for _ in range(iterations):
+        Z_new = shrink_oracle(penalty, Q - 2.0 * step * (KQL - KWL), gamma * step)
+        KZL_new = K @ Z_new @ L
+        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
+        beta = (theta - 1.0) / theta_new
+        Q = Z_new + beta * (Z_new - Z)
+        KQL = KZL_new + beta * (KZL_new - KZL)
+        Z, KZL, theta = Z_new, KZL_new, theta_new
+        out.append(Z)
+    return out
+
+
 def random_spd(rng, n, jitter=0.1):
     A = rng.standard_normal((n, n))
     S = A @ A.T + jitter * n * np.eye(n)
     return 0.5 * (S + S.T)
+
+
+def random_instance(seed: int, n: int = None, gamma: float = 0.0):
+    """Well-conditioned random lasso problem (K, L, W, gamma) for solver checks."""
+    from cmereg.sparse import SparseProblem
+
+    rng = np.random.default_rng(seed)
+    if n is None:
+        n = int(rng.integers(5, 51))
+    K = random_spd(rng, n, jitter=0.5)
+    L = random_spd(rng, n, jitter=0.5)
+    W = rng.standard_normal((n, n))
+    return SparseProblem(K=K, L=L, W=W, gamma=gamma)
+
+
+def criterion_2_instances():
+    """The ten lasso problems of acceptance criterion 2: n in 2..6, gamma in {0.01, 0.05, 0.2}."""
+    for seed in range(10):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(2, 7))
+        gamma = float(rng.choice([0.01, 0.05, 0.2]))
+        yield random_instance(200 + seed, n=n, gamma=gamma)
 
 
 def random_gram_instance(rng, n, dim=2, bandwidth=0.6, spread=3.0):

@@ -15,9 +15,9 @@ from cmereg import embedding, lowrank, pendulum, ratecheck, sparse
 from cmereg.cli import main as cli_main
 from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram, median_bandwidth
-from cmereg.sparse import SparseProblem, fista_solve, grad_smooth, smooth_part
+from cmereg.sparse import fista_solve, grad_smooth, smooth_part
 
-from oracles import cd_lasso, cd_objective, fd_gradient, random_spd
+from oracles import cd_lasso, cd_objective, criterion_2_instances, fd_gradient, random_instance
 
 # ------------------------------------------------------------ shared setup
 
@@ -42,17 +42,6 @@ def report(num: int, ok: bool, detail: str):
     line = f"{'PASS' if ok else 'FAIL'} criterion {num}: {detail}"
     print(line)
     assert ok, line
-
-
-def random_instance(seed: int, n: int = None, gamma: float = 0.0):
-    """Well-conditioned random (K, L, W) triple for solver checks."""
-    rng = np.random.default_rng(seed)
-    if n is None:
-        n = int(rng.integers(5, 51))
-    K = random_spd(rng, n, jitter=0.5)
-    L = random_spd(rng, n, jitter=0.5)
-    W = rng.standard_normal((n, n))
-    return SparseProblem(K=K, L=L, W=W, gamma=gamma)
 
 
 @pytest.fixture(scope="session")
@@ -127,11 +116,8 @@ def test_criterion_1_gamma_zero_recovery():
 def test_criterion_2_coordinate_descent_oracle():
     worst_gap = 0.0
     cert_ok = True
-    for seed in range(10):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(2, 7))
-        gamma = float(rng.choice([0.01, 0.05, 0.2]))
-        prob = random_instance(200 + seed, n=n, gamma=gamma)
+    for prob in criterion_2_instances():
+        gamma = prob.gamma
         sol = fista_solve(prob, max_iter=100000, tol=1e-14)
         M_cd = cd_lasso(prob.K, prob.L, prob.W, gamma)
         gap = abs(sol.objective

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -144,6 +145,28 @@ class TestFit:
         exact = np.linalg.norm(written["coefficients.csv"][1], 2)
         assert abs(opnorm - exact) <= 1e-12 * exact
 
+    def test_w_agrees_across_blas_thread_counts(self, tmp_path):
+        # `cmereg fit` in a fresh process per thread count; the process saves the W that the
+        # command hands to write_csv at full precision, since the CSV keeps 12 digits
+        fit_and_save = ("import os, sys\nimport numpy as np\nfrom cmereg import cli\nwritten = {}\n"
+                        "cli.write_csv = lambda path, header, rows: written.update({os.path.basename(path): rows})\n"
+                        "code = cli.main(['fit', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+                        "np.save(sys.argv[3], written['coefficients.csv'])\nsys.exit(code)\n")
+        data = random_dataset(tmp_path / "data.csv", n=300, seed=6)
+        cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-3,
+                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        W = {}
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            saved = tmp_path / f"W{threads}.npy"
+            subprocess.run([sys.executable, "-c", fit_and_save, cfg, str(tmp_path / threads), str(saved)],
+                           env=env, check=True)
+            W[threads] = np.load(saved)
+        assert W["1"].shape == (300, 300)
+        assert np.max(np.abs(W["1"] - W["2"])) <= 1e-12 * np.max(np.abs(W["1"]))
+
 
 class TestCv:
     def base_cfg(self, dataset):
@@ -206,6 +229,8 @@ class TestSparsify:
         kls = [float(r["kl_distance"]) for r in rows]
         assert kls == sorted(kls)
         assert [r["converged"] for r in rows] == ["1", "1", "1"]
+        assert list(rows[0])[-2:] == ["converged", "gap"]
+        assert all(0.0 < float(r["gap"]) < 1.0 for r in rows)
 
     def test_converged_column_reports_cap(self, tmp_path):
         data = random_dataset(tmp_path / "d.csv", n=20, seed=2)
@@ -239,11 +264,12 @@ class TestCompare:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "compare.csv")
         assert list(rows[0]) == ["method", "sparsity_level", "nnz_fraction", "kl_distance", "test_risk",
-                                 "converged"]
+                                 "converged", "gap"]
         assert {r["method"] for r in rows} == {"lasso", "cholesky"}
         for r in rows:
             assert float(r["kl_distance"]) <= 1e-6
             assert r["converged"] == "1"
+            assert r["gap"] == "0"
 
     def test_capped_lasso_row_writes_zero(self, tmp_path):
         train = random_dataset(tmp_path / "train.csv", n=20, seed=3)
@@ -258,6 +284,12 @@ class TestCompare:
         converged = {(r["method"], float(r["sparsity_level"])): r["converged"]
                      for r in read_rows(out / "compare.csv")}
         assert converged == {("lasso", 0.0): "1", ("lasso", 0.01): "0", ("cholesky", 5.0): "1"}
+
+    def test_gap_column(self, tmp_path):
+        rows = self.run_compare(tmp_path, "compare", self.compare_config(tmp_path, gammas=[0.0, 0.001, 0.01]))
+        gaps = {(r["method"], float(r["sparsity_level"])): float(r["gap"]) for r in rows}
+        assert gaps[("lasso", 0.0)] == 0.0 and gaps[("cholesky", 5.0)] == 0.0
+        assert 0.0 < gaps[("lasso", 0.001)] < 1.0 and 0.0 < gaps[("lasso", 0.01)] < 1.0
 
     def compare_config(self, tmp_path, **change):
         train = random_dataset(tmp_path / "train.csv", n=20, seed=3)
@@ -285,7 +317,7 @@ class TestCompare:
         assert len(rows) == len(lasso) == 3
         for s_row, c_row in zip(rows, lasso):
             assert s_row["gamma"] == c_row["sparsity_level"]
-            for key in ("nnz_fraction", "kl_distance", "test_risk", "converged"):
+            for key in ("nnz_fraction", "kl_distance", "test_risk", "converged", "gap"):
                 assert s_row[key] == c_row[key], key
 
     def test_ranks_in_one_run_match_single_rank_runs(self, tmp_path):

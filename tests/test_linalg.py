@@ -9,7 +9,7 @@ from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram
 from cmereg.linalg import matmul, ridge_inverse, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
-from cmereg.sparse import prox
+from cmereg.sparse import PENALTIES
 
 from oracles import eig_max_dense, random_spd
 
@@ -166,24 +166,22 @@ class TestMatmul:
 
 
 class TestSoftThreshold:
-    """The entrywise soft threshold sign(z) * max(|z| - t, 0), as sparse.prox applies it."""
+    """The entrywise soft threshold sign(z) * max(|z| - t, 0), the proximal map of t * entrywise_l1."""
+
+    shrink = staticmethod(PENALTIES["entrywise_l1"][1])
 
     @pytest.mark.parametrize("z,t,expected", [(2.0, 1.0, 1.0), (-0.5, 1.0, 0.0), (3.0, 0.0, 3.0)])
     def test_values(self, z, t, expected):
-        assert prox("entrywise_l1", z, t) == expected
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(InputError):
-            prox("entrywise_l1", 1.0, -0.1)
+        assert self.shrink(z, t) == expected
 
     @given(z=st.floats(-1e6, 1e6), t=st.floats(0, 1e6))
     @settings(max_examples=100, deadline=None)
     def test_shrinks_and_preserves_sign(self, z, t):
-        out = float(prox("entrywise_l1", z, t))
+        out = float(self.shrink(z, t))
         assert abs(out) <= abs(z)
         assert out == 0.0 or np.sign(out) == np.sign(z)
 
     def test_matches_sign_max_form(self):
         z = np.random.default_rng(12).standard_normal((40, 30)) * 3.0
         for t in (0.0, 0.7, 2.5):
-            np.testing.assert_array_equal(prox("entrywise_l1", z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0))
+            np.testing.assert_array_equal(self.shrink(z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0))

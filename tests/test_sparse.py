@@ -7,20 +7,34 @@ from cmereg.embedding import TrainingSet, empirical_risk, fit
 from cmereg.errors import InputError
 from cmereg.kernels import KernelSpec
 from cmereg.sparse import (
+    PENALTIES,
     SparseProblem,
+    duality_gap,
     fista_solve,
     grad_smooth,
     kl_distance,
     lasso_objective,
     nnz_fraction,
-    prox,
     row_occupancy,
     score,
     smooth_part,
     sparsity_sweep,
 )
 
-from oracles import cd_lasso, cd_objective, fd_gradient, random_gram_instance, smooth_objective_quadloop
+from oracles import (
+    cd_lasso,
+    cd_objective,
+    criterion_2_instances,
+    dual_norm_oracle,
+    fd_gradient,
+    fista_three_products,
+    lasso_dual_value,
+    random_gram_instance,
+    random_spd,
+    smooth_objective_quadloop,
+)
+
+PENALTY_NAMES = ("entrywise_l1", "row_group", "col_group")
 
 
 def make_problem(seed=0, n=4, gamma=0.1, penalty="entrywise_l1"):
@@ -86,30 +100,44 @@ class TestGradient:
         np.testing.assert_allclose(G, G_fd, rtol=1e-5, atol=1e-7)
 
 
+def prox(penalty):
+    """The proximal map of t * penalty, as PENALTIES gives it."""
+    return PENALTIES[penalty][1]
+
+
 class TestProx:
     def test_l1_example(self):
-        out = prox("entrywise_l1", np.array([[2.0, -0.5]]), 1.0)
+        out = prox("entrywise_l1")(np.array([[2.0, -0.5]]), 1.0)
         np.testing.assert_array_equal(out, [[1.0, 0.0]])
 
     def test_row_group_halves_row(self):
         V = np.array([[0.0, 2.0]])  # row norm 2, t=1 -> factor 1/2
-        np.testing.assert_allclose(prox("row_group", V, 1.0), [[0.0, 1.0]])
+        np.testing.assert_allclose(prox("row_group")(V, 1.0), [[0.0, 1.0]])
 
     def test_col_group(self):
         V = np.array([[3.0], [4.0]])  # column norm 5, t=1 -> factor 4/5
-        np.testing.assert_allclose(prox("col_group", V, 1.0), [[2.4], [3.2]])
+        np.testing.assert_allclose(prox("col_group")(V, 1.0), [[2.4], [3.2]])
 
-    @pytest.mark.parametrize("penalty", ["entrywise_l1", "row_group", "col_group"])
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
     def test_zero_threshold_is_identity(self, penalty):
         V = np.random.default_rng(4).standard_normal((3, 3))
-        np.testing.assert_array_equal(prox(penalty, V, 0.0), V)
+        np.testing.assert_array_equal(prox(penalty)(V, 0.0), V)
+
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
+    def test_out_buffer_gets_the_same_values(self, penalty):
+        V = np.random.default_rng(5).standard_normal((6, 4))
+        before = V.copy()
+        out = np.full_like(V, np.nan)
+        assert prox(penalty)(V, 0.8, out=out) is out
+        np.testing.assert_array_equal(out, prox(penalty)(V, 0.8))
+        np.testing.assert_array_equal(V, before)
 
     @given(t=st.floats(0, 10))
     @settings(max_examples=40, deadline=None)
     def test_never_grows_entries(self, t):
         V = np.array([[1.0, -2.0], [0.5, 3.0]])
-        for penalty in ("entrywise_l1", "row_group", "col_group"):
-            out = prox(penalty, V, t)
+        for penalty in PENALTY_NAMES:
+            out = prox(penalty)(V, t)
             assert np.all(np.abs(out) <= np.abs(V) + 1e-12)
 
 
@@ -204,6 +232,78 @@ class TestFista:
             assert warm.objective == pytest.approx(cold.objective, rel=1e-8)
             M = warm.M
 
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_iterates_match_three_product_recursion(self, penalty, warm):
+        rng = np.random.default_rng(21)
+        n = 9
+        K, L = random_spd(rng, n, jitter=0.5), random_spd(rng, n, jitter=0.5)
+        W = rng.standard_normal((n, n))
+        start = rng.standard_normal((n, n)) if warm else None
+        gamma = dual_norm_oracle(penalty, 2.0 * K @ W @ L) / 2.0  # half the gradient's at zero
+        prob = SparseProblem(K, L, W, gamma, penalty)
+        reference = fista_three_products(K, L, W, gamma, penalty, 60, start=start)
+        for k in (1, 2, 3, 10, 60):
+            sol = fista_solve(prob, max_iter=k, tol=1e-300, start=start)
+            assert sol.iterations == k and not sol.converged
+            assert np.linalg.norm(sol.M - reference[k - 1]) <= 1e-10 * np.linalg.norm(reference[k - 1])
+        zero = reference[-1] == 0
+        axis = {"row_group": 1, "col_group": 0}.get(penalty)
+        zero_groups = zero if axis is None else np.all(zero, axis=axis)  # entries, rows or columns
+        assert 0 < np.mean(zero_groups) < 1  # the penalty is active, not all or nothing
+
+    def test_start_is_not_written(self):
+        prob, _ = make_problem(seed=20, n=5, gamma=0.05)
+        start = np.random.default_rng(9).standard_normal(prob.W.shape)
+        before = start.copy()
+        sol = fista_solve(prob, start=start)
+        np.testing.assert_array_equal(start, before)
+        assert sol.M is not start
+
+
+class TestDualityGap:
+    def test_brackets_coordinate_descent_oracle(self):
+        """On criterion 2's instances the oracle's objective lies in [D, F] of
+        the solver's solution, and the gap at the oracle's own solution is tiny."""
+        for prob in criterion_2_instances():
+            K, L, W = prob.K, prob.L, prob.W
+            sol = fista_solve(prob, max_iter=100000, tol=1e-14)
+            F = sol.objective
+            D = F * (1.0 - sol.gap)
+            M_cd = cd_lasso(K, L, W, prob.gamma)
+            assert D <= cd_objective(K, L, W, M_cd, prob.gamma) <= F
+            assert 0.0 <= duality_gap(prob, M_cd, K @ (M_cd - W) @ L) < 1e-8
+
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
+    def test_matches_dual_value_by_explicit_solves(self, penalty):
+        prob, _ = make_problem(seed=22, n=6, gamma=0.05, penalty=penalty)
+        K, L, W = prob.K, prob.L, prob.W
+        M = np.random.default_rng(10).standard_normal(W.shape) * 0.1
+        G = 2.0 * K @ (M - W) @ L
+        Y = -min(1.0, prob.gamma / dual_norm_oracle(penalty, G)) * G
+        F = lasso_objective(prob, M)
+        expected = (F - lasso_dual_value(K, L, W, Y)) / F
+        assert duality_gap(prob, M, K @ (M - W) @ L) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
+    def test_solution_reports_gap_at_its_m(self, penalty):
+        prob, _ = make_problem(seed=23, n=6, gamma=0.05, penalty=penalty)
+        for max_iter in (5, 20000):
+            sol = fista_solve(prob, max_iter=max_iter)
+            K, L, W = prob.K, prob.L, prob.W
+            assert sol.gap == pytest.approx(duality_gap(prob, sol.M, K @ (sol.M - W) @ L), rel=1e-9, abs=1e-15)
+            assert sol.gap >= 0.0
+        assert fista_solve(prob, max_iter=5).gap > sol.gap
+
+    def test_zero_at_gamma_zero_and_at_the_zero_solution(self):
+        prob, _ = make_problem(seed=24, n=5, gamma=0.0)
+        assert fista_solve(prob).gap == 0.0
+        K, L, W = prob.K, prob.L, prob.W
+        above = SparseProblem(K, L, W, 2.0 * np.max(np.abs(K @ W @ L)) + 1e-6)
+        sol = fista_solve(above)
+        np.testing.assert_array_equal(sol.M, np.zeros_like(W))
+        assert sol.gap == pytest.approx(0.0, abs=1e-12)  # c = 1: the dual point is the gradient itself
+
 
 class TestKlDistance:
     def test_zero_at_w(self):
@@ -271,6 +371,6 @@ class TestSweep:
         for g, row in reversed(list(zip(gammas, rows))):
             p = SparseProblem(model.kgram, model.lgram, model.W, g)
             sol = fista_solve(p, start=M)
-            assert (row.kl_distance, row.iterations, row.converged) == (
-                kl_distance(p, sol.M), sol.iterations, True)
+            assert (row.kl_distance, row.iterations, row.converged, row.gap) == (
+                kl_distance(p, sol.M), sol.iterations, True, sol.gap)
             M = sol.M
