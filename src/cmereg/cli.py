@@ -149,9 +149,10 @@ _SWEEP = {
     "tol": (_POSITIVE, 1e-8),
 }
 # The PendulumParams fields a config may set; PendulumParams checks their ranges.
-_PARAMS = {"dt": (_real(), pendulum.PendulumParams.dt),
-           "discount": (_real(), pendulum.PendulumParams.discount),
-           "friction": (_real(), pendulum.PendulumParams.friction),
+# compare.pendulum takes only the dynamics, the fields collect_dataset reads.
+_DYNAMICS = {"dt": (_real(), pendulum.PendulumParams.dt),
+             "friction": (_real(), pendulum.PendulumParams.friction)}
+_PARAMS = {**_DYNAMICS, "discount": (_real(), pendulum.PendulumParams.discount),
            "torque_levels": (_integer(1, MAX_TORQUE_LEVELS), pendulum.PendulumParams.torque_levels)}
 _SCHEDULE = {"a": (_POSITIVE, 1.0), "beta": (_real(), 0.5)}
 
@@ -163,7 +164,7 @@ SCHEMAS = {
                  "seed": (_SEED, 0)},
     "compare": {
         **_SWEEP,
-        "pendulum": (_table({**_PARAMS, "n": (_integer(1, MAX_N), REQUIRED),
+        "pendulum": (_table({**_DYNAMICS, "n": (_integer(1, MAX_N), REQUIRED),
                               "n_test": (_integer(1, MAX_N_TEST), REQUIRED)}), None),
         "dataset": (_table({"train": (_STRING, REQUIRED), "test": (_STRING, REQUIRED)}), None),
         "lambda": (_POSITIVE, REQUIRED), "x_bandwidth": _BANDWIDTH, "y_bandwidth": _BANDWIDTH,
@@ -312,7 +313,7 @@ def run_compare(cfg: dict, out: str):
     if (pcfg is None) == (dcfg is None):
         raise ConfigError("compare: give exactly one of 'pendulum' or 'dataset'")
     if pcfg is not None:
-        params = pendulum.PendulumParams(**{k: pcfg[k] for k in _PARAMS})
+        params = pendulum.PendulumParams(**{k: pcfg[k] for k in _DYNAMICS})
         train = pendulum.collect_dataset(params, pcfg["n"], cfg["seed"])
         test = pendulum.collect_dataset(params, pcfg["n_test"], cfg["seed"] + 1)
     else:

@@ -81,7 +81,10 @@ def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) ->
 
 def ridge_coefficients(kspec: KernelSpec, K, shift: float) -> np.ndarray:
     """(K + shift*I)^{-1} for a Gram K of kspec: through its classes for a delta
-    kernel, else the dense SPD inverse."""
+    kernel, else the dense SPD inverse. A shift that overflowed to inf (a huge
+    lambda times n) raises NumericalError: its inverse would be zeros or NaN."""
+    if not np.isfinite(shift):
+        raise NumericalError(f"ridge shift lambda*n = {shift} is not finite")
     inverse = class_ridge_inverse if kspec.variant == "delta" else ridge_inverse
     return inverse(K, shift)
 

@@ -10,7 +10,7 @@ lifted directly and must pump energy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -116,29 +116,23 @@ def _factors(model: EmbeddingModel, grid):
     return KernelSpec("gaussian", sigma, 3), T
 
 
-@dataclass
+@dataclass(frozen=True)
 class Policy:
-    """Greedy policy extracted from embedding-based value iteration (gaussian input kernel)."""
+    """Greedy policy from policy_iteration: the score of torque u_k at state s is
+    sum_i weights[i, k] k_3(states_i, s), the one a sweep backs up, O(n |grid|)."""
 
-    model: EmbeddingModel
-    coefficients: np.ndarray
-    params: PendulumParams
+    spec: KernelSpec  # k_3, the gaussian kernel on the state columns
+    states: np.ndarray  # (n, 3) training input states sin, cos, omega; C-contiguous
+    weights: np.ndarray  # (n, |grid|): (M^T V)_i T[i, k]
+    torque_grid: np.ndarray
     values: np.ndarray  # value per training output state
     greedy_torque: np.ndarray  # greedy action per training output state
-    sweep_deltas: list = field(default_factory=list)
-    # the greedy score of torque u_k at state s is sum_i (M^T V)_i T[i, k] k_3(x_i[:3], s),
-    # the score policy_iteration backs up: O(n |grid|) a step, not O(n^2 |grid|)
-    _spec: KernelSpec = field(init=False, repr=False)  # k_3, on the state columns
-    _weights: np.ndarray = field(init=False, repr=False)  # (n, |grid|): (M^T V)_i T[i, k]
-
-    def __post_init__(self):
-        self._spec, T = _factors(self.model, self.params.torque_grid)
-        self._weights = (self.coefficients.T @ self.values)[:, None] * T
+    sweep_deltas: list
 
     def act(self, theta, omega, rng=None) -> float:
-        state = cross_gram(self._spec, self.model.train.xs[:, :3], features(theta, omega, 0.0)[None, :3])
-        scores = state[:, 0] @ self._weights
-        return float(self.params.torque_grid[np.argmax(scores)])  # ties -> smallest torque
+        state = cross_gram(self.spec, self.states, features(theta, omega, 0.0)[None, :3])
+        scores = state[:, 0] @ self.weights
+        return float(self.torque_grid[np.argmax(scores)])  # ties -> smallest torque
 
 
 class RandomTorquePolicy:
@@ -152,31 +146,31 @@ class RandomTorquePolicy:
 
 
 def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
-                     coefficients: np.ndarray | None = None, tol: float = 1e-6) -> Policy:
+                     tol: float = 1e-6) -> Policy:
     """Approximate value iteration over the training output states through the
     embedded transition model.
 
     The backup is V_i <- max_u [ r(y_i) + discount * alpha(y_i, u) @ V ] where
-    alpha comes from the conditional mean embedding (coefficients W, or a
-    sparse replacement M). With the gaussian input kernel as the product
-    S[i, j] * T[i, k] of a state Gram and a torque factor (see _factors),
-    alpha(y_j, u_k) @ V = sum_i (M^T V)_i T[i, k] S[i, j]: the score
-    Policy.act uses. Ties go to the smallest torque.
+    alpha comes from the conditional mean embedding with coefficients M =
+    model.W (a sparse M plans through model.with_coefficients). With the
+    gaussian input kernel as the product S[i, j] * T[i, k] of a state Gram and
+    a torque factor (see _factors), alpha(y_j, u_k) @ V = sum_i (M^T V)_i
+    T[i, k] S[i, j]: the score Policy.act uses. Ties go to the smallest torque.
     """
     if sweeps < 1:
         raise InputError("sweeps must be >= 1")
-    W = model.W if coefficients is None else np.asarray(coefficients, dtype=float)
-    n = model.train.n
+    M, n = model.W, model.train.n
     theta, omega = output_state(model.train.ys)
     r = reward(theta, omega)
     grid = params.torque_grid
     spec, T = _factors(model, grid)
-    S = cross_gram(spec, model.train.xs[:, :3], features(theta, omega, 0.0)[:, :3])  # (n, n)
+    states = np.ascontiguousarray(model.train.xs[:, :3])
+    S = cross_gram(spec, states, features(theta, omega, 0.0)[:, :3])  # (n, n)
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []
     for _ in range(sweeps):
-        q = r + params.discount * (((W.T @ V)[:, None] * T).T @ S)  # (|grid|, n)
+        q = r + params.discount * (((M.T @ V)[:, None] * T).T @ S)  # (|grid|, n)
         best_u = np.argmax(q, axis=0)  # first max = smallest torque
         V_new = q[best_u, np.arange(n)]
         if np.max(np.abs(V_new)) > v_bound:
@@ -185,8 +179,8 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
         V = V_new
         if deltas[-1] < tol:
             break
-    return Policy(model=model, coefficients=W, params=params, values=V,
-                  greedy_torque=grid[best_u], sweep_deltas=deltas)
+    return Policy(spec=spec, states=states, weights=(M.T @ V)[:, None] * T, torque_grid=grid,
+                  values=V, greedy_torque=grid[best_u], sweep_deltas=deltas)
 
 
 def evaluate_policy(policy, params: PendulumParams, episodes: int, horizon: int, seed: int) -> float:

@@ -4,8 +4,10 @@ Each fit makes one linalg.solve_spd and two kernels.gram calls, whichever
 ridge path it takes, so `cmereg rate` makes as many solves as fits and twice
 as many Gram builds. `cmereg compare` makes one FISTA solve (two eigenvalue
 calls) per gamma, one pivot run and one refit (a solve and a Gram) per rank.
-Counting wrappers are bound wherever cmereg holds each function, as the
-benchmark's tracer binds its spans.
+`cmereg cv` makes one fit per grid point and fold, `fit` and `pendulum` one
+each, and the pendulum rollout one `Policy.act` per episode and step.
+Counting wrappers are bound wherever cmereg holds each function, and on the
+class for `Policy.act`, as the benchmark's tracer binds its spans.
 """
 
 import json
@@ -15,7 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cmereg import cli, embedding, kernels, linalg, lowrank, sparse
+from cmereg import cli, embedding, kernels, linalg, lowrank, pendulum, sparse
 from cmereg.embedding import TrainingSet
 from cmereg.kernels import KernelSpec
 
@@ -40,6 +42,7 @@ def calls(monkeypatch):
             for attr, value in list(vars(mod).items()):
                 if value is fn:
                     monkeypatch.setattr(mod, attr, wrapper)
+    monkeypatch.setattr(pendulum.Policy, "act", counting("pendulum.Policy.act", pendulum.Policy.act))
     return counts
 
 
@@ -74,3 +77,24 @@ def test_compare_command_counts(calls, tmp_path):
     g, r = len(gammas), len(ranks)
     assert dict(calls) == {"embedding.fit": 1, "sparse.fista_solve": g, "linalg.sym_eig_max": 2 * g,
                            "lowrank.incomplete_cholesky": 1, "linalg.solve_spd": 1 + r, "kernels.gram": 2 + r}
+
+
+def test_plan_commands_counts(calls, tmp_path):
+    train = pendulum.collect_dataset(pendulum.PendulumParams(), 30, 0)
+    data = tmp_path / "data.csv"
+    data.write_text("x0,x1,x2,x3,y0,y1,y2\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in np.hstack([train.xs, train.ys]).tolist()))
+    gauss = {"variant": "gaussian", "bandwidth": 1.5}
+    lambdas, bandwidths, folds, episodes, horizon = [1e-3, 1e-2], [1.0, 2.0, 4.0], 3, 4, 5
+    configs = {
+        "cv": {"dataset": str(data), "lambdas": lambdas, "bandwidths": bandwidths, "folds": folds, "seed": 0,
+               "x_kernel": gauss, "y_kernel": gauss},
+        "fit": {"dataset": str(data), "lambda": 1e-3, "x_kernel": gauss, "y_kernel": gauss},
+        "pendulum": {"n": 30, "seed": 0, "sweeps": 5, "episodes": episodes, "horizon": horizon},
+    }
+    for command, cfg in configs.items():
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(cfg))
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    assert calls["embedding.fit"] == len(lambdas) * len(bandwidths) * folds + 1 + 1
+    assert calls["pendulum.Policy.act"] == episodes * horizon

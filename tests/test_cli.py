@@ -49,6 +49,13 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
+def blas_threads_env(threads: str) -> dict:
+    """The environment of a subprocess that imports this cmereg and runs OpenBLAS on `threads` threads."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 @pytest.fixture
 def tiny_dataset(tmp_path):
     return write_dataset(tmp_path / "data.csv", [0.0, 0.5, 1.0, 1.5, 2.0],
@@ -155,14 +162,11 @@ class TestFit:
         data = random_dataset(tmp_path / "data.csv", n=300, seed=6)
         cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-3,
                                       "x_kernel": GAUSS, "y_kernel": GAUSS})
-        src = os.path.dirname(os.path.dirname(cli.__file__))
         W = {}
         for threads in ("1", "2"):
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
             saved = tmp_path / f"W{threads}.npy"
             subprocess.run([sys.executable, "-c", fit_and_save, cfg, str(tmp_path / threads), str(saved)],
-                           env=env, check=True)
+                           env=blas_threads_env(threads), check=True)
             W[threads] = np.load(saved)
         assert W["1"].shape == (300, 300)
         assert np.max(np.abs(W["1"] - W["2"])) <= 1e-12 * np.max(np.abs(W["1"]))
@@ -244,6 +248,26 @@ class TestSparsify:
         assert main(["sparsify", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "sparsify.csv")
         assert [(r["iterations"], r["converged"]) for r in rows] == [("1", "0"), ("1", "0")]
+
+    def test_rows_agree_across_blas_thread_counts(self, tmp_path):
+        # every row stops at max_iter, so both runs make the same iterations and
+        # only the rounding path of the products differs
+        data = random_dataset(tmp_path / "d.csv", n=150, seed=7)
+        max_iter = 300
+        cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                                      "x_kernel": GAUSS, "y_kernel": GAUSS, "max_iter": max_iter,
+                                      "tol": 1e-300})
+        rows = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "cmereg.cli", "sparsify", "--config", cfg, "--out", str(out)],
+                           env=blas_threads_env(threads), check=True)
+            rows[threads] = read_rows(out / "sparsify.csv")
+        assert [(r["iterations"], r["converged"]) for r in rows["1"]] == [(str(max_iter), "0")] * 2
+        for one, two in zip(rows["1"], rows["2"], strict=True):
+            assert (one["iterations"], one["converged"]) == (two["iterations"], two["converged"])
+            assert abs(float(one["nnz_fraction"]) - float(two["nnz_fraction"])) <= 0.005
+            assert math.isfinite(float(one["gap"])) and math.isfinite(float(two["gap"]))
 
     def test_unsorted_gammas(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -334,6 +358,15 @@ class TestCompare:
             "lambda": 0.1, "gammas": [0.0], "ranks": [2], "seed": 0,
         })
         assert main(["compare", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key,value,code", [
+        ("dt", 0.2, 0), ("friction", 0.1, 0), ("discount", 0.9, 2), ("torque_levels", 3, 2),
+    ])
+    def test_pendulum_takes_only_dynamics_keys(self, tmp_path, key, value, code):
+        # collect_dataset reads dt and friction; discount and torque_levels would change nothing
+        cfg = write_config(tmp_path, {"pendulum": {"n": 10, "n_test": 10, key: value}, "lambda": 0.1,
+                                      "gammas": [0.01], "ranks": [2], "seed": 0, "max_iter": 20})
+        assert main(["compare", "--config", cfg, "--out", str(tmp_path / "out")]) == code
 
     def test_rank_exceeds_n(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {
@@ -594,6 +627,15 @@ class TestContract:
     def test_overflowing_bandwidth_exits_three(self, contract_dir):
         # 1e300 is a valid bandwidth, but its square overflows in the kernel
         assert run_tiny(*contract_dir, "fit", setter("x_kernel", "bandwidth", 1e300)) == 3
+
+    # lambda*n overflows to inf: the fit inverted it to all-zero W (fit) or wrote
+    # lambda=inf and excess=nan rows (rate), and both exited 0
+    @pytest.mark.parametrize("command,change", [
+        ("fit", setter("lambda", 1e308)),
+        ("rate", setter("schedule", {"a": 1e308, "beta": -1})),
+    ], ids=["fit", "rate"])
+    def test_overflowing_ridge_shift_exits_three(self, contract_dir, command, change):
+        assert run_tiny(*contract_dir, command, change) == 3
 
     def test_integral_float_is_an_integer(self, contract_dir):
         assert run_tiny(*contract_dir, "sparsify", setter("max_iter", 1e4)) == 0

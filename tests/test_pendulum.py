@@ -1,14 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from cmereg import pendulum
 from cmereg.embedding import alpha_batch, fit
 from cmereg.errors import InputError, UnsupportedConfigurationError
 from cmereg.kernels import KernelSpec, cross_gram, median_bandwidth
 from cmereg.pendulum import (
     PendulumParams,
-    Policy,
     RandomTorquePolicy,
     _factors,
     collect_dataset,
@@ -224,7 +225,7 @@ class TestPolicyIteration:
         if coefficients == "column_scaled":  # M = W diag(s) is not symmetric
             M = model.W * np.random.default_rng(12).uniform(0.5, 1.0, model.train.n)
             assert not np.allclose(M, M.T)
-        policy = policy_iteration(model, params, sweeps=200, coefficients=M, tol=1e-9)
+        policy = policy_iteration(model.with_coefficients(M), params, sweeps=200, tol=1e-9)
         V, greedy, sweeps_run = self.tensor_backup(model, M, params, 200, 1e-9)
         np.testing.assert_allclose(policy.values, V, rtol=1e-10, atol=0)
         np.testing.assert_array_equal(policy.greedy_torque, greedy)
@@ -239,28 +240,41 @@ class TestPolicyIteration:
 
 class TestPolicyAct:
     @staticmethod
-    def direct_torque(policy, theta, omega):
-        grid = policy.params.torque_grid
+    def direct_torque(model, M, values, grid, theta, omega):
         pts = np.array([[math.sin(theta), math.cos(theta), omega, u] for u in grid])
-        Kq = cross_gram(policy.model.kspec, policy.model.train.xs, pts)
-        return float(grid[int(np.argmax((policy.coefficients @ Kq).T @ policy.values))])
+        Kq = cross_gram(model.kspec, model.train.xs, pts)
+        return float(grid[int(np.argmax((M @ Kq).T @ values))])
 
     def test_matches_direct_scores(self, params):
         model = fit_transition_model(params, n=100, seed=6)
         policy = policy_iteration(model, params, sweeps=60)
         for theta, omega in zip(*random_states(250, 9)):
-            assert policy.act(theta, omega) == self.direct_torque(policy, theta, omega)
+            expected = self.direct_torque(model, model.W, policy.values, params.torque_grid, theta, omega)
+            assert policy.act(theta, omega) == expected
 
     def test_nonsymmetric_coefficients(self, params):
         # a sparse replacement M need not be symmetric: the weights are M^T V
         model = fit_transition_model(params, n=100, seed=6)
-        rng = np.random.default_rng(10)
-        M = model.W * (rng.uniform(size=model.W.shape) < 0.5)
-        policy = Policy(model=model, coefficients=M, params=params,
-                        values=rng.uniform(0, 5, model.train.n),
-                        greedy_torque=np.zeros(model.train.n))
-        for theta, omega in zip(*random_states(200, 11)):
-            assert policy.act(theta, omega) == self.direct_torque(policy, theta, omega)
+        M = model.W * np.random.default_rng(10).uniform(0.5, 1.0, model.train.n)  # W diag(s)
+        assert not np.allclose(M, M.T)
+        policy = policy_iteration(model.with_coefficients(M), params, sweeps=60)
+        states = list(zip(*random_states(200, 11)))
+        torques = [policy.act(theta, omega) for theta, omega in states]
+        assert torques == [self.direct_torque(model, M, policy.values, params.torque_grid, theta, omega)
+                           for theta, omega in states]
+        assert len(set(torques)) > 1
+
+    def test_plan_derives_factors_once(self, params, monkeypatch):
+        # the policy holds the factors the sweep built; acting derives nothing again
+        calls = []
+        monkeypatch.setattr(pendulum, "_factors", lambda *a: calls.append(a) or _factors(*a))
+        policy = policy_iteration(fit_transition_model(params, n=40, seed=6), params, sweeps=5)
+        for theta, omega in zip(*random_states(10, 12)):
+            policy.act(theta, omega)
+        assert len(calls) == 1
+        assert policy.states.shape == (40, 3) and policy.states.flags.c_contiguous
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            policy.values = np.zeros(40)
 
     @pytest.mark.parametrize("bandwidth", [None, 0.3])
     @pytest.mark.parametrize("custom", [{}, {"torque_min": -2.0, "torque_max": 3.0, "torque_levels": 4,
@@ -290,9 +304,6 @@ class TestPolicyAct:
     def test_non_gaussian_input_kernel_rejected(self, params, kspec):
         data = collect_dataset(params, 30, 15)
         model = fit(data, kspec, KernelSpec("gaussian", 1.0, 3), 1e-2)
-        with pytest.raises(UnsupportedConfigurationError):
-            Policy(model=model, coefficients=model.W, params=params,
-                   values=np.zeros(data.n), greedy_torque=np.zeros(data.n))
         with pytest.raises(UnsupportedConfigurationError):
             policy_iteration(model, params, sweeps=1)
 
