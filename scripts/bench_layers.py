@@ -115,7 +115,8 @@ def rollout_step(repeats: int) -> dict:
     learned = pendulum.policy_iteration(fit(train, kspec, lspec, 1e-4), params, sweeps=80)
     rand = pendulum.RandomTorquePolicy(params)
     rng = np.random.default_rng(2)
-    states = list(zip(rng.uniform(-np.pi, np.pi, 1000), rng.uniform(-params.omega_max, params.omega_max, 1000)))
+    theta = rng.uniform(-np.pi, np.pi, 1000)
+    states = list(zip(theta, rng.uniform(-pendulum.OMEGA_MAX, pendulum.OMEGA_MAX, 1000)))
 
     def run(policy):
         for theta, omega in states:

@@ -61,10 +61,15 @@ def _real(low=-float("inf"), strict=False):
 
 
 def _integer(low, high=float("inf")):
-    """An integral-valued finite number in [low, high] (1e4 passes, 2.7 does not); as an int."""
+    """An integral-valued finite number in [low, high] (1e4 passes, 2.7 does not), as an
+    int; an int comes back unchanged, so 2**53 + 1 is not rounded through a float."""
     real, integral = _real(low), _is(float.is_integer, "an integer")
     at_most = _is(lambda v: v <= high, f"<= {high}")
-    return lambda v: int(at_most(integral(real(v))))
+
+    def check(v):
+        num = real(v)  # a finite number >= low, never a bool
+        return at_most(v if isinstance(v, int) else int(integral(num)))
+    return check
 
 
 def _list(item, ascending=False, distinct=False):
@@ -339,9 +344,10 @@ def run_compare(cfg: dict, out: str):
 
 def run_rate(cfg: dict, out: str):
     px, pyx = cfg["px"], cfg["pyx"]
-    xsym = tuple(cfg["x_symbols"] or (f"x{i}" for i in range(len(px))))
-    ysym = tuple(cfg["y_symbols"] or (f"y{j}" for j in range(len(pyx[0]))))
-    dist = ratecheck.DiscreteDistribution(xsym, ysym, np.asarray(px), np.asarray(pyx))
+    for key, size in (("x_symbols", len(px)), ("y_symbols", len(pyx[0]))):  # labels only name the codes
+        if cfg[key] is not None and len(cfg[key]) != size:
+            raise ConfigError(f"rate: {key} has {len(cfg[key])} labels for {size} symbols")
+    dist = ratecheck.DiscreteDistribution(np.asarray(px), np.asarray(pyx))
     schedule = (cfg["schedule"]["a"], cfg["schedule"]["beta"])
     results = ratecheck.rate_experiment(dist, cfg["n_grid"], cfg["seeds"], schedule)
     write_csv(os.path.join(out, "rate.csv"),

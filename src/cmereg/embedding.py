@@ -120,17 +120,12 @@ def empirical_risk(model: EmbeddingModel, test: TrainingSet) -> float:
     return float(np.mean(_losses(model, test)))
 
 
-def embedding_norm_sq(model: EmbeddingModel) -> float:
-    """Squared RKHS norm of the represented embedding: tr(K W L W^T)."""
-    W, K, L = model.W, model.kgram, model.lgram
-    return float(np.trace(matmul(matmul(matmul(K, W), L), W.T)))
-
-
 def regularized_objective(model: EmbeddingModel) -> float:
-    """Training loss plus ridge penalty; minimized by the fitted W."""
-    n = model.train.n
+    """Training loss plus lam*n times the embedding's squared RKHS norm
+    tr(K W L W^T) = <K W L, W>; minimized by the fitted W."""
+    W, n = model.W, model.train.n
     loss = float(np.sum(_losses(model, model.train)))
-    return loss + model.lam * n * embedding_norm_sq(model)
+    return loss + model.lam * n * float(np.sum(matmul(matmul(model.kgram, W), model.lgram) * W))
 
 
 @dataclass(frozen=True)

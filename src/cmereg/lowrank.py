@@ -22,7 +22,6 @@ from .kernels import KernelSpec, gram
 class IncompleteCholesky:
     pivots: tuple  # selected training indices, in pivot order
     factor: np.ndarray  # (n, rank); factor @ factor.T approximates K
-    residual_diag: tuple  # residual diagonal after each step (step 0 = K's diagonal)
 
 
 def incomplete_cholesky(K: np.ndarray, max_rank: int) -> IncompleteCholesky:
@@ -39,7 +38,6 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int) -> IncompleteCholesky:
     d = np.diag(A).copy()
     G = np.zeros((n, max_rank), order="F")  # G[:, :t] is Fortran-contiguous for dgemv
     pivots = []
-    diags = [d.copy()]
     scale = max(float(np.trace(A)), 1.0)
     for t in range(max_rank):
         j = int(np.argmax(d))  # argmax takes the lowest index on ties
@@ -53,10 +51,7 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int) -> IncompleteCholesky:
             raise NumericalError(f"negative residual diagonal {np.min(d)}: input not PSD")
         d = np.maximum(d, 0.0)
         pivots.append(j)
-        diags.append(d.copy())
-    return IncompleteCholesky(
-        pivots=tuple(pivots), factor=G[:, : len(pivots)], residual_diag=tuple(diags)
-    )
+    return IncompleteCholesky(pivots=tuple(pivots), factor=G[:, : len(pivots)])
 
 
 def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Under-actuated pendulum swing-up and embedding-based policy iteration.
 
 The angle convention is theta = 0 upright, wrapped to [-pi, pi]; angular
-velocity is clamped to [-omega_max, omega_max]. Dynamics are a semi-implicit
-Euler discretization of theta_dd = (g/l) sin(theta) + (u - b*omega)/(m*l^2).
-With the defaults m*g*l = 9.81 > torque_max = 5, so the pendulum cannot be
-lifted directly and must pump energy.
+velocity is clamped to [-OMEGA_MAX, OMEGA_MAX]. The pendulum has unit mass on
+a unit length, so the dynamics are a semi-implicit Euler discretization of
+theta_dd = GRAVITY sin(theta) + (u - b*omega) with friction b and torques u
+in [-TORQUE_MAX, TORQUE_MAX]. As GRAVITY = 9.81 > TORQUE_MAX = 5, the pendulum
+cannot be lifted directly and must pump energy.
 """
 
 from __future__ import annotations
@@ -20,27 +21,23 @@ from .errors import InputError, InstabilityError, UnsupportedConfigurationError
 from .kernels import KernelSpec, cross_gram
 
 
+GRAVITY = 9.81  # g/l for the unit mass on the unit length
+TORQUE_MAX = 5.0  # torques lie in [-TORQUE_MAX, TORQUE_MAX]
+OMEGA_MAX = 7.0  # angular velocity is clamped to [-OMEGA_MAX, OMEGA_MAX]
+
+
 @dataclass(frozen=True)
 class PendulumParams:
-    mass: float = 1.0
-    length: float = 1.0
-    gravity: float = 9.81
     friction: float = 0.05
     dt: float = 0.1
-    torque_min: float = -5.0
-    torque_max: float = 5.0
-    omega_max: float = 7.0
     discount: float = 0.95
     torque_levels: int = 9
 
     def __post_init__(self):
-        for name in ("mass", "length", "gravity", "dt", "omega_max"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise InputError(f"{name} must be a positive finite number")
+        if not 0.0 < self.dt < math.inf:
+            raise InputError("dt must be a positive finite number")
         if not 0.0 <= self.friction < math.inf:
             raise InputError("friction must be a nonnegative finite number")
-        if not -math.inf < self.torque_min <= self.torque_max < math.inf:
-            raise InputError("torques must be finite with torque_min <= torque_max")
         if not 0.0 < self.discount < 1.0:
             raise InputError("discount must lie in (0, 1)")
         if self.torque_levels < 1:
@@ -48,7 +45,7 @@ class PendulumParams:
 
     @cached_property
     def torque_grid(self) -> np.ndarray:
-        grid = np.linspace(self.torque_min, self.torque_max, self.torque_levels)
+        grid = np.linspace(-TORQUE_MAX, TORQUE_MAX, self.torque_levels)
         grid.flags.writeable = False  # built once, shared by every reader (Policy.act reads it each step)
         return grid
 
@@ -60,10 +57,9 @@ def wrap_angle(theta):
 def step(params: PendulumParams, theta, omega, u):
     """One semi-implicit Euler step from states (theta, omega) under torques u,
     clamped to their bounds; broadcastable arrays in, (theta', omega') out."""
-    u = np.clip(u, params.torque_min, params.torque_max)
-    m, l, g, b = params.mass, params.length, params.gravity, params.friction
-    acc = (g / l) * np.sin(theta) + (u - b * omega) / (m * l * l)
-    omega = np.clip(omega + params.dt * acc, -params.omega_max, params.omega_max)
+    u = np.clip(u, -TORQUE_MAX, TORQUE_MAX)
+    acc = GRAVITY * np.sin(theta) + (u - params.friction * omega)
+    omega = np.clip(omega + params.dt * acc, -OMEGA_MAX, OMEGA_MAX)
     return wrap_angle(theta + params.dt * omega), omega
 
 
@@ -98,8 +94,8 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=n)
-    omega = rng.uniform(-params.omega_max, params.omega_max, size=n)
-    u = rng.uniform(params.torque_min, params.torque_max, size=n)
+    omega = rng.uniform(-OMEGA_MAX, OMEGA_MAX, size=n)
+    u = rng.uniform(-TORQUE_MAX, TORQUE_MAX, size=n)
     theta2, omega2 = step(params, theta, omega, u)
     outputs = np.column_stack([np.sin(theta2), np.cos(theta2), omega2])
     return TrainingSet(features(theta, omega, u), outputs)
@@ -194,7 +190,7 @@ def evaluate_policy(policy, params: PendulumParams, episodes: int, horizon: int,
     if episodes < 1:
         raise InputError("episodes must be >= 1")
     rng = np.random.default_rng(seed)
-    low, high = [-math.pi, -params.omega_max], [math.pi, params.omega_max]
+    low, high = [-math.pi, -OMEGA_MAX], [math.pi, OMEGA_MAX]
     theta, omega = rng.uniform(low, high, size=(episodes, 2)).T  # draws theta_0, omega_0, theta_1, ...
     total = reward(theta, omega)
     disc = 1.0

@@ -22,20 +22,16 @@ _TOL = 1e-12
 
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    x_symbols: tuple  # labels of the table's rows; samples carry their indices
-    y_symbols: tuple  # labels of the table's columns
-    px: np.ndarray  # marginal over x_symbols
-    pyx: np.ndarray  # row-stochastic, pyx[i, j] = p(y_j | x_i)
+    px: np.ndarray  # marginal over the x symbols, coded 0..|X|-1
+    pyx: np.ndarray  # row-stochastic, pyx[i, j] = p(y_j | x_i); y symbols coded 0..|Y|-1
 
     def __post_init__(self):
         px = np.asarray(self.px, dtype=float)
         pyx = np.asarray(self.pyx, dtype=float)
         object.__setattr__(self, "px", px)
         object.__setattr__(self, "pyx", pyx)
-        if px.shape != (len(self.x_symbols),):
-            raise InputError("px must have one entry per x symbol")
-        if pyx.shape != (len(self.x_symbols), len(self.y_symbols)):
-            raise InputError("pyx must be |X| x |Y|")
+        if px.ndim != 1 or pyx.ndim != 2 or len(pyx) != len(px):
+            raise InputError("pyx must be |X| x |Y|, with one row per px entry")
         if np.any(px < 0) or np.any(pyx < 0):
             raise InputError("probabilities must be nonnegative")
         if abs(px.sum() - 1.0) > _TOL:
@@ -53,12 +49,12 @@ class RateResult:
 
 
 def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
-    """Draw n i.i.d. pairs as integer codes (indices into dist.x_symbols and
-    dist.y_symbols); deterministic per seed."""
+    """Draw n i.i.d. pairs as integer codes (row and column indices of
+    dist.pyx); deterministic per seed."""
     if n < 1:
         raise InputError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    xi = rng.choice(len(dist.x_symbols), size=n, p=dist.px)
+    xi = rng.choice(len(dist.px), size=n, p=dist.px)
     cum = np.cumsum(dist.pyx, axis=1)
     u = rng.random(n)
     yi = (u[:, None] > cum[xi]).sum(axis=1)
@@ -79,8 +75,8 @@ def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.n
     """Model-predicted coefficient on each y symbol, per x symbol: row x is the
     predicted vector mu_hat(x) in simplex coordinates, for a model fitted on sample's codes."""
     _require_delta(model)
-    A = alpha_batch(model, np.arange(len(dist.x_symbols)))  # (|X|, n)
-    table = np.zeros((len(dist.x_symbols), len(dist.y_symbols)))
+    A = alpha_batch(model, np.arange(len(dist.px)))  # (|X|, n)
+    table = np.zeros(dist.pyx.shape)
     # unbuffered, in index order: the sums of a loop over the training outputs
     np.add.at(table, (slice(None), model.train.ys), A)
     return table

@@ -23,8 +23,6 @@ from oracles import cd_lasso, cd_objective, criterion_2_instances, fd_gradient, 
 
 # 4x4 discrete oracle: every conditional row is distinct and non-degenerate
 DIST = ratecheck.DiscreteDistribution(
-    ("a", "b", "c", "d"),
-    ("u", "v", "w", "x"),
     np.array([0.4, 0.3, 0.2, 0.1]),
     np.array([
         [0.70, 0.10, 0.10, 0.10],
@@ -152,10 +150,10 @@ def test_criterion_4_per_symbol_ridge_equivalence():
     n = train.n
     # brute-force oracle: one scalar kernel ridge regression per output symbol,
     # on indicator targets; sample draws symbol codes
-    Z = np.array([[1.0 if y == b else 0.0 for b in range(len(DIST.y_symbols))] for y in train.ys])
+    Z = np.array([[1.0 if y == b else 0.0 for b in range(DIST.pyx.shape[1])] for y in train.ys])
     ridge = np.linalg.solve(K + lam * n * np.eye(n), Z)
     worst = 0.0
-    for x in range(len(DIST.x_symbols)):
+    for x in range(len(DIST.px)):
         kq = np.array([1.0 if xi == x else 0.0 for xi in train.xs])
         krr_pred = kq @ ridge
         cme_pred = embedding.alpha_batch(model, [x])[0] @ Z

@@ -410,6 +410,32 @@ class TestRate:
                                       "n_grid": [10], "seeds": [0]})
         assert main(["rate", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    # labels only name the symbols, but they must name each one exactly once
+    # (a repeated x label is TestContract's)
+    @pytest.mark.parametrize("labels", [
+        {"y_symbols": [0, 0]}, {"x_symbols": ["a"]}, {"x_symbols": ["a", "b", "c"]},
+        {"y_symbols": ["u", "v", "w"]},
+    ])
+    def test_labels_must_name_the_table(self, tmp_path, labels):
+        cfg = write_config(tmp_path, dict(self.DIST, n_grid=[10], seeds=[0], **labels))
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_labels_leave_the_output_unchanged(self, tmp_path):
+        plain = write_config(tmp_path, dict(self.DIST, n_grid=[10, 20, 40], seeds=[0]), "plain.json")
+        named = write_config(tmp_path, dict(self.DIST, n_grid=[10, 20, 40], seeds=[0],
+                                            x_symbols=["a", "b"], y_symbols=[3, 7]), "named.json")
+        for cfg, out in ((plain, "a"), (named, "b")):
+            assert main(["rate", "--config", cfg, "--out", str(tmp_path / out)]) == 0
+        for name in ("rate.csv", "slope.txt"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_seeds_above_two_to_the_53(self, tmp_path):
+        # integers went through float: 2**53 + 1 ran (and was written) as 2**53
+        seeds = [2**53, 2**53 + 1]
+        cfg = write_config(tmp_path, dict(self.DIST, n_grid=[10], seeds=seeds))
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert [int(r["seed"]) for r in read_rows(tmp_path / "out" / "rate.csv")] == seeds
+
 
 class TestPendulum:
     def test_smoke(self, tmp_path):
@@ -425,6 +451,13 @@ class TestPendulum:
     def test_negative_dt_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 20, "seed": 0, "dt": -1})
         assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+    def test_diverging_value_iteration_exits_three(self, tmp_path, capsys):
+        # a near-zero ridge leaves the embedded transition model unstable
+        cfg = write_config(tmp_path, {"n": 30, "seed": 0, "lambda": 1e-12, "sweeps": 50,
+                                      "episodes": 2, "horizon": 2})
+        assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "value iteration diverged" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 30, "seed": 0, "sweeps": 5,
@@ -639,6 +672,16 @@ class TestContract:
 
     def test_integral_float_is_an_integer(self, contract_dir):
         assert run_tiny(*contract_dir, "sparsify", setter("max_iter", 1e4)) == 0
+
+    def test_large_integer_is_exact(self, contract_dir):
+        # every integer went through float: 2**53 + 1 came back as 2**53
+        check = SCHEMAS["pendulum"]["seed"][0]
+        assert check(2**53 + 1) == 2**53 + 1 and type(check(2**53 + 1)) is int
+        assert check(1e4) == 10_000 and type(check(1e4)) is int
+        for bad in (2.7, -1, True, 10**400):
+            with pytest.raises(ValueError):
+                check(bad)
+        assert run_tiny(*contract_dir, "pendulum", lambda cfg: None, ["--seed", str(2**53 + 1)]) == 0
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_tiny_configs_run(self, contract_dir, command):

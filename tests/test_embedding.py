@@ -167,12 +167,11 @@ class TestPointLoss:
         # delta output kernel: L(y,.) is a standard basis vector, so the loss
         # can be computed as a finite-dimensional squared distance; sample
         # draws symbol codes, so a code is its basis index
-        dist = DiscreteDistribution(("a", "b", "c"), ("u", "v"), np.array([0.4, 0.3, 0.3]),
-                                    np.array([[0.7, 0.3], [0.5, 0.5], [0.1, 0.9]]))
+        dist = DiscreteDistribution(np.array([0.4, 0.3, 0.3]), np.array([[0.7, 0.3], [0.5, 0.5], [0.1, 0.9]]))
         ts = sample(dist, 30, 0)
         model = fit(ts, DELTA, DELTA, 0.05)
-        ny = len(dist.y_symbols)
-        for x in range(len(dist.x_symbols)):
+        ny = dist.pyx.shape[1]
+        for x in range(len(dist.px)):
             for y in range(ny):
                 a = alpha_batch(model, [x])[0]
                 vec = np.zeros(ny)
@@ -283,7 +282,7 @@ class TestRegularizedObjective:
 def test_delta_krr_equivalence():
     # per-output-symbol predictions equal independent scalar kernel ridge
     # regressions on indicator targets
-    dist = DiscreteDistribution(("a", "b", "c"), ("u", "v", "w"), np.full(3, 1 / 3),
+    dist = DiscreteDistribution(np.full(3, 1 / 3),
                                 np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]]))
     ts = sample(dist, 40, 4)
     lam = 0.07
@@ -291,10 +290,10 @@ def test_delta_krr_equivalence():
     n = ts.n
     K = gram(DELTA, ts.xs)
     A = K + lam * n * np.eye(n)
-    for y in range(len(dist.y_symbols)):  # sample draws symbol codes
+    for y in range(dist.pyx.shape[1]):  # sample draws symbol codes
         target = np.array([1.0 if yi == y else 0.0 for yi in ts.ys])
         coef = np.linalg.solve(A, target)  # independent KRR path
-        for x in range(len(dist.x_symbols)):
+        for x in range(len(dist.px)):
             kx = np.array([1.0 if xi == x else 0.0 for xi in ts.xs])
             krr = float(coef @ kx)
             a = alpha_batch(model, [x])[0]
@@ -304,8 +303,7 @@ def test_delta_krr_equivalence():
 
 class TestCrossValidate:
     def make_train(self, n=40, seed=0):
-        dist = DiscreteDistribution(("a", "b"), ("u", "v"), np.array([0.5, 0.5]),
-                                    np.array([[0.8, 0.2], [0.3, 0.7]]))
+        dist = DiscreteDistribution(np.array([0.5, 0.5]), np.array([[0.8, 0.2], [0.3, 0.7]]))
         return dist, sample(dist, n, seed)
 
     def test_single_tuple(self):

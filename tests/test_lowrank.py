@@ -13,6 +13,11 @@ def random_gram(seed=0, n=10, bw=0.8):
     return gram(KernelSpec("gaussian", bw, 2), pts), pts
 
 
+def residual_diags(K, ic):
+    """Residual diagonal diag(K) - sum_{t<k} G[:, t]^2 after each step k (k = 0 is K's diagonal)."""
+    return [np.diag(K) - np.sum(ic.factor[:, :k] ** 2, axis=1) for k in range(len(ic.pivots) + 1)]
+
+
 class TestIncompleteCholesky:
     def test_full_rank_exact(self):
         K, _ = random_gram(seed=1)
@@ -30,18 +35,23 @@ class TestIncompleteCholesky:
         # each pivot of I removes exactly one unit diagonal entry
         K = np.eye(5)
         ic = incomplete_cholesky(K, max_rank=3)
-        assert np.sum(ic.residual_diag[-1]) == pytest.approx(2.0)
+        assert np.sum(residual_diags(K, ic)[-1]) == pytest.approx(2.0)
 
     def test_trace_residual_matches_diag_sum(self):
         K, _ = random_gram(seed=2)
         ic = incomplete_cholesky(K, max_rank=4)
         resid = K - ic.factor @ ic.factor.T
-        assert np.trace(resid) == pytest.approx(np.sum(ic.residual_diag[-1]), abs=1e-8)
+        diags = residual_diags(K, ic)
+        assert np.trace(resid) == pytest.approx(np.sum(diags[-1]), abs=1e-8)
+        # each pivot is a largest residual diagonal entry of its step, and is then used up
+        for k, p in enumerate(ic.pivots):
+            assert diags[k][p] >= np.max(diags[k]) - 1e-12
+            assert abs(diags[k + 1][p]) <= 1e-12
 
     def test_residual_maxima_non_increasing(self):
         K, _ = random_gram(seed=3, n=12)
         ic = incomplete_cholesky(K, max_rank=12)
-        maxima = [np.max(d) for d in ic.residual_diag]
+        maxima = [np.max(d) for d in residual_diags(K, ic)]
         for a, b in zip(maxima, maxima[1:]):
             assert b <= a + 1e-12
 

@@ -9,6 +9,9 @@ from cmereg.embedding import alpha_batch, fit
 from cmereg.errors import InputError, UnsupportedConfigurationError
 from cmereg.kernels import KernelSpec, cross_gram, median_bandwidth
 from cmereg.pendulum import (
+    GRAVITY,
+    OMEGA_MAX,
+    TORQUE_MAX,
     PendulumParams,
     RandomTorquePolicy,
     _factors,
@@ -37,9 +40,9 @@ def fit_transition_model(params, n=60, seed=0, lam=1e-3, bandwidth=None):
 
 class TestParams:
     @pytest.mark.parametrize("bad", [
-        {"dt": -1.0}, {"dt": 0.0}, {"mass": 0.0}, {"length": -1.0}, {"gravity": 0.0},
-        {"omega_max": 0.0}, {"friction": -0.1}, {"torque_min": 1.0, "torque_max": -1.0},
-        {"dt": float("nan")}, {"dt": float("inf")},
+        {"dt": -1.0}, {"dt": 0.0}, {"friction": -0.1}, {"friction": float("inf")},
+        {"discount": 0.0}, {"discount": 1.0}, {"torque_levels": 0},
+        {"dt": float("nan")}, {"dt": float("inf")}, {"friction": float("nan")},
     ])
     def test_invalid_params_rejected(self, bad):
         with pytest.raises(InputError):
@@ -48,16 +51,15 @@ class TestParams:
 
 def math_step(params, theta, omega, u):
     """One transition of one state with the math module: the scalar reference."""
-    u = min(max(u, params.torque_min), params.torque_max)
-    m, l, g, b = params.mass, params.length, params.gravity, params.friction
-    acc = (g / l) * math.sin(theta) + (u - b * omega) / (m * l * l)
-    omega = min(max(omega + params.dt * acc, -params.omega_max), params.omega_max)
+    u = min(max(u, -TORQUE_MAX), TORQUE_MAX)
+    acc = GRAVITY * math.sin(theta) + (u - params.friction * omega)
+    omega = min(max(omega + params.dt * acc, -OMEGA_MAX), OMEGA_MAX)
     return (theta + params.dt * omega + math.pi) % (2.0 * math.pi) - math.pi, omega
 
 
-def random_states(count, seed, omega_max=7.0):
+def random_states(count, seed):
     rng = np.random.default_rng(seed)
-    return rng.uniform(-math.pi, math.pi, count), rng.uniform(-omega_max, omega_max, count)
+    return rng.uniform(-math.pi, math.pi, count), rng.uniform(-OMEGA_MAX, OMEGA_MAX, count)
 
 
 class TestDynamics:
@@ -77,8 +79,8 @@ class TestDynamics:
         theta = np.linspace(-3, 3, 7)
         high = step(params, theta, 0.0, 100.0)
         low = step(params, theta, 0.0, -100.0)
-        np.testing.assert_array_equal(high, step(params, theta, 0.0, params.torque_max))
-        np.testing.assert_array_equal(low, step(params, theta, 0.0, params.torque_min))
+        np.testing.assert_array_equal(high, step(params, theta, 0.0, TORQUE_MAX))
+        np.testing.assert_array_equal(low, step(params, theta, 0.0, -TORQUE_MAX))
 
     def test_batch_broadcasts_like_single_states(self, params):
         theta, omega = random_states(50, 4)
@@ -96,7 +98,7 @@ class TestDynamics:
         for _ in range(200):
             theta, omega = step(params, theta, omega, rng.uniform(-5, 5, theta.shape))
             assert np.all((-math.pi <= theta) & (theta <= math.pi))
-            assert np.all((-params.omega_max <= omega) & (omega <= params.omega_max))
+            assert np.all((-OMEGA_MAX <= omega) & (omega <= OMEGA_MAX))
 
     def test_wrap(self):
         assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
@@ -148,14 +150,14 @@ class TestDataset:
         out_sc = data.ys[:, 0] ** 2 + data.ys[:, 1] ** 2
         np.testing.assert_allclose(out_sc, 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("custom", [{}, {"mass": 2.0, "friction": 0.7, "dt": 0.3, "torque_max": 3.0}])
+    @pytest.mark.parametrize("custom", [{}, {"friction": 0.7, "dt": 0.3}])
     def test_matches_per_row_math_reference(self, custom):
         params = PendulumParams(**custom)
         data = collect_dataset(params, 500, 5)
         rng = np.random.default_rng(5)  # collect_dataset's draws: all thetas, all omegas, all torques
         thetas = rng.uniform(-math.pi, math.pi, 500)
-        omegas = rng.uniform(-params.omega_max, params.omega_max, 500)
-        torques = rng.uniform(params.torque_min, params.torque_max, 500)
+        omegas = rng.uniform(-OMEGA_MAX, OMEGA_MAX, 500)
+        torques = rng.uniform(-TORQUE_MAX, TORQUE_MAX, 500)
         xs, ys = np.empty((500, 4)), np.empty((500, 3))
         for i in range(500):
             theta, omega, u = float(thetas[i]), float(omegas[i]), float(torques[i])
@@ -277,19 +279,18 @@ class TestPolicyAct:
             policy.values = np.zeros(40)
 
     @pytest.mark.parametrize("bandwidth", [None, 0.3])
-    @pytest.mark.parametrize("custom", [{}, {"torque_min": -2.0, "torque_max": 3.0, "torque_levels": 4,
-                                            "omega_max": 4.0}])
+    @pytest.mark.parametrize("custom", [{}, {"torque_levels": 4}])
     def test_product_kernel_is_cross_gram(self, custom, bandwidth):
         # the state kernel times the torque factor is cross_gram's block
         # K(training inputs, features(state, grid)) up to rounding, at the
         # median bandwidth and at a narrow one
         params = PendulumParams(**custom)
         model = fit_transition_model(params, n=150, seed=13, bandwidth=bandwidth)
-        theta, omega = random_states(500, 14, params.omega_max)
+        theta, omega = random_states(500, 14)
         rng = np.random.default_rng(13)  # collect_dataset's draws: the training states
         train_theta = rng.uniform(-math.pi, math.pi, model.train.n)
-        train_omega = rng.uniform(-params.omega_max, params.omega_max, model.train.n)
-        edges = [(t, w) for t in (-math.pi, 0.0, math.pi) for w in (-params.omega_max, 0.0, params.omega_max)]
+        train_omega = rng.uniform(-OMEGA_MAX, OMEGA_MAX, model.train.n)
+        edges = [(t, w) for t in (-math.pi, 0.0, math.pi) for w in (-OMEGA_MAX, 0.0, OMEGA_MAX)]
         theta = np.concatenate([theta, train_theta[:40], [t for t, _ in edges]])
         omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
         np.testing.assert_array_equal(features(train_theta, train_omega, 0.0)[:, :3], model.train.xs[:, :3])
@@ -325,7 +326,7 @@ def per_episode_return(policy, params, episodes, horizon, seed):
     first, then one torque per episode per step (drawn up front for the random
     policy, whose torques do not depend on the state)."""
     rng = np.random.default_rng(seed)
-    starts = [(rng.uniform(-math.pi, math.pi), rng.uniform(-params.omega_max, params.omega_max))
+    starts = [(rng.uniform(-math.pi, math.pi), rng.uniform(-OMEGA_MAX, OMEGA_MAX))
               for _ in range(episodes)]
     if isinstance(policy, RandomTorquePolicy):
         drawn = [[policy.act(None, None, rng) for _ in range(episodes)] for _ in range(horizon)]

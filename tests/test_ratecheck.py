@@ -19,25 +19,27 @@ DELTA = KernelSpec("delta")
 
 
 def dist_2x2(p=0.9, q=0.8):
-    return DiscreteDistribution(("a", "b"), ("u", "v"), np.array([0.5, 0.5]),
-                                np.array([[p, 1 - p], [1 - q, q]]))
+    return DiscreteDistribution(np.array([0.5, 0.5]), np.array([[p, 1 - p], [1 - q, q]]))
 
 
 class TestDistribution:
     def test_validation(self):
         with pytest.raises(InputError):
-            DiscreteDistribution(("a",), ("u",), np.array([0.9]), np.array([[1.0]]))
+            DiscreteDistribution(np.array([0.9]), np.array([[1.0]]))
         with pytest.raises(InputError):
-            DiscreteDistribution(("a",), ("u", "v"), np.array([1.0]), np.array([[0.6, 0.3]]))
+            DiscreteDistribution(np.array([1.0]), np.array([[0.6, 0.3]]))
         with pytest.raises(InputError):
-            DiscreteDistribution(("a",), ("u", "v"), np.array([1.0]), np.array([[1.2, -0.2]]))
+            DiscreteDistribution(np.array([1.0]), np.array([[1.2, -0.2]]))
+        with pytest.raises(InputError):  # one pyx row per px entry
+            DiscreteDistribution(np.array([0.5, 0.5]), np.array([[1.0]]))
+        with pytest.raises(InputError):
+            DiscreteDistribution(np.array([[1.0]]), np.array([[1.0]]))
 
 
 class TestSample:
     def test_point_mass(self):
-        d = DiscreteDistribution(("a", "b"), ("u", "v"), np.array([1.0, 0.0]),
-                                 np.array([[0.0, 1.0], [1.0, 0.0]]))
-        ts = sample(d, 20, 0)  # codes: x symbol 0 ("a"), y symbol 1 ("v")
+        d = DiscreteDistribution(np.array([1.0, 0.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+        ts = sample(d, 20, 0)  # codes: x symbol 0, y symbol 1
         assert all(x == 0 for x in ts.xs)
         assert all(y == 1 for y in ts.ys)
 
@@ -47,8 +49,7 @@ class TestSample:
         assert np.array_equal(t1.xs, t2.xs) and np.array_equal(t1.ys, t2.ys)
 
     def test_law_of_large_numbers(self):
-        d = DiscreteDistribution(("a", "b"), ("u", "v"), np.array([0.5, 0.5]),
-                                 np.array([[0.5, 0.5], [0.5, 0.5]]))
+        d = DiscreteDistribution(np.array([0.5, 0.5]), np.array([[0.5, 0.5], [0.5, 0.5]]))
         ts = sample(d, 100000, 1)
         for x in (0, 1):
             for y in (0, 1):
@@ -86,12 +87,11 @@ class TestExactRisk:
 
 class TestTrueEmbedding:
     def test_deterministic_conditional_one_hot(self):
-        d = DiscreteDistribution(("a", "b"), ("u", "v"), np.array([0.5, 0.5]),
-                                 np.array([[1.0, 0.0], [0.0, 1.0]]))
+        d = DiscreteDistribution(np.array([0.5, 0.5]), np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_array_equal(d.pyx, np.eye(2))
 
     def test_uniform_conditional(self):
-        d = DiscreteDistribution(("a",), ("u", "v"), np.array([1.0]), np.array([[0.5, 0.5]]))
+        d = DiscreteDistribution(np.array([1.0]), np.array([[0.5, 0.5]]))
         np.testing.assert_array_equal(d.pyx, [[0.5, 0.5]])
 
 
@@ -106,7 +106,7 @@ class TestConditionalTable:
 
     def test_matches_loop_over_outputs(self):
         # reference: one column update per training output, in index order
-        d = DiscreteDistribution(("a", "b", "c"), ("u", "v", "w"), np.array([0.5, 0.3, 0.2]),
+        d = DiscreteDistribution(np.array([0.5, 0.3, 0.2]),
                                  np.array([[0.6, 0.3, 0.1], [0.2, 0.2, 0.6], [0.3, 0.4, 0.3]]))
         for n in (1, 37, 500):
             model = fit(sample(d, n, n), DELTA, DELTA, n ** -0.5)
