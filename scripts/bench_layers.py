@@ -32,7 +32,10 @@ previous gamma's solution, largest gamma first) and min and median
 microseconds per iteration of that solve.
 
 --src is the source tree cmereg is imported from (default: this checkout's
-src), so one script times two commits alike. The result, with its
+src), so one script times two commits alike. The script builds each kernel as
+`KernelSpec(variant, bandwidth)` and lets the points give their width, so it
+cannot time a tree whose `KernelSpec` still declares a point dimension: there the
+spec defaults to width 1 and rejects the 4-column points. The result, with its
 provenance (machine, library versions, BLAS builds, `git describe --dirty`
 and a SHA-256 of the cmereg sources), is printed as JSON; with --out it is
 also stored under --label in FILE, next to the labels already there.
@@ -110,8 +113,8 @@ def rollout_step(repeats: int) -> dict:
 
     params = pendulum.PendulumParams()
     train = pendulum.collect_dataset(params, 800, 1)
-    kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
-    lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
+    kspec = KernelSpec("gaussian", median_bandwidth(train.xs))
+    lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
     learned = pendulum.policy_iteration(fit(train, kspec, lspec, 1e-4), params, sweeps=80)
     rand = pendulum.RandomTorquePolicy(params)
     rng = np.random.default_rng(2)
@@ -133,7 +136,7 @@ def fista_per_gamma(repeats: int) -> dict:
     from cmereg.sparse import SparseProblem, fista_solve
 
     train = pendulum.collect_dataset(pendulum.PendulumParams(), 120, 0)
-    model = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-2)
+    model = fit(train, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5), 1e-2)
     result, start = {}, None
     for gamma in GAMMAS:
         problem = SparseProblem(model.kgram, model.lgram, model.W, gamma)
@@ -162,7 +165,7 @@ def main():
     cases = {}
     for n in SIZES:
         setups = {
-            "gaussian": (KernelSpec("gaussian", 2.0, 4), rng.standard_normal((n, 4)), 1e-3 * n,
+            "gaussian": (KernelSpec("gaussian", 2.0), rng.standard_normal((n, 4)), 1e-3 * n,
                          rng.standard_normal((80, 4))),
             "delta": (KernelSpec("delta"), rng.integers(0, 4, n), n**0.5, np.arange(4)),
         }

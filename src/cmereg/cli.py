@@ -29,10 +29,6 @@ from .kernels import VARIANTS, KernelSpec, median_bandwidth
 from .linalg import sym_eig_max
 
 
-class ConfigError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------- schema
 # A table maps each key to (check, default); REQUIRED marks a key without a
 # default. A check returns the value as the command uses it, or raises
@@ -108,13 +104,6 @@ def _fill(cfg, table) -> dict:
         else:
             out[key] = default
     return out
-
-
-def _validate(cfg, table, where: str) -> dict:
-    try:
-        return _fill(cfg, table)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _table(table):
@@ -202,20 +191,20 @@ def read_dataset(path: str) -> embedding.TrainingSet:
             rows = []
             for row in filter(None, reader):  # blank lines skipped
                 if len(row) != len(header):
-                    raise ConfigError(f"malformed dataset {path}: line {reader.line_num} has "
-                                      f"{len(row)} fields, the header {len(header)}")
+                    raise ValueError(f"line {reader.line_num} has {len(row)} fields, "
+                                     f"the header {len(header)}")  # reported as malformed below
                 rows.append([float(v) for v in row])
     except OSError as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from exc
+        raise InputError(f"cannot read dataset {path}: {exc}") from exc
     except (StopIteration, ValueError) as exc:
-        raise ConfigError(f"malformed dataset {path}: {exc}") from exc
+        raise InputError(f"malformed dataset {path}: {exc}") from exc
     xcols = [i for i, h in enumerate(header) if h.startswith("x")]
     ycols = [i for i, h in enumerate(header) if h.startswith("y")]
     if not xcols or not ycols or not rows:
-        raise ConfigError(f"dataset {path} needs x*/y* columns and at least one row")
+        raise InputError(f"dataset {path} needs x*/y* columns and at least one row")
     arr = np.asarray(rows)
     if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"dataset {path} has a non-finite value")
+        raise InputError(f"dataset {path} has a non-finite value")
     return embedding.TrainingSet(arr[:, xcols], arr[:, ycols])
 
 
@@ -256,10 +245,10 @@ def write_csv(path: str, header, rows):
 
 
 def _kernel(variant: str, bandwidth, points) -> KernelSpec:
-    """Kernel on the rows of points; bandwidth "median" means median_bandwidth(points)."""
+    """The kernel (variant, bandwidth); bandwidth "median" means median_bandwidth(points)."""
     if bandwidth == "median":
         bandwidth = median_bandwidth(points)
-    return KernelSpec(variant, bandwidth, points.shape[1])
+    return KernelSpec(variant, bandwidth)
 
 
 # ---------------------------------------------------------------- commands
@@ -316,7 +305,7 @@ def run_sparsify(cfg: dict, out: str):
 def run_compare(cfg: dict, out: str):
     pcfg, dcfg = cfg["pendulum"], cfg["dataset"]
     if (pcfg is None) == (dcfg is None):
-        raise ConfigError("compare: give exactly one of 'pendulum' or 'dataset'")
+        raise InputError("compare: give exactly one of 'pendulum' or 'dataset'")
     if pcfg is not None:
         params = pendulum.PendulumParams(**{k: pcfg[k] for k in _DYNAMICS})
         train = pendulum.collect_dataset(params, pcfg["n"], cfg["seed"])
@@ -324,7 +313,7 @@ def run_compare(cfg: dict, out: str):
     else:
         train, test = read_dataset(dcfg["train"]), read_dataset(dcfg["test"])
     if max(cfg["ranks"]) > train.n:
-        raise ConfigError(f"compare: rank {max(cfg['ranks'])} exceeds n={train.n}")
+        raise InputError(f"compare: rank {max(cfg['ranks'])} exceeds n={train.n}")
     lam = cfg["lambda"]
     kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
     lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
@@ -346,7 +335,7 @@ def run_rate(cfg: dict, out: str):
     px, pyx = cfg["px"], cfg["pyx"]
     for key, size in (("x_symbols", len(px)), ("y_symbols", len(pyx[0]))):  # labels only name the codes
         if cfg[key] is not None and len(cfg[key]) != size:
-            raise ConfigError(f"rate: {key} has {len(cfg[key])} labels for {size} symbols")
+            raise InputError(f"rate: {key} has {len(cfg[key])} labels for {size} symbols")
     dist = ratecheck.DiscreteDistribution(np.asarray(px), np.asarray(pyx))
     schedule = (cfg["schedule"]["a"], cfg["schedule"]["beta"])
     results = ratecheck.rate_experiment(dist, cfg["n_grid"], cfg["seeds"], schedule)
@@ -400,13 +389,16 @@ def main(argv=None) -> int:
             with open(args.config) as fh:
                 cfg = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise ConfigError(f"cannot load config {args.config}: {exc}") from exc
+            raise InputError(f"cannot load config {args.config}: {exc}") from exc
         if isinstance(cfg, dict) and args.seed is not None:
             cfg["seed"] = args.seed
-        cfg = _validate(cfg, SCHEMAS[args.command], args.command)
+        try:
+            cfg = _fill(cfg, SCHEMAS[args.command])
+        except ValueError as exc:
+            raise InputError(f"{args.command}: {exc}") from None
         os.makedirs(args.out, exist_ok=True)
         COMMANDS[args.command](cfg, args.out)
-    except (ConfigError, InputError) as exc:
+    except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, ArithmeticError) as exc:  # e.g. a bandwidth whose square overflows

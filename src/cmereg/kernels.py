@@ -6,8 +6,11 @@ Conventions:
   * delta:    k(a, b) = 1 if a and b agree in every entry, else 0. A finite
     alphabet enters as integer codes (scalar points).
 
-Every variant takes numeric points only: scalars, or rows of domain_dim
-entries, which is checked.
+A kernel is its variant and bandwidth. Every variant takes numeric points
+only, scalars or rows, whose width the points give: the two point sets of one
+evaluation must have the same width, else InputError. A kernel value that
+would not be finite (a gaussian sigma^2 that underflows to 0, or linear inner
+products that overflow) raises NumericalError.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import InputError
+from .errors import InputError, NumericalError
 
 VARIANTS = ("gaussian", "linear", "delta")
 
@@ -26,7 +29,6 @@ VARIANTS = ("gaussian", "linear", "delta")
 class KernelSpec:
     variant: str
     bandwidth: float | None = None
-    domain_dim: int = 1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -34,12 +36,10 @@ class KernelSpec:
         if self.variant == "gaussian":
             if self.bandwidth is None or not self.bandwidth > 0:
                 raise InputError("gaussian kernel requires bandwidth > 0")
-        if self.domain_dim < 1:
-            raise InputError("domain_dim must be a positive integer")
 
 
-def _as_array(spec: KernelSpec, points) -> np.ndarray:
-    """Stack numeric points into an (m, d) array, checking dimensions."""
+def _as_array(points) -> np.ndarray:
+    """Stack numeric points into an (m, d) array."""
     try:
         arr = np.asarray(points)
     except ValueError:  # numpy's "inhomogeneous shape"
@@ -50,25 +50,32 @@ def _as_array(spec: KernelSpec, points) -> np.ndarray:
         arr = arr[:, None]
     if arr.ndim != 2:
         raise InputError("numeric points must be scalars or 1-d vectors")
-    if arr.shape[1] != spec.domain_dim:
-        raise InputError(
-            f"points have dimension {arr.shape[1]}, kernel expects {spec.domain_dim}"
-        )
     return arr.astype(float, copy=False)
 
 
+def _finite(products: np.ndarray) -> np.ndarray:
+    """Linear-kernel values, checked: inner products of finite points can overflow."""
+    if not np.all(np.isfinite(products)):
+        raise NumericalError("linear kernel overflowed: points too large")
+    return products
+
+
 def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
-    R = _as_array(spec, rows)
-    C = _as_array(spec, cols)
+    """k(r, c) for each row point r and column point c, of one width."""
+    R, C = _as_array(rows), _as_array(cols)
+    if R.shape[1] != C.shape[1]:
+        raise InputError(f"points have dimension {C.shape[1]}, kernel expects {R.shape[1]}")
     if spec.variant == "delta":
         same = R[:, [0]] == C[:, 0]
         for j in range(1, R.shape[1]):
             same &= R[:, [j]] == C[:, j]
         return same.astype(float)
     if spec.variant == "linear":
-        return R @ C.T
-    d2 = cdist(R, C, metric="sqeuclidean")
-    return np.exp(d2 / (-2.0 * spec.bandwidth**2))  # exp(-d2 / (2 sigma^2)) bit for bit, one pass fewer
+        return _finite(R @ C.T)
+    scale = -2.0 * spec.bandwidth**2
+    if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
+        raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
+    return np.exp(cdist(R, C, metric="sqeuclidean") / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
@@ -77,8 +84,8 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
     if spec.variant == "linear":
-        R = _as_array(spec, points)
-        return R @ R.T
+        R = _as_array(points)
+        return _finite(R @ R.T)
     return _matrix(spec, points, points)
 
 
@@ -91,10 +98,10 @@ def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
 
 def diag(spec: KernelSpec, points) -> np.ndarray:
     """k(p, p) for each point p, bit for bit as cross_gram(spec, [p], [p]) gives it."""
-    P = _as_array(spec, points)
+    P = _as_array(points)
     if spec.variant != "linear":
         return np.ones(len(P))
-    return (P[:, None, :] @ P[:, :, None])[:, 0, 0]  # m 1x1 products, as in _matrix
+    return _finite((P[:, None, :] @ P[:, :, None])[:, 0, 0])  # m 1x1 products, as in _matrix
 
 
 _MEDIAN_MAX_POINTS = 500  # median_bandwidth reads a seeded subsample of this many points

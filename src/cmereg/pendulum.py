@@ -101,23 +101,21 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     return TrainingSet(features(theta, omega, u), outputs)
 
 
-def _factors(model: EmbeddingModel, grid):
-    """The gaussian input kernel as a product over (state, torque) inputs,
-    k(x_i, (s, u)) = k_3(x_i[:3], s) * k_1(x_i3, u): the state kernel's spec and
-    the n x |grid| torque factor T[i, k] = k_1(x_i3, u_k)."""
+def _factors(model: EmbeddingModel, grid) -> np.ndarray:
+    """The torque factor T[i, k] = k(x_i3, u_k) of the gaussian input kernel as a
+    product over (state, torque) inputs, k(x_i, (s, u)) = k(x_i[:3], s) * k(x_i3, u):
+    a gaussian with one bandwidth is the same kernel, model.kspec, at any width."""
     if model.kspec.variant != "gaussian":
         raise UnsupportedConfigurationError("the pendulum planner needs a gaussian input kernel")
-    sigma = model.kspec.bandwidth
-    T = cross_gram(KernelSpec("gaussian", sigma), model.train.xs[:, 3], grid)
-    return KernelSpec("gaussian", sigma, 3), T
+    return cross_gram(model.kspec, model.train.xs[:, 3], grid)
 
 
 @dataclass(frozen=True)
 class Policy:
     """Greedy policy from policy_iteration: the score of torque u_k at state s is
-    sum_i weights[i, k] k_3(states_i, s), the one a sweep backs up, O(n |grid|)."""
+    sum_i weights[i, k] k(states_i, s), the one a sweep backs up, O(n |grid|)."""
 
-    spec: KernelSpec  # k_3, the gaussian kernel on the state columns
+    spec: KernelSpec  # the model's gaussian input kernel, read on the state columns
     states: np.ndarray  # (n, 3) training input states sin, cos, omega; C-contiguous
     weights: np.ndarray  # (n, |grid|): (M^T V)_i T[i, k]
     torque_grid: np.ndarray
@@ -159,9 +157,9 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
     theta, omega = output_state(model.train.ys)
     r = reward(theta, omega)
     grid = params.torque_grid
-    spec, T = _factors(model, grid)
+    T = _factors(model, grid)
     states = np.ascontiguousarray(model.train.xs[:, :3])
-    S = cross_gram(spec, states, features(theta, omega, 0.0)[:, :3])  # (n, n)
+    S = cross_gram(model.kspec, states, features(theta, omega, 0.0)[:, :3])  # (n, n)
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []
@@ -175,7 +173,7 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
         V = V_new
         if deltas[-1] < tol:
             break
-    return Policy(spec=spec, states=states, weights=(M.T @ V)[:, None] * T, torque_grid=grid,
+    return Policy(spec=model.kspec, states=states, weights=(M.T @ V)[:, None] * T, torque_grid=grid,
                   values=V, greedy_torque=grid[best_u], sweep_deltas=deltas)
 
 

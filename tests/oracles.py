@@ -177,7 +177,7 @@ def random_gram_instance(rng, n, dim=2, bandwidth=0.6, spread=3.0):
 
     xs = rng.uniform(0, spread, size=(n, dim))
     ys = rng.uniform(0, spread, size=(n, dim))
-    ks = KernelSpec("gaussian", bandwidth, dim)
-    ls = KernelSpec("gaussian", bandwidth, dim)
+    ks = KernelSpec("gaussian", bandwidth)
+    ls = KernelSpec("gaussian", bandwidth)
     model = fit(TrainingSet(xs, ys), ks, ls, 0.1)
     return model

@@ -67,8 +67,8 @@ def pendulum_compare():
     params = pendulum.PendulumParams()
     train = pendulum.collect_dataset(params, 200, 0)
     test = pendulum.collect_dataset(params, 300, 1)
-    kspec = KernelSpec("gaussian", 2.0, 4)
-    lspec = KernelSpec("gaussian", 1.5, 3)
+    kspec = KernelSpec("gaussian", 2.0)
+    lspec = KernelSpec("gaussian", 1.5)
     model = fit(train, kspec, lspec, 1e-2)
     gammas = [1.6e-4, 5e-4, 1.6e-3, 5e-3, 1.6e-2, 5e-2, 0.159]
     lasso = [(r.nnz_fraction, r.kl_distance)
@@ -86,8 +86,8 @@ def pendulum_compare():
 def pendulum_returns():
     params = pendulum.PendulumParams()
     train = pendulum.collect_dataset(params, 200, 0)
-    kspec = KernelSpec("gaussian", median_bandwidth(train.xs), 4)
-    lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
+    kspec = KernelSpec("gaussian", median_bandwidth(train.xs))
+    lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
     model = fit(train, kspec, lspec, 1e-4)
     policy = pendulum.policy_iteration(model, params, sweeps=80)
     learned = pendulum.evaluate_policy(policy, params, 100, 100, seed=1)
@@ -197,7 +197,7 @@ def test_criterion_8_incomplete_cholesky_exactness():
         rng = np.random.default_rng(500 + seed)
         n = int(rng.integers(2, 41))
         pts = rng.uniform(0, 3, size=(n, 2))
-        K = gram(KernelSpec("gaussian", 1.0, 2), pts)
+        K = gram(KernelSpec("gaussian", 1.0), pts)
         ic = lowrank.incomplete_cholesky(K, n)
         rel = (np.linalg.norm(ic.factor @ ic.factor.T - K)
                / np.linalg.norm(K))

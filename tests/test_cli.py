@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 
@@ -507,7 +508,8 @@ class TestPlumbing:
                "compare": {"dataset": {"train": str(path), "test": str(path)}, "lambda": 0.1,
                            "gammas": [0.0], "ranks": [1], "seed": 0}}[command]
         assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
-        assert "line 3" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"config error: malformed dataset {path}: line 3 has "
+                                           f"{len(row.split(','))} fields, the header 2\n")
 
     def test_write_csv_formatting(self, tmp_path):
         path = str(tmp_path / "x.csv")
@@ -661,6 +663,45 @@ class TestContract:
         # 1e300 is a valid bandwidth, but its square overflows in the kernel
         assert run_tiny(*contract_dir, "fit", setter("x_kernel", "bandwidth", 1e300)) == 3
 
+    # 1e-200 is a valid bandwidth, but its square underflows to 0 and every Gram
+    # diagonal entry was 0/0 = nan: fit exited 1 from scipy, cv and pendulum
+    # exited 0 writing nan, compare exited 2 on its finiteness check
+    @pytest.mark.parametrize("command,change", [
+        ("fit", setter("x_kernel", "bandwidth", 1e-200)),
+        ("cv", setter("bandwidths", [1e-200, 1.0])),
+        ("pendulum", setter("x_bandwidth", 1e-200)),
+        ("compare", setter("x_bandwidth", 1e-200)),
+    ], ids=["fit", "cv", "pendulum", "compare"])
+    def test_underflowing_bandwidth_exits_three(self, contract_dir, capsys, command, change):
+        assert run_tiny(*contract_dir, command, change) == 3
+        assert "underflows" in capsys.readouterr().err
+
+    # a linear kernel on x = 1e200 overflowed its Gram to inf: fit wrote zero rows
+    # of W and a nan risk, cv wrote nan errors (both exit 0), sparsify exited 2
+    @pytest.mark.parametrize("command", ["fit", "cv", "sparsify"])
+    def test_overflowing_linear_kernel_exits_three(self, contract_dir, capsys, command):
+        root, _ = contract_dir
+        rng = np.random.default_rng(7)
+        huge = write_dataset(root / "huge.csv", rng.uniform(1.0, 2.0, (8, 2)) * 1e200,
+                             rng.uniform(0, 3, 8))
+        assert run_tiny(root, huge, command, setter("x_kernel", {"variant": "linear"})) == 3
+        assert "overflowed" in capsys.readouterr().err
+
+    # a held-out set whose points are wider or narrower than the training points
+    @pytest.mark.parametrize("extra", ["x", "y"])
+    @pytest.mark.parametrize("command", ["sparsify", "compare"])
+    def test_mismatched_test_widths_exit_two(self, contract_dir, capsys, command, extra):
+        root, dataset = contract_dir
+        rng = np.random.default_rng(8)
+        xs = rng.uniform(0, 3, (6, 3 if extra == "x" else 2))
+        ys = rng.uniform(0, 3, (6, 3 if extra == "y" else 2))
+        wide = write_dataset(root / f"wide_{extra}.csv", xs, ys)
+        change = setter("test_dataset", wide) if command == "sparsify" else setter("dataset", "test", wide)
+        assert run_tiny(root, dataset, command, change) == 2
+        err = capsys.readouterr().err  # the sweep names the gamma it was scoring
+        assert err.startswith("config error: gamma=")
+        assert err.endswith(": points have dimension 3, kernel expects 2\n")
+
     # lambda*n overflows to inf: the fit inverted it to all-zero W (fit) or wrote
     # lambda=inf and excess=nan rows (rate), and both exited 0
     @pytest.mark.parametrize("command,change", [
@@ -694,23 +735,34 @@ def json_containers(inner):
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 40) | st.floats(-3, 40) | st.text(max_size=4)
-    | st.sampled_from([math.nan, math.inf, -math.inf, 1e4]),
+    | st.sampled_from([math.nan, math.inf, -math.inf, 1e4, 1e-200, 1e200]),
     json_containers,
     max_leaves=8,
 )
+
+
+STRING_COLUMNS = {"x_variant", "y_variant", "method", "policy"}
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_any_json_value_exits_0_2_or_3(contract_dir, command, data):
-    # numbers stay small so that a valid n or episodes cannot make a run long
+    # numbers are small, or far too large or fractional for a count, so that a
+    # valid n or episodes cannot make a run long; a run that exits 0 writes
+    # finite numbers only
     root, dataset = contract_dir
     base = tiny_configs(dataset)[command]
     paths = [(key,) for key in [*SCHEMAS[command], "unknown_key"]]
     paths += [(key, sub) for key, value in base.items() if isinstance(value, dict) for sub in value]
     path = data.draw(st.sampled_from(paths))
-    assert run_tiny(root, dataset, command, setter(*path, data.draw(JSON_VALUES))) in (0, 2, 3)
+    shutil.rmtree(root / "out", ignore_errors=True)
+    code = run_tiny(root, dataset, command, setter(*path, data.draw(JSON_VALUES)))
+    assert code in (0, 2, 3)
+    for path in (root / "out").glob("*.csv") if code == 0 else ():
+        for row in read_rows(path):
+            numbers = [v for k, v in row.items() if k not in STRING_COLUMNS]
+            assert all(math.isfinite(float(v)) for v in numbers), (path.name, row)
 
 
 class TestScripts:

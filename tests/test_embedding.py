@@ -27,7 +27,7 @@ def small_model(seed=0, n=8, lam=0.1, bw=1.0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(0, 3, size=(n, 2))
     ys = rng.uniform(0, 3, size=(n, 2))
-    return fit(TrainingSet(xs, ys), KernelSpec("gaussian", bw, 2), KernelSpec("gaussian", bw, 2), lam)
+    return fit(TrainingSet(xs, ys), KernelSpec("gaussian", bw), KernelSpec("gaussian", bw), lam)
 
 
 def test_training_set_validation():
@@ -109,10 +109,9 @@ class TestDeltaFitExact:
     ], ids=["singletons", "tiny-shift", "4-codes", "30-codes", "huge-shift", "signed-zero-rows"])
     def test_matches_rational_inverse(self, points, shift):
         points = np.asarray(points)
-        spec = KernelSpec("delta", domain_dim=1 if points.ndim == 1 else points.shape[1])
         n = len(points)
         lam = shift / n
-        W = fit(TrainingSet(points, np.zeros(n)), spec, KernelSpec("linear"), lam).W
+        W = fit(TrainingSet(points, np.zeros(n)), DELTA, KernelSpec("linear"), lam).W
         exact = delta_ridge_inverse_exact(points, lam * n)  # the shift fit forms
         assert np.array_equal(W, W.T)
         for i in range(n):
@@ -215,6 +214,27 @@ class TestEmpiricalRisk:
         model = small_model()
         with pytest.raises(InputError):
             empirical_risk(model, TrainingSet([], []))
+
+
+@pytest.mark.parametrize("variant,bw", [("gaussian", 1.0), ("linear", None), ("delta", None)])
+def test_query_width_must_match_training(variant, bw):
+    # the kernels read widths from the points: a query of another width than the
+    # training points is an InputError, in the inputs and in the outputs
+    rng = np.random.default_rng(1)
+
+    def codes(m, width):
+        return rng.integers(0, 3, (m, width)).astype(float)
+
+    spec = KernelSpec(variant, bw)
+    model = fit(TrainingSet(codes(8, 2), codes(8, 2)), spec, spec, 0.1)
+    for width in (1, 3):
+        other = codes(5, width)
+        with pytest.raises(InputError, match="dimension"):
+            alpha_batch(model, other)
+        for test in (TrainingSet(other, codes(5, 2)), TrainingSet(codes(5, 2), other)):
+            with pytest.raises(InputError, match="dimension"):
+                empirical_risk(model, test)
+    assert np.isfinite(empirical_risk(model, TrainingSet(codes(5, 2), codes(5, 2))))
 
 
 def clamp_loop(vals):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmereg.errors import InputError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
 
 from oracles import delta_by_tuples
@@ -23,7 +23,7 @@ def test_spec_validation():
         KernelSpec("gaussian", -1.0)
     with pytest.raises(InputError):
         KernelSpec("triangular")
-    KernelSpec("linear", domain_dim=3)
+    KernelSpec("linear")
     KernelSpec("delta")
 
 
@@ -44,9 +44,10 @@ def test_eval_gaussian_hand_value():
 
 
 def test_eval_dimension_mismatch():
-    spec = KernelSpec("gaussian", 1.0, domain_dim=2)
+    # the two points of a pair must have one width
+    spec = KernelSpec("gaussian", 1.0)
     with pytest.raises(InputError):
-        pair(spec, [1.0], [2.0])
+        pair(spec, [1.0, 2.0], [2.0])
 
 
 def test_non_numeric_points_rejected():
@@ -56,8 +57,10 @@ def test_non_numeric_points_rejected():
         pair(KernelSpec("delta"), "a", 1)
 
 
-@pytest.mark.parametrize("spec", [KernelSpec("linear", domain_dim=2), KernelSpec("gaussian", 1.0, 2),
-                                  KernelSpec("delta", domain_dim=2)], ids=lambda s: s.variant)
+SPECS = [KernelSpec("linear"), KernelSpec("gaussian", 1.0), KernelSpec("delta")]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.variant)
 def test_ragged_points_rejected(spec):
     ragged, rows = [[1.0, 2.0], [3.0]], [[1.0, 2.0], [3.0, 4.0]]
     for call in (lambda: gram(spec, ragged), lambda: cross_gram(spec, rows, ragged),
@@ -66,23 +69,46 @@ def test_ragged_points_rejected(spec):
             call()
 
 
-def test_delta_checks_domain_dim():
-    rows = np.zeros((4, 3))
-    with pytest.raises(InputError):
-        gram(KernelSpec("delta", domain_dim=2), rows)
-    with pytest.raises(InputError):
-        cross_gram(KernelSpec("delta", domain_dim=2), rows, rows)
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.variant)
+def test_width_mismatch_rejected(spec):
+    # the points carry their width: cross_gram compares its two point sets,
+    # gram and diag read one set of any width
+    rows, wide, scalars = np.zeros((4, 2)), np.ones((3, 3)), np.zeros(3)
+    for a, b in ((rows, wide), (wide, rows), (rows, scalars), (scalars, rows)):
+        with pytest.raises(InputError, match="dimension"):
+            cross_gram(spec, a, b)
+    assert gram(spec, wide).shape == (3, 3) and diag(spec, wide).shape == (3,)
 
 
-@pytest.mark.parametrize("dim,rows,cols", [
-    pytest.param(1, np.random.default_rng(7).integers(0, 5, 40), np.arange(-1, 7), id="codes"),
-    pytest.param(4, np.random.default_rng(8).integers(0, 2, (60, 4)).astype(float),
+def test_underflowing_bandwidth_raises():
+    # sigma^2 underflowed to 0 and made every diagonal entry 0/0 = nan
+    spec, pts = KernelSpec("gaussian", 1e-200), np.arange(6.0).reshape(3, 2)
+    for call in (lambda: gram(spec, pts), lambda: cross_gram(spec, pts, pts[:1])):
+        with pytest.raises(NumericalError, match="underflows"):
+            call()
+    # a subnormal sigma^2 is still a kernel: distinct points are 0 apart from the diagonal
+    np.testing.assert_array_equal(gram(KernelSpec("gaussian", 1e-160), pts), np.eye(3))
+
+
+def test_overflowing_linear_kernel_raises():
+    # inner products of finite points overflowed to inf
+    spec, big = KernelSpec("linear"), np.full((3, 2), 1e200)
+    for call in (lambda: gram(spec, big), lambda: cross_gram(spec, big, big[:1]),
+                 lambda: cross_gram(spec, big[:1], big), lambda: diag(spec, big)):
+        with pytest.raises(NumericalError, match="overflowed"):
+            call()
+    assert np.all(np.isfinite(cross_gram(spec, big, np.full((2, 2), 1e-200))))
+
+
+@pytest.mark.parametrize("rows,cols", [
+    pytest.param(np.random.default_rng(7).integers(0, 5, 40), np.arange(-1, 7), id="codes"),
+    pytest.param(np.random.default_rng(8).integers(0, 2, (60, 4)).astype(float),
                  np.random.default_rng(9).integers(0, 2, (9, 4)).astype(float), id="rows-4"),
-    pytest.param(2, np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]]),
+    pytest.param(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]]),
                  np.array([[-0.0, 1.0], [0.0, 0.0], [1.0, -0.0]]), id="signed-zeros"),
 ])
-def test_delta_matches_tuple_equality_oracle(dim, rows, cols):
-    spec = KernelSpec("delta", domain_dim=dim)
+def test_delta_matches_tuple_equality_oracle(rows, cols):
+    spec = KernelSpec("delta")
     assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
     assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
 
@@ -116,12 +142,12 @@ _RNG = np.random.default_rng(3)
 
 @pytest.mark.parametrize("spec,pts", [
     pytest.param(KernelSpec("delta"), _RNG.integers(0, 5, 300), id="delta-codes"),
-    pytest.param(KernelSpec("delta", domain_dim=3), _RNG.integers(0, 2, (300, 3)).astype(float), id="delta-rows"),
-    pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((20, 3)), id="gaussian-20"),
-    pytest.param(KernelSpec("gaussian", 0.7, domain_dim=3), _RNG.standard_normal((300, 3)) * 100.0,
+    pytest.param(KernelSpec("delta"), _RNG.integers(0, 2, (300, 3)).astype(float), id="delta-rows"),
+    pytest.param(KernelSpec("gaussian", 0.7), _RNG.standard_normal((20, 3)), id="gaussian-20"),
+    pytest.param(KernelSpec("gaussian", 0.7), _RNG.standard_normal((300, 3)) * 100.0,
                  id="gaussian-300-scaled"),
-    pytest.param(KernelSpec("linear", domain_dim=3), _RNG.standard_normal((300, 3)), id="linear-array"),
-    pytest.param(KernelSpec("linear", domain_dim=3), _RNG.standard_normal((300, 3)).tolist(), id="linear-list"),
+    pytest.param(KernelSpec("linear"), _RNG.standard_normal((300, 3)), id="linear-array"),
+    pytest.param(KernelSpec("linear"), _RNG.standard_normal((300, 3)).tolist(), id="linear-list"),
 ])
 def test_gram_exact_symmetry_and_unit_diagonal(spec, pts):
     g = gram(spec, pts)
@@ -133,7 +159,7 @@ def test_gram_exact_symmetry_and_unit_diagonal(spec, pts):
 
 
 def test_cross_gram_equals_gram_on_same_points():
-    spec = KernelSpec("linear", domain_dim=2)
+    spec = KernelSpec("linear")
     pts = np.arange(8.0).reshape(4, 2)
     cg = cross_gram(spec, pts, pts)
     np.testing.assert_allclose(cg, gram(spec, pts), atol=1e-14)
@@ -146,7 +172,7 @@ def test_cross_gram_disjoint_delta_alphabets():
 
 def test_cross_gram_transpose_identity():
     rng = np.random.default_rng(0)
-    spec = KernelSpec("gaussian", 1.3, domain_dim=2)
+    spec = KernelSpec("gaussian", 1.3)
     rows = rng.standard_normal((5, 2))
     cols = rng.standard_normal((7, 2))
     a = cross_gram(spec, rows, cols)
@@ -163,7 +189,7 @@ def test_symmetric_gram_psd_tolerance(variant, bw):
             pts = rng.integers(0, 4, size=n)
         else:
             pts = rng.standard_normal((n, 2))
-        spec = KernelSpec(variant, bw, domain_dim=1 if variant == "delta" else 2)
+        spec = KernelSpec(variant, bw)
         g = gram(spec, pts)
         lam_min = np.min(np.linalg.eigvalsh(g))
         assert lam_min >= -1e-8 * np.trace(g)
@@ -201,7 +227,7 @@ def test_median_bandwidth_scalar_points():
 
 def test_delta_gram_of_array_rows_is_row_equality():
     rows = np.random.default_rng(3).integers(0, 2, size=(25, 3)).astype(float)
-    spec = KernelSpec("delta", domain_dim=3)
+    spec = KernelSpec("delta")
     K = gram(spec, rows)
     np.testing.assert_array_equal(K, np.all(rows[:, None, :] == rows[None, :, :], axis=2))
     C = cross_gram(spec, rows, rows[:4])
@@ -216,7 +242,7 @@ def _diag_by_blocks(spec, points):
 
 def test_diag_gaussian_is_the_one_by_one_blocks():
     pts = np.random.default_rng(5).standard_normal((30, 3)) * 100.0
-    spec = KernelSpec("gaussian", 0.9, domain_dim=3)
+    spec = KernelSpec("gaussian", 0.9)
     d = diag(spec, pts)
     assert np.all(d == _diag_by_blocks(spec, pts))
     assert np.all(d == 1.0)
@@ -227,7 +253,7 @@ def test_diag_linear_bitwise_equal_to_blocks(dim):
     rng = np.random.default_rng(dim)
     for scale in (1.0, 3.7, 100.0):
         pts = rng.standard_normal((200, dim)) * scale
-        spec = KernelSpec("linear", domain_dim=dim)
+        spec = KernelSpec("linear")
         assert np.all(diag(spec, pts) == _diag_by_blocks(spec, pts))
     if dim == 1:  # scalar points, as gram and cross_gram take them
         scalars = list(rng.standard_normal(50) * 100.0)
@@ -239,6 +265,6 @@ def test_diag_delta_on_codes_and_rows():
     codes = [0, 1, 0, 2]
     assert np.all(diag(spec, codes) == _diag_by_blocks(spec, codes))
     rows = np.random.default_rng(2).integers(0, 2, size=(12, 3)).astype(float)
-    spec = KernelSpec("delta", domain_dim=3)
+    spec = KernelSpec("delta")
     assert np.all(diag(spec, rows) == _diag_by_blocks(spec, rows))
     assert np.all(diag(spec, list(rows)) == 1.0)

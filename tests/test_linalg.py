@@ -29,7 +29,7 @@ class TestSolveSpd:
     def test_ridge_shifted_gram_residual(self):
         rng = np.random.default_rng(1)
         pts = rng.standard_normal((12, 2))
-        K = gram(KernelSpec("gaussian", 1.0, 2), pts)
+        K = gram(KernelSpec("gaussian", 1.0), pts)
         A = K + 0.1 * 12 * np.eye(12)
         res = solve_spd(A)
         tol = 1e-8 * (1 + np.linalg.norm(np.eye(12)))
@@ -63,7 +63,7 @@ class TestSolveSpd:
     def test_ridge_inverse_matches_cho_solve(self, variant, n):
         rng = np.random.default_rng(n)
         if variant == "gaussian":
-            K, shift = gram(KernelSpec("gaussian", 1.0, 2), rng.standard_normal((n, 2))), 1e-3 * n
+            K, shift = gram(KernelSpec("gaussian", 1.0), rng.standard_normal((n, 2))), 1e-3 * n
         else:
             K, shift = gram(KernelSpec("delta"), list(rng.integers(0, 4, n))), n**0.5
         before = K.copy()
@@ -120,14 +120,14 @@ class TestSymEigMax:
         # the top eigenvalues of W W^T cluster at 1/(lam n)^2 to within ~1e-5,
         # where a power iteration stalls; the oracle is a different LAPACK driver
         train = collect_dataset(PendulumParams(), 400, 0)
-        model = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-3)
+        model = fit(train, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5), 1e-3)
         A = model.W @ model.W.T
         oracle = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[399, 399])[0]
         assert sym_eig_max(A) == pytest.approx(oracle, rel=1e-12)
 
 
     def test_equals_numpy_eigvalsh_on_gaussian_gram(self):
-        K = gram(KernelSpec("gaussian", 1.0, 2), np.random.default_rng(4).standard_normal((120, 2)))
+        K = gram(KernelSpec("gaussian", 1.0), np.random.default_rng(4).standard_normal((120, 2)))
         assert sym_eig_max(K) == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-14)
 
 
@@ -158,7 +158,7 @@ class TestMatmul:
 
     def test_w_times_w_transpose(self):
         train = collect_dataset(PendulumParams(), 60, 0)
-        W = fit(train, KernelSpec("gaussian", 2.0, 4), KernelSpec("gaussian", 1.5, 3), 1e-3).W
+        W = fit(train, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5), 1e-3).W
         expected = W @ W.T
         C = matmul(W, W.T)
         assert C.flags.c_contiguous

@@ -10,7 +10,7 @@ from cmereg.lowrank import incomplete_cholesky, subset_refit
 def random_gram(seed=0, n=10, bw=0.8):
     rng = np.random.default_rng(seed)
     pts = rng.uniform(0, 3, size=(n, 2))
-    return gram(KernelSpec("gaussian", bw, 2), pts), pts
+    return gram(KernelSpec("gaussian", bw), pts), pts
 
 
 def residual_diags(K, ic):
@@ -108,7 +108,7 @@ class TestSubsetRefit:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(0, 3, size=(n, 2))
         ys = rng.uniform(0, 3, size=(n, 2))
-        spec = KernelSpec("gaussian", 0.8, 2)
+        spec = KernelSpec("gaussian", 0.8)
         return fit(TrainingSet(xs, ys), spec, spec, lam)
 
     def test_all_pivots_reproduce_dense(self):

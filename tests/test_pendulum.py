@@ -33,8 +33,8 @@ def params():
 
 def fit_transition_model(params, n=60, seed=0, lam=1e-3, bandwidth=None):
     train = collect_dataset(params, n, seed)
-    kspec = KernelSpec("gaussian", bandwidth or median_bandwidth(train.xs), 4)
-    lspec = KernelSpec("gaussian", median_bandwidth(train.ys), 3)
+    kspec = KernelSpec("gaussian", bandwidth or median_bandwidth(train.xs))
+    lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
     return fit(train, kspec, lspec, lam)
 
 
@@ -278,6 +278,16 @@ class TestPolicyAct:
         with pytest.raises(dataclasses.FrozenInstanceError):
             policy.values = np.zeros(40)
 
+    @pytest.mark.parametrize("spec", [KernelSpec("gaussian", 1.0), KernelSpec("linear"), KernelSpec("delta")],
+                             ids=lambda s: s.variant)
+    def test_act_rejects_states_of_another_width(self, params, spec):
+        # act scores a 3-column state against the policy's states: any other width is an InputError
+        model = fit_transition_model(params, n=20, seed=6)
+        policy = policy_iteration(model, params, sweeps=2)
+        for states in (model.train.xs, policy.states[:, :2]):
+            with pytest.raises(InputError, match="dimension"):
+                dataclasses.replace(policy, spec=spec, states=np.ascontiguousarray(states)).act(0.1, 0.2)
+
     @pytest.mark.parametrize("bandwidth", [None, 0.3])
     @pytest.mark.parametrize("custom", [{}, {"torque_levels": 4}])
     def test_product_kernel_is_cross_gram(self, custom, bandwidth):
@@ -295,16 +305,16 @@ class TestPolicyAct:
         omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
         np.testing.assert_array_equal(features(train_theta, train_omega, 0.0)[:, :3], model.train.xs[:, :3])
         grid = params.torque_grid
-        spec, T = _factors(model, grid)
+        T = _factors(model, grid)
         for t, w in zip(theta, omega):
             expected = cross_gram(model.kspec, model.train.xs, features(t, w, grid))
-            state = cross_gram(spec, model.train.xs[:, :3], features(t, w, 0.0)[None, :3])
+            state = cross_gram(model.kspec, model.train.xs[:, :3], features(t, w, 0.0)[None, :3])
             np.testing.assert_allclose(state * T, expected, rtol=0, atol=4.5e-16)
 
-    @pytest.mark.parametrize("kspec", [KernelSpec("linear", domain_dim=4), KernelSpec("delta", domain_dim=4)])
+    @pytest.mark.parametrize("kspec", [KernelSpec("linear"), KernelSpec("delta")])
     def test_non_gaussian_input_kernel_rejected(self, params, kspec):
         data = collect_dataset(params, 30, 15)
-        model = fit(data, kspec, KernelSpec("gaussian", 1.0, 3), 1e-2)
+        model = fit(data, kspec, KernelSpec("gaussian", 1.0), 1e-2)
         with pytest.raises(UnsupportedConfigurationError):
             policy_iteration(model, params, sweeps=1)
 

@@ -328,7 +328,7 @@ class TestSweep:
         rng = np.random.default_rng(seed)
         xs = rng.uniform(0, 3, size=(n, 2))
         ys = rng.uniform(0, 3, size=(n, 2))
-        spec = KernelSpec("gaussian", 0.3, 2)  # narrow bandwidth keeps K well conditioned
+        spec = KernelSpec("gaussian", 0.3)  # narrow bandwidth keeps K well conditioned
         return fit(TrainingSet(xs, ys), spec, spec, 0.1), TrainingSet(
             rng.uniform(0, 3, size=(10, 2)), rng.uniform(0, 3, size=(10, 2))
         )
