@@ -5,9 +5,9 @@ Exit codes: 0 success, 2 config error, 3 numeric failure.
 
 main checks each config against the command's table in SCHEMAS: unknown
 keys, missing required keys and values of the wrong type or range are config
-errors, and absent optional keys get their defaults. All randomness is seeded
-from the config (or --seed), so reruns with the same config yield
-byte-identical CSVs. Output files are written atomically (temp file + rename).
+errors, and absent optional keys get their defaults. cv, compare and pendulum
+alone draw random numbers and take a seed (or --seed). Reruns with the same
+config yield byte-identical CSVs, written atomically (temp file + rename).
 """
 
 from __future__ import annotations
@@ -151,11 +151,10 @@ _PARAMS = {**_DYNAMICS, "discount": (_real(), pendulum.PendulumParams.discount),
 _SCHEDULE = {"a": (_POSITIVE, 1.0), "beta": (_real(), 0.5)}
 
 SCHEMAS = {
-    "fit": {**_DATA, "lambda": (_POSITIVE, REQUIRED), "seed": (_SEED, 0)},
+    "fit": {**_DATA, "lambda": (_POSITIVE, REQUIRED)},
     "cv": {**_DATA, "lambdas": (_list(_POSITIVE), REQUIRED), "bandwidths": (_list(_POSITIVE), [None]),
            "folds": (_integer(2, MAX_FOLDS), REQUIRED), "seed": (_SEED, REQUIRED)},
-    "sparsify": {**_DATA, **_SWEEP, "test_dataset": (_STRING, None), "lambda": (_POSITIVE, REQUIRED),
-                 "seed": (_SEED, 0)},
+    "sparsify": {**_DATA, **_SWEEP, "test_dataset": (_STRING, None), "lambda": (_POSITIVE, REQUIRED)},
     "compare": {
         **_SWEEP,
         "pendulum": (_table({**_DYNAMICS, "n": (_integer(1, MAX_N), REQUIRED),
@@ -168,7 +167,7 @@ SCHEMAS = {
         "x_symbols": (_list(_SYMBOL, distinct=True), None), "y_symbols": (_list(_SYMBOL, distinct=True), None),
         "px": (_list(_real()), REQUIRED), "pyx": (_rows, REQUIRED),
         "n_grid": (_list(_integer(1, MAX_N_GRID)), REQUIRED), "seeds": (_list(_SEED), REQUIRED),
-        "schedule": (_table(_SCHEDULE), _fill({}, _SCHEDULE)), "seed": (_SEED, 0),
+        "schedule": (_table(_SCHEDULE), _fill({}, _SCHEDULE)),
     },
     "pendulum": {
         **_PARAMS, "n": (_integer(1, MAX_N), REQUIRED), "seed": (_SEED, REQUIRED),

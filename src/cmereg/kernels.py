@@ -6,11 +6,12 @@ Conventions:
   * delta:    k(a, b) = 1 if a and b agree in every entry, else 0. A finite
     alphabet enters as integer codes (scalar points).
 
-A kernel is its variant and bandwidth. Every variant takes numeric points
-only, scalars or rows, whose width the points give: the two point sets of one
-evaluation must have the same width, else InputError. A kernel value that
-would not be finite (a gaussian sigma^2 that underflows to 0, or linear inner
-products that overflow) raises NumericalError.
+A kernel is its variant and, for the gaussian alone, its bandwidth: a delta
+or linear kernel given one raises InputError. Every variant takes numeric
+points only, scalars or rows, whose width the points give: the two point sets
+of one evaluation must have the same width, else InputError. A kernel value
+that would not be finite (a gaussian sigma^2 that underflows to 0, or linear
+inner products that overflow) raises NumericalError.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InputError(f"unknown kernel variant {self.variant!r}")
-        if self.variant == "gaussian":
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise InputError("gaussian kernel requires bandwidth > 0")
+        if self.variant != "gaussian" and self.bandwidth is not None:
+            raise InputError(f"a {self.variant} kernel takes no bandwidth")
+        if self.variant == "gaussian" and (self.bandwidth is None or not self.bandwidth > 0):
+            raise InputError("gaussian kernel requires bandwidth > 0")
 
 
 def _as_array(points) -> np.ndarray:
@@ -53,8 +55,11 @@ def _as_array(points) -> np.ndarray:
     return arr.astype(float, copy=False)
 
 
-def _finite(products: np.ndarray) -> np.ndarray:
-    """Linear-kernel values, checked: inner products of finite points can overflow."""
+def _linear(A, B) -> np.ndarray:
+    """Linear-kernel values A @ B, checked: inner products of finite points can
+    overflow, and the check, not numpy's overflow warning, reports it."""
+    with np.errstate(over="ignore"):
+        products = A @ B
     if not np.all(np.isfinite(products)):
         raise NumericalError("linear kernel overflowed: points too large")
     return products
@@ -71,7 +76,7 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
             same &= R[:, [j]] == C[:, j]
         return same.astype(float)
     if spec.variant == "linear":
-        return _finite(R @ C.T)
+        return _linear(R, C.T)
     scale = -2.0 * spec.bandwidth**2
     if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
@@ -85,7 +90,7 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
         raise InputError("gram() needs a nonempty point sequence")
     if spec.variant == "linear":
         R = _as_array(points)
-        return _finite(R @ R.T)
+        return _linear(R, R.T)
     return _matrix(spec, points, points)
 
 
@@ -101,7 +106,7 @@ def diag(spec: KernelSpec, points) -> np.ndarray:
     P = _as_array(points)
     if spec.variant != "linear":
         return np.ones(len(P))
-    return _finite((P[:, None, :] @ P[:, :, None])[:, 0, 0])  # m 1x1 products, as in _matrix
+    return _linear(P[:, None, :], P[:, :, None])[:, 0, 0]  # m 1x1 products, as in _matrix
 
 
 _MEDIAN_MAX_POINTS = 500  # median_bandwidth reads a seeded subsample of this many points

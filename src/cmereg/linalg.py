@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas, eigh, lapack
 
-from .errors import InputError, SingularMatrixError
+from .errors import InputError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -20,7 +20,7 @@ class SpdSolveResult:
 def solve_spd(A) -> SpdSolveResult:
     """Inverse X of a symmetric positive definite A (A X = I): LAPACK dpotrf then
     dpotri, the lower triangle mirrored so X is exactly symmetric. residual_norm
-    is the O(n^2) probe ||A (X 1) - 1|| / ||1||. Raises SingularMatrixError
+    is the O(n^2) probe ||A (X 1) - 1|| / ||1||. Raises NumericalError
     naming the failing pivot when A is not positive definite.
     """
     A = np.asarray(A, dtype=float)
@@ -28,12 +28,12 @@ def solve_spd(A) -> SpdSolveResult:
         raise InputError("A must be square")
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:
-        raise SingularMatrixError(info - 1)
+        raise NumericalError(f"non-positive pivot at index {info - 1}")
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of factorization")
     low, info = lapack.dpotri(c, lower=1, overwrite_c=1)
     if info != 0:
-        raise SingularMatrixError(abs(info) - 1, "inverse failed")
+        raise NumericalError("inverse failed")
     X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
     np.fill_diagonal(X, np.diagonal(low))
     AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)  # A.T: a Fortran view, no copy

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet
-from .errors import InputError, InstabilityError, UnsupportedConfigurationError
+from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram
 
 
@@ -106,7 +106,7 @@ def _factors(model: EmbeddingModel, grid) -> np.ndarray:
     product over (state, torque) inputs, k(x_i, (s, u)) = k(x_i[:3], s) * k(x_i3, u):
     a gaussian with one bandwidth is the same kernel, model.kspec, at any width."""
     if model.kspec.variant != "gaussian":
-        raise UnsupportedConfigurationError("the pendulum planner needs a gaussian input kernel")
+        raise InputError("the pendulum planner needs a gaussian input kernel")
     return cross_gram(model.kspec, model.train.xs[:, 3], grid)
 
 
@@ -168,7 +168,7 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
         best_u = np.argmax(q, axis=0)  # first max = smallest torque
         V_new = q[best_u, np.arange(n)]
         if np.max(np.abs(V_new)) > v_bound:
-            raise InstabilityError("value iteration diverged; try a larger ridge parameter")
+            raise NumericalError("value iteration diverged; try a larger ridge parameter")
         deltas.append(float(np.max(np.abs(V_new - V))))
         V = V_new
         if deltas[-1] < tol:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet, alpha_batch, fit
-from .errors import InputError, UnsupportedConfigurationError
+from .errors import InputError
 from .kernels import KernelSpec
 
 _TOL = 1e-12
@@ -68,7 +68,7 @@ def irreducible_risk(dist: DiscreteDistribution) -> float:
 
 def _require_delta(model: EmbeddingModel):
     if model.kspec.variant != "delta" or model.lspec.variant != "delta":
-        raise UnsupportedConfigurationError("exact risk evaluation needs delta kernels on both sides")
+        raise InputError("exact risk evaluation needs delta kernels on both sides")
 
 
 def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.ndarray:

@@ -24,7 +24,8 @@ import numpy as np
 from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
-from .errors import DivergenceError, InputError
+from .errors import InputError, NumericalError
+from .kernels import cross_gram
 from .linalg import matmul, sym_eig_max
 
 _NNZ_EPS = 1e-12
@@ -172,14 +173,15 @@ def fista_solve(
     if not tol > 0:
         raise InputError("tol must be positive")
     W = np.ascontiguousarray(problem.W, dtype=float)
-    if start is None:
-        Z = np.zeros_like(W)
-    else:
-        Z = np.array(start, dtype=float, order="C")
-        if Z.shape != W.shape:
+    buf = np.zeros(W.size + 8)  # Z on a 64-byte boundary: blas.dasum's sum depends on the address
+    Z = buf[(-buf.ctypes.data % 64) // 8:][:W.size].reshape(W.shape)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if start.shape != W.shape:
             raise InputError("start has wrong shape")
-        if not np.all(np.isfinite(Z)):
+        if not np.all(np.isfinite(start)):
             raise InputError("start must be finite-valued")
+        Z[...] = start
     if problem.gamma == 0:
         return SparseSolution(W.copy(), 0.0, 0, converged=True, gap=0.0)
     gamma = problem.gamma
@@ -214,7 +216,7 @@ def fista_solve(
         shrink(V, thresh, out=Z)
         obj = objective()
         if not math.isfinite(obj):
-            raise DivergenceError(f"objective became non-finite at iteration {it}")
+            raise NumericalError(f"objective became non-finite at iteration {it}")
         if obj == obj_prev or abs(obj - obj_prev) <= tol * abs(obj_prev):
             converged = True
             break
@@ -278,6 +280,8 @@ def sparsity_sweep(
     gammas = [float(g) for g in gammas]
     if any(b < a for a, b in zip(gammas, gammas[1:])):
         raise InputError("gammas must be sorted ascending")
+    cross_gram(model.kspec, model.train.xs[:1], test.xs[:1])  # a test set of another width
+    cross_gram(model.lspec, model.train.ys[:1], test.ys[:1])  # fails here, before any solve
     rows = []
     M = None
     for g in reversed(gammas):

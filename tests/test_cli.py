@@ -698,9 +698,31 @@ class TestContract:
         wide = write_dataset(root / f"wide_{extra}.csv", xs, ys)
         change = setter("test_dataset", wide) if command == "sparsify" else setter("dataset", "test", wide)
         assert run_tiny(root, dataset, command, change) == 2
-        err = capsys.readouterr().err  # the sweep names the gamma it was scoring
-        assert err.startswith("config error: gamma=")
-        assert err.endswith(": points have dimension 3, kernel expects 2\n")
+        # checked before the path, so the error names no gamma
+        assert capsys.readouterr().err == "config error: points have dimension 3, kernel expects 2\n"
+
+    # a delta or linear kernel ignored its bandwidth: cv fitted the same models once
+    # per grid bandwidth and wrote them as distinct grid points, fit printed it in summary.csv
+    @pytest.mark.parametrize("command,variant,change", [
+        ("cv", "delta", lambda cfg: cfg.update(x_kernel={"variant": "delta"}, bandwidths=[1, 2])),
+        ("cv", "linear", lambda cfg: cfg.update(x_kernel={"variant": "linear"}, bandwidths=[1])),
+        ("fit", "linear", setter("x_kernel", {"variant": "linear", "bandwidth": 2.0})),
+        ("fit", "delta", setter("y_kernel", {"variant": "delta", "bandwidth": 1.0})),
+    ], ids=["cv-delta", "cv-linear", "fit-linear", "fit-delta"])
+    def test_bandwidth_on_a_non_gaussian_kernel_exits_two(self, contract_dir, capsys, command, variant, change):
+        assert run_tiny(*contract_dir, command, change) == 2
+        assert capsys.readouterr().err == f"config error: a {variant} kernel takes no bandwidth\n"
+
+    # fit, sparsify and rate draw no random numbers, yet took a seed and ignored it
+    @pytest.mark.parametrize("command,change,argv", [
+        ("fit", lambda cfg: None, ["--seed", "3"]),
+        ("sparsify", lambda cfg: None, ["--seed", "0"]),
+        ("rate", setter("seed", 0), []),
+        ("sparsify", setter("seed", 1), []),
+    ], ids=["fit-flag", "sparsify-flag", "rate-config", "sparsify-config"])
+    def test_seed_on_a_seedless_command_exits_two(self, contract_dir, capsys, command, change, argv):
+        assert run_tiny(*contract_dir, command, change, argv) == 2
+        assert capsys.readouterr().err == f"config error: {command}: unknown keys ['seed']\n"
 
     # lambda*n overflows to inf: the fit inverted it to all-zero W (fit) or wrote
     # lambda=inf and excess=nan rows (rate), and both exited 0

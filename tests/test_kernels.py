@@ -1,8 +1,10 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cmereg.errors import InputError, NumericalError
@@ -25,6 +27,11 @@ def test_spec_validation():
         KernelSpec("triangular")
     KernelSpec("linear")
     KernelSpec("delta")
+    # a delta or linear kernel ignored a bandwidth: cv fitted one model per grid bandwidth
+    for variant in ("delta", "linear"):
+        for bw in (1.0, 0.0, -1.0):
+            with pytest.raises(InputError, match=f"^a {variant} kernel takes no bandwidth$"):
+                KernelSpec(variant, bw)
 
 
 def test_eval_gaussian_same_point():
@@ -91,12 +98,15 @@ def test_underflowing_bandwidth_raises():
 
 
 def test_overflowing_linear_kernel_raises():
-    # inner products of finite points overflowed to inf
+    # inner products of finite points overflowed to inf; numpy's "overflow
+    # encountered in matmul" warning came ahead of the NumericalError
     spec, big = KernelSpec("linear"), np.full((3, 2), 1e200)
-    for call in (lambda: gram(spec, big), lambda: cross_gram(spec, big, big[:1]),
-                 lambda: cross_gram(spec, big[:1], big), lambda: diag(spec, big)):
-        with pytest.raises(NumericalError, match="overflowed"):
-            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: gram(spec, big), lambda: cross_gram(spec, big, big[:1]),
+                     lambda: cross_gram(spec, big[:1], big), lambda: diag(spec, big)):
+            with pytest.raises(NumericalError, match="overflowed"):
+                call()
     assert np.all(np.isfinite(cross_gram(spec, big, np.full((2, 2), 1e-200))))
 
 
@@ -200,13 +210,19 @@ def test_symmetric_gram_psd_tolerance(variant, bw):
     b=st.floats(-10, 10),
     bw=st.floats(0.5, 10),
 )
+@example(a=10.0, b=-10.0, bw=0.5)  # exponent -800: the value underflows to 0.0
 @settings(max_examples=60, deadline=None)
 def test_eval_symmetry_property(a, b, bw):
     for spec in (KernelSpec("gaussian", bw), KernelSpec("linear")):
         assert pair(spec, a, b) == pair(spec, b, a)
-        if spec.variant == "gaussian":
-            v = pair(spec, a, b)
-            assert 0.0 < v <= 1.0
+    # 0 < v holds only where exp does not underflow; a subnormal v may differ from
+    # math.exp's in more than its last bit, so below the smallest normal the match is absolute
+    exponent = -((a - b) ** 2) / (2 * bw**2)
+    v = pair(KernelSpec("gaussian", bw), a, b)
+    assert 0.0 <= v <= 1.0
+    assert v == pytest.approx(math.exp(exponent), rel=1e-15, abs=sys.float_info.min)
+    if exponent > -700:
+        assert v > 0.0
 
 
 def test_reproducing_consistency():

@@ -4,7 +4,8 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmereg.errors import InputError, SingularMatrixError
+from cmereg import linalg
+from cmereg.errors import InputError, NumericalError
 from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram
 from cmereg.linalg import matmul, ridge_inverse, solve_spd, sym_eig_max
@@ -75,16 +76,27 @@ class TestSolveSpd:
 
     def test_singular_names_pivot(self):
         A = np.diag([1.0, 0.0, 2.0])
-        with pytest.raises(SingularMatrixError) as exc:
+        with pytest.raises(NumericalError, match="^non-positive pivot at index 1$"):
             solve_spd(A)
-        assert exc.value.pivot_index == 1
 
     def test_singular_gram_names_pivot(self):
         # the third symbol repeats the second, so the third leading minor is 0
         K = gram(KernelSpec("delta"), [0, 1, 1, 2])
-        with pytest.raises(SingularMatrixError) as exc:
+        with pytest.raises(NumericalError, match="^non-positive pivot at index 2$"):
             solve_spd(K)
-        assert exc.value.pivot_index == 2
+
+    def test_failed_inverse_raises(self, monkeypatch):
+        # dpotri fails only on a factor with a zero diagonal, which dpotrf never returns
+        class Lapack:
+            dpotrf = staticmethod(scipy.linalg.lapack.dpotrf)
+
+            @staticmethod
+            def dpotri(c, lower, overwrite_c):
+                return c, 2
+
+        monkeypatch.setattr(linalg, "lapack", Lapack)
+        with pytest.raises(NumericalError, match="^inverse failed$"):
+            solve_spd(np.eye(3))
 
     def test_shape_checks(self):
         with pytest.raises(InputError):

@@ -1,8 +1,9 @@
 """The package surface: exported names resolve, no module keeps an import it
 never uses or imports another module's private name, no dataclass keeps a
 field that nothing reads, no public name or field is read only by tests
-without a stated reason, and the modules on the fit -> score -> sparsify
-path form no product on numpy's BLAS (no linter ships with the project, so
+without a stated reason, the modules on the fit -> score -> sparsify
+path form no product on numpy's BLAS, and the package raises only the two
+errors the CLI maps to its exits (no linter ships with the project, so
 these scans stand in)."""
 
 import ast
@@ -210,3 +211,46 @@ def test_scan_flags_numpy_products():
 @pytest.mark.parametrize("name", ONE_POOL)
 def test_no_numpy_products(name):
     assert numpy_products((SRC / f"{name}.py").read_text()) == []
+
+
+# The CLI turns InputError into exit 2 and NumericalError into exit 3.
+MAPPED = {"InputError", "NumericalError"}
+# (module, top-level function) that raise something else, each with the reason it stays.
+OTHER_RAISES = {
+    ("cli.py", name, "ValueError"): "a schema check: main turns the ValueError _fill passes on into InputError"
+    for name in ("_is", "_real", "_list", "_fill")
+} | {("cli.py", "read_dataset", "ValueError"): "a ragged row: read_dataset's own handler words it as InputError"}
+
+
+def unmapped_raises(module: str, source: str, allowed) -> list:
+    """Each `raise X(...)` or `raise X` (X a name, or m.X) whose X is neither mapped
+    nor allowed in its top-level function; a bare `raise` re-raises what was caught."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else ast.unparse(exc)
+                if name not in MAPPED and (module, where, name) not in allowed:
+                    found.append((node.lineno, f"{name} in {where} (line {node.lineno})"))
+    return [what for _, what in sorted(found)]
+
+
+def test_scan_flags_an_unmapped_raise():
+    source = ("def f(x):\n    if x:\n        raise KeyError(x)\n    raise InputError('x')\n\n"
+              "def g():\n    try:\n        f(0)\n    except KeyError:\n        raise\n"
+              "    raise NumericalError('y') from None\n\n"
+              "def _is(v):\n    def check(v):\n        raise ValueError(v)\n    raise ValueError\n\n"
+              "class Spec:\n    def __post_init__(self):\n        raise errors.InputError('z')\n"
+              "        raise TypeError\n")
+    allowed = {("m.py", "_is", "ValueError")}
+    assert unmapped_raises("m.py", source, allowed) == ["KeyError in f (line 3)", "TypeError in Spec (line 21)"]
+    assert unmapped_raises("n.py", source, allowed) == [  # allowed in m.py only
+        "KeyError in f (line 3)", "ValueError in _is (line 15)", "ValueError in _is (line 16)",
+        "TypeError in Spec (line 21)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_raises_only_mapped_errors(path):
+    assert unmapped_raises(path.name, path.read_text(), OTHER_RAISES) == []

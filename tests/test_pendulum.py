@@ -6,7 +6,7 @@ import pytest
 
 from cmereg import pendulum
 from cmereg.embedding import alpha_batch, fit
-from cmereg.errors import InputError, UnsupportedConfigurationError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, median_bandwidth
 from cmereg.pendulum import (
     GRAVITY,
@@ -234,6 +234,12 @@ class TestPolicyIteration:
         assert len(policy.sweep_deltas) == sweeps_run
         assert len(set(greedy)) > 1
 
+    def test_divergence_raises(self, params):
+        # a near-zero ridge leaves the embedded transition model unstable
+        model = fit_transition_model(params, n=30, seed=0, lam=1e-12)
+        with pytest.raises(NumericalError, match="^value iteration diverged; try a larger ridge parameter$"):
+            policy_iteration(model, params, sweeps=50)
+
     def test_sweeps_validation(self, params):
         model = fit_transition_model(params, n=20, seed=4)
         with pytest.raises(InputError):
@@ -315,7 +321,7 @@ class TestPolicyAct:
     def test_non_gaussian_input_kernel_rejected(self, params, kspec):
         data = collect_dataset(params, 30, 15)
         model = fit(data, kspec, KernelSpec("gaussian", 1.0), 1e-2)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InputError, match="^the pendulum planner needs a gaussian input kernel$"):
             policy_iteration(model, params, sweeps=1)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cmereg.embedding import TrainingSet, alpha_batch, fit
-from cmereg.errors import InputError, UnsupportedConfigurationError
+from cmereg.errors import InputError
 from cmereg.kernels import KernelSpec
 from cmereg.ratecheck import (
     DiscreteDistribution,
@@ -81,7 +81,7 @@ class TestExactRisk:
         assert exact_surrogate_risk(d, conditional_table(d, model)) >= irreducible_risk(d) - 1e-12
         numeric = fit(TrainingSet([0.0, 1.0], [0.0, 1.0]),
                       KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 1.0), 0.05)
-        with pytest.raises(UnsupportedConfigurationError):
+        with pytest.raises(InputError, match="^exact risk evaluation needs delta kernels on both sides$"):
             conditional_table(d, numeric)
 
 

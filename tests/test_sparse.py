@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmereg import sparse
 from cmereg.embedding import TrainingSet, empirical_risk, fit
-from cmereg.errors import InputError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec
 from cmereg.sparse import (
     PENALTIES,
@@ -252,6 +253,12 @@ class TestFista:
         zero_groups = zero if axis is None else np.all(zero, axis=axis)  # entries, rows or columns
         assert 0 < np.mean(zero_groups) < 1  # the penalty is active, not all or nothing
 
+    def test_non_finite_objective_raises(self):
+        # finite inputs: the first iterate is W shrunk by 5e199, whose objective overflows to inf
+        prob = SparseProblem(np.eye(2), np.eye(2), np.full((2, 2), 1e200), 1e200)
+        with pytest.raises(NumericalError, match="^objective became non-finite at iteration 1$"):
+            fista_solve(prob)
+
     def test_start_is_not_written(self):
         prob, _ = make_problem(seed=20, n=5, gamma=0.05)
         start = np.random.default_rng(9).standard_normal(prob.W.shape)
@@ -361,6 +368,33 @@ class TestSweep:
         model, test = self.make_model()
         with pytest.raises(InputError):
             sparsity_sweep(model, test, [0.1, 0.01])
+
+    @pytest.mark.parametrize("wide", ["xs", "ys"])
+    def test_test_width_checked_before_any_solve(self, monkeypatch, wide):
+        # a test set of another width failed only when the first solution was scored
+        model, test = self.make_model()
+        points = {"xs": test.xs, "ys": test.ys}
+        points[wide] = np.hstack([points[wide], points[wide][:, :1]])
+        solves = []
+        monkeypatch.setattr(sparse, "fista_solve", lambda *a, **k: solves.append(a) or fista_solve(*a, **k))
+        with pytest.raises(InputError, match="^points have dimension 3, kernel expects 2$"):
+            sparsity_sweep(model, TrainingSet(**points), [0.01, 0.1])
+        assert solves == []
+
+    def test_solves_do_not_depend_on_heap_addresses(self):
+        # blas.dasum sums the same entries to different last bits at different addresses,
+        # so a solve's objective and gap varied with where its iterate was allocated
+        model, _ = self.make_model(seed=3)
+        results, held = set(), []
+        for k in range(64):
+            held.append(np.empty(130 + 2 * k))  # moves where the next arrays are allocated
+            M, run = None, []
+            for gamma in (0.1, 0.01, 0.001):
+                sol = fista_solve(SparseProblem(model.kgram, model.lgram, model.W, gamma), start=M)
+                run.append((sol.iterations, sol.objective, sol.gap, sol.M.tobytes()))
+                M = sol.M
+            results.add(tuple(run))
+        assert len(results) == 1
 
     def test_rows_follow_descending_warm_path(self):
         model, test = self.make_model(seed=3)
