@@ -17,9 +17,10 @@ fold's held-out share at n = 400). "fit" times `embedding.fit` on those
 points as inputs and outputs, with the same kernel on both sides and the same
 shift: the dense inverse for gaussian, the inverse through the classes for
 delta. Each case runs once as a warm-up and then --repeats times; the result
-gives min and median milliseconds.
+gives min and median milliseconds of wall time and of `time.process_time()`
+(`cpu_`), the CPU of all the process's threads.
 
-"rollout_step" gives min and median microseconds per call of
+"rollout_step" gives min and median microseconds (wall and CPU) per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
 timed over the same 1000 seeded states, on plan-pendulum's model: 800
 transitions (seed 1), median bandwidths, lambda 1e-4, 80 sweeps of
@@ -30,6 +31,17 @@ problem: 120 transitions, seed 0, bandwidths 2.0/1.5, lambda 1e-2), the
 iterations of `sparse.fista_solve` (max_iter 8000, warm-started from the
 previous gamma's solution, largest gamma first) and min and median
 microseconds per iteration of that solve.
+
+"blas_threads" times, for n in 120, 320, 800 and 1600, `linalg.ridge_inverse`
+of a gaussian Gram (as above) and one FISTA iteration's two `dgemm` calls
+(D^T K^T, then L^T times that, into F-ordered buffers, as `sparse.fista_solve`
+makes them) on n x n operands, inside `linalg.blas_threads(1)` and
+`blas_threads(2)`: min and median microseconds per call of wall time and of
+CPU, so the CPU that a second thread burns shows. A sample makes
+round((800/n)^3) calls back to back (at least one), long enough for
+process_time to see the other thread; each thread count starts after a 0.3 s
+pause, once the workers of the calls before it have stopped spinning. A tree
+without `blas_threads` records null.
 
 --src is the source tree cmereg is imported from (default: this checkout's
 src), so one script times two commits alike. The script builds each kernel as
@@ -91,18 +103,53 @@ def provenance(src: str) -> dict:
 
 def timed(fn, repeats: int) -> dict:
     fn()  # warm-up: first-touch pages, thread pools
-    times = []
+    wall, cpu = [], []
     for _ in range(repeats):
-        start = time.perf_counter()
+        start, start_cpu = time.perf_counter(), time.process_time()
         fn()
-        times.append(time.perf_counter() - start)
-    return {"min_ms": round(1e3 * min(times), 2), "median_ms": round(1e3 * statistics.median(times), 2)}
+        wall.append(time.perf_counter() - start)
+        cpu.append(time.process_time() - start_cpu)
+    return {f"{prefix}{stat}_ms": round(1e3 * f(times), 2) for prefix, times in (("", wall), ("cpu_", cpu))
+            for stat, f in (("min", min), ("median", statistics.median))}
 
 
 def per_call(fn, calls: int, repeats: int) -> dict:
     """timed(fn, repeats) for fn making `calls` calls, in microseconds per call."""
-    ms = timed(fn, repeats)
-    return {"min_us": round(1e3 * ms["min_ms"] / calls, 2), "median_us": round(1e3 * ms["median_ms"] / calls, 2)}
+    return {key[:-2] + "us": round(1e3 * ms / calls, 2) for key, ms in timed(fn, repeats).items()}
+
+
+def blas_thread_counts(repeats: int) -> dict | None:
+    import numpy as np
+    from scipy.linalg import blas
+    from cmereg import linalg
+    from cmereg.kernels import KernelSpec, gram
+
+    if not hasattr(linalg, "blas_threads"):
+        return None
+    rng = np.random.default_rng(3)
+    result = {}
+    for n in (120, 320, 800, 1600):
+        K = gram(KernelSpec("gaussian", 2.0), rng.standard_normal((n, 4)))
+        L = gram(KernelSpec("gaussian", 1.5), rng.standard_normal((n, 4)))
+        D = rng.standard_normal((n, n))
+        Kt, Lt = np.asfortranarray(K.T), np.asfortranarray(L.T)
+        DK, DKL = np.empty_like(D, order="F"), np.empty_like(D, order="F")
+
+        def products():
+            blas.dgemm(1.0, D.T, Kt, c=DK, overwrite_c=1)
+            blas.dgemm(1.0, Lt, DK, c=DKL, overwrite_c=1)
+
+        def inverse():
+            linalg.ridge_inverse(K, 1e-3 * n)
+
+        calls = max(1, round((800 / n) ** 3))  # a sample lasts tens of milliseconds at any n
+        for k in (1, 2):
+            time.sleep(0.3)  # idle OpenBLAS workers spin (about 0.14 s on a 2-core VM) before they sleep
+            with linalg.blas_threads(k):
+                result[f"n{n}-threads{k}"] = {
+                    name: per_call(lambda: [fn() for _ in range(calls)], calls, repeats)
+                    for name, fn in (("ridge_inverse", inverse), ("fista_products", products))}
+    return result
 
 
 def rollout_step(repeats: int) -> dict:
@@ -182,6 +229,7 @@ def main():
             }
     cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
     cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
+    cases["blas_threads"] = blas_thread_counts(args.repeats)
     result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
     print(json.dumps(result, indent=1))
     if args.out:

@@ -26,7 +26,7 @@ import numpy as np
 from . import embedding, lowrank, pendulum, ratecheck, sparse
 from .errors import InputError, NumericalError
 from .kernels import VARIANTS, KernelSpec, median_bandwidth
-from .linalg import sym_eig_max
+from .linalg import blas_threads, sym_eig_max
 
 
 # ---------------------------------------------------------------- schema
@@ -396,7 +396,8 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise InputError(f"{args.command}: {exc}") from None
         os.makedirs(args.out, exist_ok=True)
-        COMMANDS[args.command](cfg, args.out)
+        with blas_threads(1):  # one thread per pool: same bits for any OPENBLAS_NUM_THREADS
+            COMMANDS[args.command](cfg, args.out)
     except InputError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

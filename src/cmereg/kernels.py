@@ -80,7 +80,8 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     scale = -2.0 * spec.bandwidth**2
     if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
-    return np.exp(cdist(R, C, metric="sqeuclidean") / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
+    with np.errstate(over="ignore"):  # a tiny sigma^2 can send d2 / scale to -inf, whose exp is the right 0
+        return np.exp(cdist(R, C, metric="sqeuclidean") / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:

@@ -1,11 +1,17 @@
 """Dense linear algebra on scipy's BLAS/LAPACK, the one BLAS pool of the
-fit -> score -> sparsify path (see README, Conventions)."""
+fit -> score -> sparsify path (see README, Conventions), and blas_threads,
+which sets the thread count of scipy's and numpy's bundled OpenBLAS."""
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.linalg import blas, eigh, lapack
 
 from .errors import InputError, NumericalError
@@ -83,3 +89,41 @@ def sym_eig_max(A) -> float:
     """
     return max(0.0, float(eigh(A, eigvals_only=True, driver="evd")[-1]))
 
+
+# The OpenBLAS that scipy and numpy each bundle in <package>.libs: (package, library
+# pattern, symbol suffix). numpy's is the 64-bit-integer build.
+_OPENBLAS = ((scipy, "libscipy_openblas-*.so", ""), (np, "libscipy_openblas64_-*.so", "64_"))
+_pools = None  # [(get_num_threads, set_num_threads)] of each pool found, resolved on first use
+
+
+def _thread_pools() -> list:
+    global _pools
+    if _pools is None:
+        _pools = []
+        for pkg, pattern, suffix in _OPENBLAS:
+            libs = os.path.join(os.path.dirname(pkg.__file__), os.pardir, pkg.__name__ + ".libs")
+            for path in glob.glob(os.path.join(libs, pattern)):
+                lib = ctypes.CDLL(path)  # the library the package already loaded
+                get = getattr(lib, "scipy_openblas_get_num_threads" + suffix, None)
+                put = getattr(lib, "scipy_openblas_set_num_threads" + suffix, None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    _pools.append((get, put))
+    return _pools
+
+
+@contextmanager
+def blas_threads(k: int):
+    """Run the block with both bundled OpenBLAS pools (scipy's and numpy's) on k
+    threads, then give each pool back its earlier count, also if the block raises.
+    A pool whose library or symbols are not found is left alone."""
+    pools = _thread_pools()
+    before = [get() for get, _ in pools]
+    for _, put in pools:
+        put(k)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(pools, before):
+            put(count)

@@ -5,9 +5,13 @@ quadruple loops, dense eigendecompositions, finite differences, and
 coordinate descent, so agreement is meaningful.
 """
 
+import ctypes
+import glob
+import os
 from fractions import Fraction
 
 import numpy as np
+import scipy
 
 
 def delta_by_tuples(rows, cols):
@@ -181,3 +185,14 @@ def random_gram_instance(rng, n, dim=2, bandwidth=0.6, spread=3.0):
     ls = KernelSpec("gaussian", bandwidth)
     model = fit(TrainingSet(xs, ys), ks, ls, 0.1)
     return model
+
+
+def openblas_pool_threads():
+    """Thread count of each OpenBLAS that scipy and numpy bundle, [scipy's, numpy's], read by
+    each library's own get_num_threads (the 64_ symbol in numpy's 64-bit-integer build)."""
+    counts = []
+    for pkg, suffix in ((scipy, ""), (np, "64_")):
+        libs = os.path.join(os.path.dirname(pkg.__file__), os.pardir, pkg.__name__ + ".libs")
+        (path,) = glob.glob(os.path.join(libs, "libscipy_openblas*.so"))
+        counts.append(getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads" + suffix)())
+    return counts

@@ -14,8 +14,11 @@ from hypothesis import strategies as st
 
 from cmereg import cli
 from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
+from cmereg.linalg import blas_threads
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.ratecheck import RateResult, rate_slope
+
+from oracles import openblas_pool_threads
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -170,7 +173,7 @@ class TestFit:
                            env=blas_threads_env(threads), check=True)
             W[threads] = np.load(saved)
         assert W["1"].shape == (300, 300)
-        assert np.max(np.abs(W["1"] - W["2"])) <= 1e-12 * np.max(np.abs(W["1"]))
+        np.testing.assert_array_equal(W["1"], W["2"])  # main runs the command on one thread per pool
 
 
 class TestCv:
@@ -251,24 +254,19 @@ class TestSparsify:
         assert [(r["iterations"], r["converged"]) for r in rows] == [("1", "0"), ("1", "0")]
 
     def test_rows_agree_across_blas_thread_counts(self, tmp_path):
-        # every row stops at max_iter, so both runs make the same iterations and
-        # only the rounding path of the products differs
-        data = random_dataset(tmp_path / "d.csv", n=150, seed=7)
-        max_iter = 300
+        # each row stops on the stopping rule, at an iteration that rounding decides, so
+        # identical rows need identical rounding paths under either thread count
+        data = random_dataset(tmp_path / "d.csv", n=60, seed=7)
         cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                                      "x_kernel": GAUSS, "y_kernel": GAUSS, "max_iter": max_iter,
-                                      "tol": 1e-300})
+                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
         rows = {}
         for threads in ("1", "2"):
             out = tmp_path / threads
             subprocess.run([sys.executable, "-m", "cmereg.cli", "sparsify", "--config", cfg, "--out", str(out)],
                            env=blas_threads_env(threads), check=True)
             rows[threads] = read_rows(out / "sparsify.csv")
-        assert [(r["iterations"], r["converged"]) for r in rows["1"]] == [(str(max_iter), "0")] * 2
-        for one, two in zip(rows["1"], rows["2"], strict=True):
-            assert (one["iterations"], one["converged"]) == (two["iterations"], two["converged"])
-            assert abs(float(one["nnz_fraction"]) - float(two["nnz_fraction"])) <= 0.005
-            assert math.isfinite(float(one["gap"])) and math.isfinite(float(two["gap"]))
+        assert [r["converged"] for r in rows["1"]] == ["1", "1"]
+        assert rows["1"] == rows["2"]
 
     def test_unsorted_gammas(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -467,6 +465,45 @@ class TestPendulum:
         assert main(["pendulum", "--config", cfg, "--out", str(a)]) == 0
         assert main(["pendulum", "--config", cfg, "--out", str(b), "--seed", "1"]) == 0
         assert (a / "policy.csv").read_bytes() != (b / "policy.csv").read_bytes()
+
+
+class TestBlasThreads:
+    """main runs each command on one OpenBLAS thread per pool, and gives both pools
+    back the counts they had."""
+
+    @pytest.mark.parametrize("command", ["fit", "sparsify", "pendulum"])
+    def test_out_tree_identical_across_thread_counts(self, tmp_path, command):
+        # each of these wrote other bytes under 1 and 2 threads before main set the count:
+        # the last digits of coefficients.csv and policy.csv, whole rows of sparsify.csv
+        # (here a row_group sweep scored on a held-out set; TestSparsify has the default one)
+        def data(name, n, seed):
+            return random_dataset(tmp_path / name, n=n, seed=seed)
+
+        cfg = {"fit": lambda: {"dataset": data("d.csv", 300, 6), "lambda": 1e-3,
+                               "x_kernel": GAUSS, "y_kernel": GAUSS},
+               "sparsify": lambda: {"dataset": data("d.csv", 60, 7), "test_dataset": data("t.csv", 30, 107),
+                                    "penalty": "row_group", "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                                    "x_kernel": GAUSS, "y_kernel": GAUSS},
+               "pendulum": lambda: {"n": 300, "seed": 1, "episodes": 10, "horizon": 50}}[command]()
+        cfg = write_config(tmp_path, cfg)
+        trees = {}
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "cmereg.cli", command, "--config", cfg, "--out", str(out)],
+                           env=blas_threads_env(threads), check=True)
+            trees[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
+        assert trees["1"] and trees["1"] == trees["2"]
+
+    @pytest.mark.parametrize("cfg,code", [
+        ({"lambda": 0.1}, 0),
+        ({"dataset": "no-such-dataset.csv", "lambda": 0.1}, 2),  # read_dataset fails inside the command
+        ({"lambda": 1e308}, 3),  # the ridge shift lambda*n overflows inside the command
+    ])
+    def test_pools_read_their_earlier_counts_after_main(self, tmp_path, tiny_dataset, cfg, code):
+        cfg = write_config(tmp_path, {"dataset": tiny_dataset, "x_kernel": GAUSS, "y_kernel": GAUSS, **cfg})
+        with blas_threads(2):  # an earlier count other than the command's 1
+            assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
+            assert openblas_pool_threads() == [2, 2]
 
 
 class TestPlumbing:

@@ -97,6 +97,16 @@ def test_underflowing_bandwidth_raises():
     np.testing.assert_array_equal(gram(KernelSpec("gaussian", 1e-160), pts), np.eye(3))
 
 
+def test_subnormal_bandwidth_warns_nothing():
+    # d2 / (-2 sigma^2) overflowed to -inf with numpy's "overflow encountered in divide"
+    # warning; exp(-inf) = 0 was already the right value
+    spec, pts = KernelSpec("gaussian", 1e-160), np.arange(6.0).reshape(3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(gram(spec, pts), np.eye(3))
+        np.testing.assert_array_equal(cross_gram(spec, pts, pts[:1]), np.eye(3)[:, :1])
+
+
 def test_overflowing_linear_kernel_raises():
     # inner products of finite points overflowed to inf; numpy's "overflow
     # encountered in matmul" warning came ahead of the NumericalError

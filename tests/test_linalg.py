@@ -8,11 +8,11 @@ from cmereg import linalg
 from cmereg.errors import InputError, NumericalError
 from cmereg.embedding import fit
 from cmereg.kernels import KernelSpec, gram
-from cmereg.linalg import matmul, ridge_inverse, solve_spd, sym_eig_max
+from cmereg.linalg import blas_threads, matmul, ridge_inverse, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.sparse import PENALTIES
 
-from oracles import eig_max_dense, random_spd
+from oracles import eig_max_dense, openblas_pool_threads, random_spd
 
 
 class TestSolveSpd:
@@ -197,3 +197,39 @@ class TestSoftThreshold:
         z = np.random.default_rng(12).standard_normal((40, 30)) * 3.0
         for t in (0.0, 0.7, 2.5):
             np.testing.assert_array_equal(self.shrink(z, t), np.sign(z) * np.maximum(np.abs(z) - t, 0.0))
+
+
+class TestBlasThreads:
+    """blas_threads(k) sets scipy's and numpy's OpenBLAS pools, read here through each
+    library's own get_num_threads; an outer blas_threads(2) makes the earlier count 2,
+    so a pool left at 1 shows."""
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_both_pools_read_k_inside(self, k):
+        with blas_threads(k):
+            assert openblas_pool_threads() == [k, k]
+
+    def test_earlier_counts_come_back(self):
+        with blas_threads(2):
+            with blas_threads(1):
+                pass
+            assert openblas_pool_threads() == [2, 2]
+
+    def test_earlier_counts_come_back_after_an_exception(self):
+        with blas_threads(2):
+            with pytest.raises(ZeroDivisionError):
+                with blas_threads(1):
+                    1 / 0
+            assert openblas_pool_threads() == [2, 2]
+
+    def test_no_pools_found_runs_the_block_and_changes_nothing(self, monkeypatch):
+        with blas_threads(2):
+            monkeypatch.setattr(linalg, "_OPENBLAS", ((scipy, "no-such-openblas-*.so", ""),
+                                                      (np, "no-such-openblas64_-*.so", "64_")))
+            monkeypatch.setattr(linalg, "_pools", None)  # resolved again, now finding nothing
+            ran = False
+            with blas_threads(1):
+                ran = True
+                assert openblas_pool_threads() == [2, 2]
+            assert ran and linalg._pools == []
+            assert openblas_pool_threads() == [2, 2]
