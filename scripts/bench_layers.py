@@ -43,6 +43,11 @@ process_time to see the other thread; each thread count starts after a 0.3 s
 pause, once the workers of the calls before it have stopped spinning. A tree
 without `blas_threads` records null.
 
+Every case but "blas_threads" runs inside `linalg.blas_threads(1)`, as each CLI
+command does (`cmereg.cli.main`), and the result says so as "case_threads": 1;
+a tree without it runs them on the environment's thread count, recorded as
+null.
+
 --src is the source tree cmereg is imported from (default: this checkout's
 src), so one script times two commits alike. The script builds each kernel as
 `KernelSpec(variant, bandwidth)` and lets the points give their width, so it
@@ -54,6 +59,7 @@ also stored under --label in FILE, next to the labels already there.
 """
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -204,33 +210,37 @@ def main():
     src = os.path.abspath(args.src)
     sys.path.insert(0, src)
     import numpy as np
+    from cmereg import linalg
     from cmereg.embedding import TrainingSet, alpha_batch, fit
     from cmereg.kernels import KernelSpec, gram
     from cmereg.linalg import ridge_inverse
 
+    threads = 1 if hasattr(linalg, "blas_threads") else None
+    one_thread = linalg.blas_threads(1) if threads else contextlib.nullcontext()
     rng = np.random.default_rng(0)
     cases = {}
-    for n in SIZES:
-        setups = {
-            "gaussian": (KernelSpec("gaussian", 2.0), rng.standard_normal((n, 4)), 1e-3 * n,
-                         rng.standard_normal((80, 4))),
-            "delta": (KernelSpec("delta"), rng.integers(0, 4, n), n**0.5, np.arange(4)),
-        }
-        for variant, (spec, points, shift, queries) in setups.items():
-            K = gram(spec, points)
-            train = TrainingSet(points, points)
-            model = fit(train, spec, spec, shift / n)
-            cases[f"{variant}-{n}"] = {
-                "gram": timed(lambda: gram(spec, points), args.repeats),
-                "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
-                "score_then_invert": timed(
-                    lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
-                "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
+    with one_thread:  # the CLI's thread count
+        for n in SIZES:
+            setups = {
+                "gaussian": (KernelSpec("gaussian", 2.0), rng.standard_normal((n, 4)), 1e-3 * n,
+                             rng.standard_normal((80, 4))),
+                "delta": (KernelSpec("delta"), rng.integers(0, 4, n), n**0.5, np.arange(4)),
             }
-    cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
-    cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
+            for variant, (spec, points, shift, queries) in setups.items():
+                K = gram(spec, points)
+                train = TrainingSet(points, points)
+                model = fit(train, spec, spec, shift / n)
+                cases[f"{variant}-{n}"] = {
+                    "gram": timed(lambda: gram(spec, points), args.repeats),
+                    "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
+                    "score_then_invert": timed(
+                        lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
+                    "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
+                }
+        cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
+        cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
     cases["blas_threads"] = blas_thread_counts(args.repeats)
-    result = {"provenance": provenance(src), "repeats": args.repeats, "cases": cases}
+    result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": threads, "cases": cases}
     print(json.dumps(result, indent=1))
     if args.out:
         stored = {}

@@ -2,7 +2,8 @@
 """Excess-risk decay of the embedding estimator on a 4x4 discrete oracle.
 
 For each sample size the estimator is refit with lambda_n = n^{-1/2} and its
-excess surrogate risk is computed exactly by alphabet enumeration. Writes
+excess surrogate risk is computed exactly, as the p(x)-weighted squared
+distance of its conditional table to p(y|x). Writes
 rate.csv (per n, per seed) and slope.txt with the fitted log-log slope.
 """
 

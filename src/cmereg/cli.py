@@ -323,7 +323,7 @@ def run_compare(cfg: dict, out: str):
     # Greedy pivots are nested: the first `rank` of one run to max(ranks) are a run to `rank`.
     pivots = lowrank.incomplete_cholesky(model.kgram, max(cfg["ranks"])).pivots
     for rank in cfg["ranks"]:
-        M = lowrank.subset_refit(train, pivots[:rank], kspec, lam)
+        M = lowrank.subset_refit(model, pivots[:rank])
         nnz, _, kl, risk = sparse.score(model, test, M)
         rows.append(["cholesky", rank, nnz, kl, risk, 1, 0.0])  # an exact refit: no gap to its own problem
     write_csv(os.path.join(out, "compare.csv"),

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
+from scipy.spatial.distance import cdist, pdist
 
 from .errors import InputError, NumericalError
 
@@ -123,7 +123,6 @@ def median_bandwidth(points) -> float:
     if n > _MEDIAN_MAX_POINTS:
         idx = np.random.default_rng(_MEDIAN_SEED).choice(n, size=_MEDIAN_MAX_POINTS, replace=False)
         arr = arr[np.sort(idx)]
-    d = cdist(arr, arr)
-    vals = d[np.triu_indices_from(d, k=1)]
+    vals = pdist(arr)
     med = float(np.median(vals)) if vals.size else 1.0
     return med if med > 0 else 1.0

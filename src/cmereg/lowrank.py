@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from .embedding import TrainingSet, ridge_coefficients
+from .embedding import EmbeddingModel, ridge_coefficients
 from .errors import InputError, NumericalError
-from .kernels import KernelSpec, gram
 
 
 @dataclass(frozen=True)
@@ -54,17 +53,19 @@ def incomplete_cholesky(K: np.ndarray, max_rank: int) -> IncompleteCholesky:
     return IncompleteCholesky(pivots=tuple(pivots), factor=G[:, : len(pivots)])
 
 
-def subset_refit(train: TrainingSet, pivots, kspec: KernelSpec, lam: float) -> np.ndarray:
-    """Refit the ridge estimator on the pivot subset only; returns an n x n
-    coefficient matrix with non-pivot rows (and columns) zero."""
+def subset_refit(model: EmbeddingModel, pivots) -> np.ndarray:
+    """Refit the model's ridge estimator on the pivot subset only, from the
+    pivot block of its Gram; returns an n x n coefficient matrix with non-pivot
+    rows (and columns) zero."""
     pivots = list(pivots)
+    n = model.train.n
     if len(pivots) == 0:
         raise InputError("pivots must be nonempty")
     if len(set(pivots)) != len(pivots):
         raise InputError("pivots must be distinct")
-    if any(p < 0 or p >= train.n for p in pivots):
+    if any(p < 0 or p >= n for p in pivots):
         raise InputError("pivot index out of range")
-    M = np.zeros((train.n, train.n))
-    M[np.ix_(pivots, pivots)] = ridge_coefficients(
-        kspec, gram(kspec, train.subset(pivots).xs), lam * len(pivots))
+    block = np.ix_(pivots, pivots)
+    M = np.zeros((n, n))
+    M[block] = ridge_coefficients(model.kspec, model.kgram[block], model.lam * len(pivots))
     return M

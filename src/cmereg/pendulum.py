@@ -67,14 +67,14 @@ def reward(theta, omega):
     return np.exp(-theta**2 - 0.2 * omega**2)
 
 
-def features(theta, omega, u) -> np.ndarray:
-    """Model inputs sin(theta), cos(theta), omega, u along a new last axis of
-    length 4, for broadcastable theta, omega and u."""
-    out = np.empty(np.broadcast(theta, omega, u).shape + (4,))
+def features(theta, omega) -> np.ndarray:
+    """The state encoding sin(theta), cos(theta), omega along a new last axis of
+    length 3, for broadcastable theta and omega: a model's output rows, and its
+    input rows before the torque."""
+    out = np.empty(np.broadcast(theta, omega).shape + (3,))
     out[..., 0] = np.sin(theta)
     out[..., 1] = np.cos(theta)
     out[..., 2] = omega
-    out[..., 3] = u
     return out
 
 
@@ -96,9 +96,8 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     theta = rng.uniform(-math.pi, math.pi, size=n)
     omega = rng.uniform(-OMEGA_MAX, OMEGA_MAX, size=n)
     u = rng.uniform(-TORQUE_MAX, TORQUE_MAX, size=n)
-    theta2, omega2 = step(params, theta, omega, u)
-    outputs = np.column_stack([np.sin(theta2), np.cos(theta2), omega2])
-    return TrainingSet(features(theta, omega, u), outputs)
+    xs = np.column_stack([features(theta, omega), u])
+    return TrainingSet(xs, features(*step(params, theta, omega, u)))
 
 
 def _factors(model: EmbeddingModel, grid) -> np.ndarray:
@@ -124,7 +123,7 @@ class Policy:
     sweep_deltas: list
 
     def act(self, theta, omega, rng=None) -> float:
-        state = cross_gram(self.spec, self.states, features(theta, omega, 0.0)[None, :3])
+        state = cross_gram(self.spec, self.states, features(theta, omega)[None])
         scores = state[:, 0] @ self.weights
         return float(self.torque_grid[np.argmax(scores)])  # ties -> smallest torque
 
@@ -154,12 +153,11 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
     if sweeps < 1:
         raise InputError("sweeps must be >= 1")
     M, n = model.W, model.train.n
-    theta, omega = output_state(model.train.ys)
-    r = reward(theta, omega)
+    r = reward(*output_state(model.train.ys))
     grid = params.torque_grid
     T = _factors(model, grid)
     states = np.ascontiguousarray(model.train.xs[:, :3])
-    S = cross_gram(model.kspec, states, features(theta, omega, 0.0)[:, :3])  # (n, n)
+    S = cross_gram(model.kspec, states, model.train.ys)  # (n, n): the output rows are the states' features
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []

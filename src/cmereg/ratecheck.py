@@ -2,9 +2,9 @@
 
 With delta kernels on both sides the output RKHS is the simplex coordinate
 space, the best embedding of x is the conditional probability row p(.|x),
-and the surrogate risk can be evaluated exactly by enumerating the joint
-alphabet. That turns asymptotic risk statements into checkable finite
-computations.
+and a predictor's excess surrogate risk is exactly its p(x)-weighted squared
+distance to those rows. That turns asymptotic risk statements into checkable
+finite computations.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
     return TrainingSet(xi, yi)
 
 
-def irreducible_risk(dist: DiscreteDistribution) -> float:
-    """Surrogate risk of the true embedding: sum_x px (1 - sum_y p(y|x)^2)."""
-    return float(np.sum(dist.px * (1.0 - np.sum(dist.pyx**2, axis=1))))
-
-
 def _require_delta(model: EmbeddingModel):
     if model.kspec.variant != "delta" or model.lspec.variant != "delta":
         raise InputError("exact risk evaluation needs delta kernels on both sides")
@@ -82,19 +77,18 @@ def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.n
     return table
 
 
-def exact_surrogate_risk(dist: DiscreteDistribution, table) -> float:
-    """Exact surrogate risk of a predictor by enumeration of the joint alphabet.
+def excess_risk(dist: DiscreteDistribution, table) -> float:
+    """Exact excess surrogate risk of a predictor over the true embedding,
+    sum_x px ||table_x - p(.|x)||^2: the risk minus the irreducible risk,
+    summed directly, so it keeps its digits as the table nears dist.pyx.
 
     `table` has shape (|X|, |Y|) and gives the predicted vector per x symbol,
-    as conditional_table does for a fitted model; dist.pyx is the true
-    embedding's table.
+    as conditional_table does for a fitted model.
     """
     table = np.asarray(table, dtype=float)
     if table.shape != dist.pyx.shape:
         raise InputError("predictor table must be |X| x |Y|")
-    sq = np.sum(table**2, axis=1)
-    cross = np.sum(dist.pyx * table, axis=1)
-    return float(np.sum(dist.px * (sq - 2.0 * cross + 1.0)))
+    return float(np.sum(dist.px * np.sum((table - dist.pyx) ** 2, axis=1)))
 
 
 def rate_experiment(
@@ -109,15 +103,14 @@ def rate_experiment(
     if not seeds:
         raise InputError("seeds must be nonempty")
     a, beta = schedule
-    base = irreducible_risk(dist)
     dspec = KernelSpec("delta")
     results = []
     for n in n_grid:
         lam = a * n ** (-beta)
         for seed in seeds:
             model = fit(sample(dist, n, seed), dspec, dspec, lam)
-            excess = exact_surrogate_risk(dist, conditional_table(dist, model)) - base
-            results.append(RateResult(n=n, excess=max(excess, 0.0), seed=seed, lambda_used=lam))
+            excess = excess_risk(dist, conditional_table(dist, model))
+            results.append(RateResult(n=n, excess=excess, seed=seed, lambda_used=lam))
     return results
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cmereg.embedding import TrainingSet, fit
+from cmereg.embedding import TrainingSet, fit, ridge_coefficients
 from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, gram
 from cmereg.lowrank import incomplete_cholesky, subset_refit
@@ -113,30 +113,47 @@ class TestSubsetRefit:
 
     def test_all_pivots_reproduce_dense(self):
         model = self.make_model()
-        M = subset_refit(model.train, range(model.train.n), model.kspec, model.lam)
+        M = subset_refit(model, range(model.train.n))
         np.testing.assert_allclose(M, model.W, atol=1e-8)
 
     def test_single_pivot_single_row(self):
         model = self.make_model()
-        M = subset_refit(model.train, [3], model.kspec, model.lam)
+        M = subset_refit(model, [3])
         nz_rows = np.where(np.any(M != 0, axis=1))[0]
         assert list(nz_rows) == [3]
 
     def test_empty_pivots_rejected(self):
         model = self.make_model()
         with pytest.raises(InputError):
-            subset_refit(model.train, [], model.kspec, model.lam)
+            subset_refit(model, [])
 
     def test_out_of_range_pivot(self):
         model = self.make_model()
         with pytest.raises(InputError):
-            subset_refit(model.train, [99], model.kspec, model.lam)
+            subset_refit(model, [99])
 
     def test_nonpivot_rows_zero(self):
         model = self.make_model()
         pivots = [1, 4, 7]
-        M = subset_refit(model.train, pivots, model.kspec, model.lam)
+        M = subset_refit(model, pivots)
         mask = np.ones(model.train.n, dtype=bool)
         mask[pivots] = False
         assert np.all(M[mask] == 0.0)
         assert np.all(M[:, mask] == 0.0)
+
+    @pytest.mark.parametrize("variant", ["gaussian", "delta"])
+    def test_equals_refit_on_subset_gram(self, variant):
+        # the pivot block of the fitted Gram is the subset's own Gram, bit for bit
+        rng = np.random.default_rng(4)
+        n = 120
+        if variant == "delta":
+            spec, xs = KernelSpec("delta"), rng.integers(0, 200, n)  # about 90 classes
+        else:
+            spec, xs = KernelSpec("gaussian", 0.8), rng.uniform(0, 3, size=(n, 4))
+        model = fit(TrainingSet(xs, rng.uniform(0, 3, n)), spec, KernelSpec("gaussian", 1.0), 1e-2)
+        for rank in (10, 60, 110):
+            pivots = incomplete_cholesky(model.kgram, rank).pivots
+            expected = np.zeros((n, n))
+            expected[np.ix_(pivots, pivots)] = ridge_coefficients(
+                spec, gram(spec, model.train.subset(list(pivots)).xs), model.lam * len(pivots))
+            assert np.array_equal(subset_refit(model, pivots), expected)

@@ -57,6 +57,12 @@ def math_step(params, theta, omega, u):
     return (theta + params.dt * omega + math.pi) % (2.0 * math.pi) - math.pi, omega
 
 
+def inputs(theta, omega, u):
+    """Model input rows (sin theta, cos theta, omega, u) for broadcastable theta, omega and u."""
+    theta, omega, u = np.broadcast_arrays(theta, omega, u)
+    return np.concatenate([features(theta, omega), u[..., None]], axis=-1)
+
+
 def random_states(count, seed):
     rng = np.random.default_rng(seed)
     return rng.uniform(-math.pi, math.pi, count), rng.uniform(-OMEGA_MAX, OMEGA_MAX, count)
@@ -125,17 +131,15 @@ class TestReward:
 class TestFeatures:
     def test_broadcast_fill(self):
         theta, omega = random_states(5, 2)
-        grid = np.linspace(-5, 5, 9)
-        got = features(theta[:, None], omega[:, None], grid)
-        assert got.shape == (5, 9, 4)
+        got = features(theta[:, None], omega[None, :])
+        assert got.shape == (5, 5, 3)
         for i in range(5):
-            for k in range(9):
-                np.testing.assert_array_equal(
-                    got[i, k], [math.sin(theta[i]), math.cos(theta[i]), omega[i], grid[k]])
+            for k in range(5):
+                np.testing.assert_array_equal(got[i, k], [math.sin(theta[i]), math.cos(theta[i]), omega[k]])
 
     def test_output_state_inverts_output_features(self, params):
         theta, omega = random_states(100, 3)
-        rows = features(theta, omega, 0.0)[:, :3]
+        rows = features(theta, omega)
         back = output_state(rows)
         np.testing.assert_allclose(back[0], theta, rtol=0, atol=1e-12)
         np.testing.assert_array_equal(back[1], omega)
@@ -209,7 +213,7 @@ class TestPolicyIteration:
         r = reward(theta, omega)
         grid = params.torque_grid
         coef = model.with_coefficients(M)
-        A = np.array([alpha_batch(coef, features(theta, omega, u)) for u in grid])
+        A = np.array([alpha_batch(coef, inputs(theta, omega, u)) for u in grid])
         V, sweeps_run = np.zeros(model.train.n), 0
         for _ in range(sweeps):
             q = r + params.discount * (A @ V)
@@ -233,6 +237,17 @@ class TestPolicyIteration:
         np.testing.assert_array_equal(policy.greedy_torque, greedy)
         assert len(policy.sweep_deltas) == sweeps_run
         assert len(set(greedy)) > 1
+
+    def test_state_gram_reads_stored_outputs(self, params, monkeypatch):
+        # S is the kernel between the input states and the stored output rows, not rows
+        # decoded to (theta, omega) and encoded again (2 of 3600 entries differ at this seed)
+        model = fit_transition_model(params, n=60, seed=2)
+        grams = []
+        monkeypatch.setattr(pendulum, "cross_gram", lambda *a: grams.append(cross_gram(*a)) or grams[-1])
+        policy_iteration(model, params, sweeps=1)
+        square = [K for K in grams if K.shape == (60, 60)]
+        assert len(square) == 1
+        assert np.array_equal(square[0], cross_gram(model.kspec, model.train.xs[:, :3], model.train.ys))
 
     def test_divergence_raises(self, params):
         # a near-zero ridge leaves the embedded transition model unstable
@@ -298,7 +313,7 @@ class TestPolicyAct:
     @pytest.mark.parametrize("custom", [{}, {"torque_levels": 4}])
     def test_product_kernel_is_cross_gram(self, custom, bandwidth):
         # the state kernel times the torque factor is cross_gram's block
-        # K(training inputs, features(state, grid)) up to rounding, at the
+        # K(training inputs, inputs(state, grid)) up to rounding, at the
         # median bandwidth and at a narrow one
         params = PendulumParams(**custom)
         model = fit_transition_model(params, n=150, seed=13, bandwidth=bandwidth)
@@ -309,12 +324,12 @@ class TestPolicyAct:
         edges = [(t, w) for t in (-math.pi, 0.0, math.pi) for w in (-OMEGA_MAX, 0.0, OMEGA_MAX)]
         theta = np.concatenate([theta, train_theta[:40], [t for t, _ in edges]])
         omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
-        np.testing.assert_array_equal(features(train_theta, train_omega, 0.0)[:, :3], model.train.xs[:, :3])
+        np.testing.assert_array_equal(features(train_theta, train_omega), model.train.xs[:, :3])
         grid = params.torque_grid
         T = _factors(model, grid)
         for t, w in zip(theta, omega):
-            expected = cross_gram(model.kspec, model.train.xs, features(t, w, grid))
-            state = cross_gram(model.kspec, model.train.xs[:, :3], features(t, w, 0.0)[None, :3])
+            expected = cross_gram(model.kspec, model.train.xs, inputs(t, w, grid))
+            state = cross_gram(model.kspec, model.train.xs[:, :3], features(t, w)[None])
             np.testing.assert_allclose(state * T, expected, rtol=0, atol=4.5e-16)
 
     @pytest.mark.parametrize("kspec", [KernelSpec("linear"), KernelSpec("delta")])

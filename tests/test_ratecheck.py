@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,7 @@ from cmereg.ratecheck import (
     DiscreteDistribution,
     RateResult,
     conditional_table,
-    exact_surrogate_risk,
-    irreducible_risk,
+    excess_risk,
     rate_experiment,
     rate_slope,
     sample,
@@ -57,28 +58,55 @@ class TestSample:
                 assert abs(freq - 0.25) < 0.01
 
 
+def dist_4x4():
+    """Acceptance criterion 5's oracle: every conditional row distinct and non-degenerate."""
+    return DiscreteDistribution(np.array([0.4, 0.3, 0.2, 0.1]),
+                                np.array([[0.70, 0.10, 0.10, 0.10], [0.20, 0.50, 0.20, 0.10],
+                                          [0.10, 0.20, 0.60, 0.10], [0.25, 0.25, 0.25, 0.25]]))
+
+
+def fraction_excess(dist, table) -> Fraction:
+    """sum_x px ||table_x - p(.|x)||^2 in exact rational arithmetic on the float inputs."""
+    return sum((Fraction(p) * sum((Fraction(t) - Fraction(q)) ** 2 for t, q in zip(row, true_row))
+                for p, row, true_row in zip(dist.px.tolist(), np.asarray(table).tolist(), dist.pyx.tolist())),
+               Fraction(0))
+
+
 class TestExactRisk:
     def test_true_embedding_hits_irreducible(self):
-        d = dist_2x2()
-        assert exact_surrogate_risk(d, d.pyx) == pytest.approx(irreducible_risk(d), abs=1e-14)
+        for d in (dist_2x2(), dist_4x4()):
+            assert excess_risk(d, d.pyx) == 0.0
 
     def test_zero_predictor(self):
-        d = dist_2x2()
-        assert exact_surrogate_risk(d, np.zeros((2, 2))) == pytest.approx(1.0)
+        d = dist_2x2()  # the zero table's excess is sum_x px sum_y p(y|x)^2
+        assert excess_risk(d, np.zeros((2, 2))) == pytest.approx(0.5 * (0.81 + 0.01) + 0.5 * (0.04 + 0.64))
 
     def test_any_predictor_above_irreducible(self):
         d = dist_2x2()
         rng = np.random.default_rng(0)
-        base = irreducible_risk(d)
         for _ in range(20):
             table = rng.uniform(-1, 1, size=(2, 2))
-            assert exact_surrogate_risk(d, table) >= base - 1e-12
+            assert excess_risk(d, table) > 0.0
+            assert excess_risk(d, table) == pytest.approx(float(fraction_excess(d, table)), rel=1e-14)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8])
+    def test_matches_exact_rationals_near_the_truth(self, eps):
+        # the risk minus the irreducible risk cancels O(1) terms down to O(eps^2): at eps = 1e-6
+        # and 1e-8 that difference is 8e-6 and 3e-3 relative off; the direct sum of squares is not
+        d = dist_4x4()
+        table = d.pyx + eps * np.random.default_rng(5).standard_normal(d.pyx.shape)
+        exact = fraction_excess(d, table)
+        assert abs(Fraction(excess_risk(d, table)) - exact) <= Fraction(1e-12) * exact
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InputError, match="^predictor table must be"):
+            excess_risk(dist_2x2(), np.zeros((2, 3)))
 
     def test_model_risk_and_delta_requirement(self):
         d = dist_2x2()
         ts = sample(d, 60, 2)
         model = fit(ts, DELTA, DELTA, 0.05)
-        assert exact_surrogate_risk(d, conditional_table(d, model)) >= irreducible_risk(d) - 1e-12
+        assert excess_risk(d, conditional_table(d, model)) > 0.0
         numeric = fit(TrainingSet([0.0, 1.0], [0.0, 1.0]),
                       KernelSpec("gaussian", 1.0), KernelSpec("gaussian", 1.0), 0.05)
         with pytest.raises(InputError, match="^exact risk evaluation needs delta kernels on both sides$"):
