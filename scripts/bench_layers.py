@@ -32,6 +32,12 @@ iterations of `sparse.fista_solve` (max_iter 8000, warm-started from the
 previous gamma's solution, largest gamma first) and min and median
 microseconds per iteration of that solve.
 
+"rate_memory" gives the tracemalloc peak of one `ratecheck.rate_experiment` on
+criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
+1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (W and
+the two Grams, 3 n^2 doubles each model). It runs once: the peak is
+deterministic.
+
 "blas_threads" times, for n in 120, 320, 800 and 1600, `linalg.ridge_inverse`
 of a gaussian Gram (as above) and one FISTA iteration's two `dgemm` calls
 (D^T K^T, then L^T times that, into F-ordered buffers, as `sparse.fista_solve`
@@ -182,6 +188,21 @@ def rollout_step(repeats: int) -> dict:
             "random": per_call(lambda: run(rand), len(states), repeats)}
 
 
+def rate_memory() -> dict:
+    import tracemalloc
+    from cmereg.ratecheck import DiscreteDistribution, rate_experiment
+
+    dist = DiscreteDistribution([0.4, 0.3, 0.2, 0.1], [[0.70, 0.10, 0.10, 0.10], [0.20, 0.50, 0.20, 0.10],
+                                                       [0.10, 0.20, 0.60, 0.10], [0.25, 0.25, 0.25, 0.25]])
+    tracemalloc.start()
+    try:
+        rate_experiment(dist, [800, 1600], [0, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / (3 * 1600**2 * 8), 3)}
+
+
 def fista_per_gamma(repeats: int) -> dict:
     from cmereg import pendulum
     from cmereg.embedding import fit
@@ -239,6 +260,7 @@ def main():
                 }
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
+        cases["rate-delta"] = {"rate_memory": rate_memory()}
     cases["blas_threads"] = blas_thread_counts(args.repeats)
     result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": threads, "cases": cases}
     print(json.dumps(result, indent=1))

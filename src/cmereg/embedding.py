@@ -161,7 +161,9 @@ def cross_validate(
         ks = kspec if bw is None else replace(kspec, bandwidth=float(bw))
         for f, (rest, held) in enumerate(splits):
             # bound, so the last fold's model lives through this fit: freeing it first lets
-            # malloc trim its heap and page-fault the next Grams in again (2.5x the page faults)
+            # malloc trim its heap and page-fault the next Grams in again (2.5x the page faults).
+            # At n = 320 that costs three 0.8 MB arrays of peak; ratecheck.rate_experiment frees
+            # its models instead, since there the last model is a third of the peak (61 MB at n = 1600)
             model = fit(rest, ks, lspec, lam)
             errors[g, f] = empirical_risk(model, held)
     means = errors.mean(axis=1)

@@ -56,11 +56,22 @@ def wrap_angle(theta):
 
 def step(params: PendulumParams, theta, omega, u):
     """One semi-implicit Euler step from states (theta, omega) under torques u,
-    clamped to their bounds; broadcastable arrays in, (theta', omega') out."""
-    u = np.clip(u, -TORQUE_MAX, TORQUE_MAX)
-    acc = GRAVITY * np.sin(theta) + (u - params.friction * omega)
-    omega = np.clip(omega + params.dt * acc, -OMEGA_MAX, OMEGA_MAX)
-    return wrap_angle(theta + params.dt * omega), omega
+    clamped to their bounds; broadcastable arrays in, (theta', omega') out.
+
+    A velocity update that overflows is clamped like any other, to the step a
+    large finite friction or dt gives too. A next state that is not finite
+    (dt * omega overflowing the angle) raises InputError naming dt and
+    friction: from a finite state, only they can cause it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.clip(u, -TORQUE_MAX, TORQUE_MAX)
+        acc = GRAVITY * np.sin(theta) + (u - params.friction * omega)
+        omega = np.clip(omega + params.dt * acc, -OMEGA_MAX, OMEGA_MAX)
+        theta = wrap_angle(theta + params.dt * omega)
+    if not np.all(np.isfinite(theta)):  # omega is clamped, and a NaN omega makes theta NaN too
+        raise InputError(f"pendulum dynamics with dt={params.dt:g} and friction={params.friction:g} "
+                         "give a non-finite transition")
+    return theta, omega
 
 
 def reward(theta, omega):
@@ -123,8 +134,8 @@ class Policy:
     sweep_deltas: list
 
     def act(self, theta, omega, rng=None) -> float:
-        state = cross_gram(self.spec, self.states, features(theta, omega)[None])
-        scores = state[:, 0] @ self.weights
+        # the query first: cdist fills a 1 x n row far faster than an n x 1 column, same bits
+        scores = cross_gram(self.spec, features(theta, omega)[None], self.states)[0] @ self.weights
         return float(self.torque_grid[np.argmax(scores)])  # ties -> smallest torque
 
 

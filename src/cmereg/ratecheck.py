@@ -108,8 +108,10 @@ def rate_experiment(
     for n in n_grid:
         lam = a * n ** (-beta)
         for seed in seeds:
-            model = fit(sample(dist, n, seed), dspec, dspec, lam)
-            excess = excess_risk(dist, conditional_table(dist, model))
+            # the model lives only inside conditional_table: each fit's W and Grams are
+            # freed before the next fit, so the peak holds one model, not two
+            table = conditional_table(dist, fit(sample(dist, n, seed), dspec, dspec, lam))
+            excess = excess_risk(dist, table)
             results.append(RateResult(n=n, excess=excess, seed=seed, lambda_used=lam))
     return results
 

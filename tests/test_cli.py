@@ -451,6 +451,29 @@ class TestPendulum:
         cfg = write_config(tmp_path, {"n": 20, "seed": 0, "dt": -1})
         assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
+    def run_cmereg(self, tmp_path, cfg, out):
+        """`cmereg pendulum` in a subprocess, whose stderr shows numpy's warnings too."""
+        cmd = [sys.executable, "-m", "cmereg.cli", "pendulum", "--config", write_config(tmp_path, cfg),
+               "--out", str(tmp_path / out)]
+        return subprocess.run(cmd, capture_output=True, text=True, env=blas_threads_env("1"))
+
+    def test_overflowing_dynamics_print_one_line(self, tmp_path):
+        # dt * omega overflows the angle: exit 2 with one line naming the parameters, no warnings
+        proc = self.run_cmereg(tmp_path, {"n": 20, "seed": 0, "dt": 1e308}, "out")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "config error: pendulum dynamics with dt=1e+308 and friction=0.05 give a non-finite transition"]
+
+    def test_overflowing_friction_runs_silently(self, tmp_path):
+        # friction * omega overflows, and the clamp gives the files a large finite friction gives
+        small = {"n": 20, "seed": 0, "sweeps": 2, "episodes": 2, "horizon": 3}
+        proc = self.run_cmereg(tmp_path, {**small, "friction": 1e308}, "huge")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        cfg = write_config(tmp_path, {**small, "friction": 1e306}, "finite.json")
+        assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "finite")]) == 0
+        for name in ("policy.csv", "returns.csv"):
+            assert (tmp_path / "huge" / name).read_bytes() == (tmp_path / "finite" / name).read_bytes()
+
     def test_diverging_value_iteration_exits_three(self, tmp_path, capsys):
         # a near-zero ridge leaves the embedded transition model unstable
         cfg = write_config(tmp_path, {"n": 30, "seed": 0, "lambda": 1e-12, "sweeps": 50,

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cmereg import kernels
 from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
 
@@ -133,6 +134,18 @@ def test_delta_matches_tuple_equality_oracle(rows, cols):
     assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
 
 
+@pytest.mark.parametrize("block", [1, 17])
+def test_delta_row_blocks_match_tuple_equality_oracle(monkeypatch, block):
+    # the delta kernel is written by row blocks of about _DELTA_BLOCK entries: one
+    # row a block, or blocks of 3 rows with a last one of 2, give the same values
+    monkeypatch.setattr(kernels, "_DELTA_BLOCK", block)
+    rng = np.random.default_rng(10)
+    rows, cols = rng.integers(0, 2, (23, 3)).astype(float), rng.integers(0, 2, (5, 3)).astype(float)
+    spec = KernelSpec("delta")
+    assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
+    assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
+
+
 def test_gram_delta_identity():
     g = gram(KernelSpec("delta"), [0, 1, 2])
     np.testing.assert_array_equal(g, np.eye(3))
@@ -191,13 +204,19 @@ def test_cross_gram_disjoint_delta_alphabets():
 
 
 def test_cross_gram_transpose_identity():
+    # bit for bit, so a caller may put either point set first (Policy.act puts its
+    # one query first: cdist fills a 1 x n row faster than an n x 1 column)
     rng = np.random.default_rng(0)
-    spec = KernelSpec("gaussian", 1.3)
-    rows = rng.standard_normal((5, 2))
-    cols = rng.standard_normal((7, 2))
-    a = cross_gram(spec, rows, cols)
-    b = cross_gram(spec, cols, rows)
-    np.testing.assert_allclose(a, b.T, atol=1e-15)
+    for spec in (KernelSpec("gaussian", 1.3), KernelSpec("delta")):
+        for m, n in ((1, 1), (1, 800), (800, 1), (5, 7), (64, 65)):
+            for d in (1, 3, 4):
+                if spec.variant == "delta":
+                    rows, cols = rng.integers(0, 3, (m, d)), rng.integers(0, 3, (n, d))
+                else:
+                    rows, cols = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+                a = cross_gram(spec, rows, cols)
+                b = cross_gram(spec, cols, rows)
+                assert a.tobytes() == np.ascontiguousarray(b.T).tobytes(), (spec.variant, m, n, d)
 
 
 @pytest.mark.parametrize("variant,bw", [("gaussian", 0.8), ("linear", None), ("delta", None)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,22 @@ class TestDynamics:
             theta, omega = step(params, theta, omega, rng.uniform(-5, 5, theta.shape))
             assert np.all((-math.pi <= theta) & (theta <= math.pi))
             assert np.all((-OMEGA_MAX <= omega) & (omega <= OMEGA_MAX))
+
+    def test_overflowing_angle_raises_naming_the_parameters(self):
+        # dt * omega overflows, so theta' is not finite: one InputError, no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=r"^pendulum dynamics with dt=1e\+308 and friction=0.05 "
+                                                 r"give a non-finite transition$"):
+                step(PendulumParams(dt=1e308), np.zeros(3), np.array([1.0, -2.0, 0.5]), 0.0)
+
+    def test_overflowing_velocity_update_clamps_silently(self):
+        # friction * omega overflows to inf; the clamp then gives the step a large finite friction gives
+        theta, omega = random_states(200, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            overflowed = step(PendulumParams(friction=1e308), theta, omega, 1.0)
+        np.testing.assert_array_equal(overflowed, step(PendulumParams(friction=1e306), theta, omega, 1.0))
 
     def test_wrap(self):
         assert wrap_angle(3 * math.pi) == pytest.approx(-math.pi)
@@ -287,6 +304,18 @@ class TestPolicyAct:
                            for theta, omega in states]
         assert len(set(torques)) > 1
 
+    def test_query_row_scores_as_the_state_column(self, params):
+        # act scores the 1 x n kernel row of the query; the n x 1 column of the
+        # states against it gives the same torque at every state
+        model = fit_transition_model(params, n=200, seed=6)
+        policy = policy_iteration(model, params, sweeps=40)
+        torques = []
+        for theta, omega in zip(*random_states(1000, 13)):
+            column = cross_gram(policy.spec, policy.states, features(theta, omega)[None])[:, 0]
+            torques.append(policy.act(theta, omega))
+            assert torques[-1] == float(policy.torque_grid[np.argmax(column @ policy.weights)])
+        assert len(set(torques)) > 1
+
     def test_plan_derives_factors_once(self, params, monkeypatch):
         # the policy holds the factors the sweep built; acting derives nothing again
         calls = []
@@ -306,7 +335,8 @@ class TestPolicyAct:
         model = fit_transition_model(params, n=20, seed=6)
         policy = policy_iteration(model, params, sweeps=2)
         for states in (model.train.xs, policy.states[:, :2]):
-            with pytest.raises(InputError, match="dimension"):
+            # the query comes first, so the message calls the policy's states "points"
+            with pytest.raises(InputError, match=f"^points have dimension {states.shape[1]}, kernel expects 3$"):
                 dataclasses.replace(policy, spec=spec, states=np.ascontiguousarray(states)).act(0.1, 0.2)
 
     @pytest.mark.parametrize("bandwidth", [None, 0.3])

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,19 @@ class TestRateExperiment:
         r1 = rate_experiment(d, [20, 80], [0, 1])
         r2 = rate_experiment(d, [20, 80], [0, 1])
         assert r1 == r2
+
+    def test_peak_memory_is_one_model(self):
+        # each model is freed before the next fit, so the traced peak is about one
+        # n = 400 model (W and the two Grams, 3 n^2 doubles); a model kept alive
+        # through the next fit makes it two
+        one_model = 3 * 400**2 * 8
+        tracemalloc.start()
+        try:
+            rate_experiment(dist_2x2(), [100, 200, 400], [0, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * one_model, peak / one_model
 
     def test_bad_grid(self):
         d = dist_2x2()
