@@ -38,6 +38,13 @@ criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
 the two Grams, 3 n^2 doubles each model). It runs once: the peak is
 deterministic.
 
+"rate_faults" gives the wall time and the minor page faults (`ru_minflt`) of
+the same `rate_experiment`, each run in a fresh process on one BLAS thread:
+--repeats processes with the heap setting of the CLI
+(`cli._keep_freed_pages`, "kept") and as many without ("defaults"), in
+alternating order; min, median and max of each. A tree without the helper
+records null.
+
 "blas_threads" times, for n in 120, 320, 800 and 1600, `linalg.ridge_inverse`
 of a gaussian Gram (as above) and one FISTA iteration's two `dgemm` calls
 (D^T K^T, then L^T times that, into F-ordered buffers, as `sparse.fista_solve`
@@ -79,6 +86,10 @@ from functools import partial
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (320, 800, 1600)
 GAMMAS = (0.159, 5e-2, 1.6e-2, 5e-3, 1.6e-3, 5e-4, 1.6e-4)  # criterion 7's, largest first
+# criterion 5's 4x4 oracle (px, pyx), and the rate cases' n_grid and seeds
+ORACLE = ([0.4, 0.3, 0.2, 0.1], [[0.70, 0.10, 0.10, 0.10], [0.20, 0.50, 0.20, 0.10],
+                                 [0.10, 0.20, 0.60, 0.10], [0.25, 0.25, 0.25, 0.25]])
+RATE_GRID = ([800, 1600], [0, 1])
 
 
 def _blas(config: dict) -> dict:
@@ -192,15 +203,49 @@ def rate_memory() -> dict:
     import tracemalloc
     from cmereg.ratecheck import DiscreteDistribution, rate_experiment
 
-    dist = DiscreteDistribution([0.4, 0.3, 0.2, 0.1], [[0.70, 0.10, 0.10, 0.10], [0.20, 0.50, 0.20, 0.10],
-                                                       [0.10, 0.20, 0.60, 0.10], [0.25, 0.25, 0.25, 0.25]])
+    dist = DiscreteDistribution(*ORACLE)
     tracemalloc.start()
     try:
-        rate_experiment(dist, [800, 1600], [0, 1])
+        rate_experiment(dist, *RATE_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / (3 * 1600**2 * 8), 3)}
+
+
+# One rate_experiment in a fresh process importing cmereg from argv[1], on one BLAS thread
+# as the CLI runs it, with the CLI's heap setting if argv[2] is 1; prints its wall time
+# and minor page faults as JSON.
+_RATE_FAULTS_CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+from cmereg import cli, linalg
+from cmereg.ratecheck import DiscreteDistribution, rate_experiment
+if sys.argv[2] == "1":
+    cli._keep_freed_pages()
+dist = DiscreteDistribution(*json.loads(sys.argv[3]))
+with linalg.blas_threads(1):
+    faults, start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
+    rate_experiment(dist, *json.loads(sys.argv[4]))
+    wall = time.perf_counter() - start
+print(json.dumps({"ms": 1e3 * wall, "minflt": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults}))
+"""
+
+
+def rate_faults(src: str, repeats: int) -> dict | None:
+    from cmereg import cli
+
+    if not hasattr(cli, "_keep_freed_pages"):
+        return None
+    runs = {"kept": [], "defaults": []}
+    for _ in range(repeats):
+        for name, flag in (("kept", "1"), ("defaults", "0")):  # alternating, so drift hits both alike
+            child = subprocess.run([sys.executable, "-c", _RATE_FAULTS_CHILD, src, flag, json.dumps(ORACLE),
+                                    json.dumps(RATE_GRID)], capture_output=True, text=True, check=True)
+            runs[name].append(json.loads(child.stdout))
+    return {name: {f"{key}_{stat}": round(f([r[key] for r in rs]), 2) for key in ("ms", "minflt")
+                   for stat, f in (("min", min), ("median", statistics.median), ("max", max))}
+            for name, rs in runs.items()}
 
 
 def fista_per_gamma(repeats: int) -> dict:
@@ -260,7 +305,7 @@ def main():
                 }
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
-        cases["rate-delta"] = {"rate_memory": rate_memory()}
+        cases["rate-delta"] = {"rate_memory": rate_memory(), "rate_faults": rate_faults(src, args.repeats)}
     cases["blas_threads"] = blas_thread_counts(args.repeats)
     result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": threads, "cases": cases}
     print(json.dumps(result, indent=1))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import os
 import reprlib
@@ -376,6 +377,27 @@ COMMANDS = {
 }
 
 
+# (glibc mallopt parameter, value) that _keep_freed_pages sets: M_MMAP_THRESHOLD (-3), so
+# blocks up to 32 MiB, glibc's 64-bit ceiling, come from the heap rather than mmap (an
+# n = 1600 float array is 20.5 MB), and M_TRIM_THRESHOLD (-1), so the heap's free top goes
+# back to the system only past 1 GiB.
+_MALLOPTS = ((-3, 32 << 20), (-1, 1 << 30))
+
+
+def _keep_freed_pages():
+    """Keep freed memory in this process's C heap, so a fit reuses the pages of the
+    fit before it instead of faulting in and zeroing fresh ones. Both thresholds
+    are set: setting either one turns off glibc's dynamic thresholds, and a trim
+    threshold alone would send every n x n array to mmap. Without glibc's mallopt
+    (another C library), nothing is set. Library callers keep their allocator's
+    defaults; only main calls this."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # the process's own symbols
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        for param, value in _MALLOPTS:
+            mallopt(param, value)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cmereg", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
@@ -396,6 +418,7 @@ def main(argv=None) -> int:
         except ValueError as exc:
             raise InputError(f"{args.command}: {exc}") from None
         os.makedirs(args.out, exist_ok=True)
+        _keep_freed_pages()  # each fit reuses the pages its predecessor freed; same bits
         with blas_threads(1):  # one thread per pool: same bits for any OPENBLAS_NUM_THREADS
             COMMANDS[args.command](cfg, args.out)
     except InputError as exc:

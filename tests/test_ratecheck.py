@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmereg.embedding import TrainingSet, alpha_batch, fit
-from cmereg.errors import InputError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec
 from cmereg.ratecheck import (
     DiscreteDistribution,
@@ -36,6 +36,15 @@ class TestDistribution:
             DiscreteDistribution(np.array([0.5, 0.5]), np.array([[1.0]]))
         with pytest.raises(InputError):
             DiscreteDistribution(np.array([[1.0]]), np.array([[1.0]]))
+
+    @pytest.mark.parametrize("px,pyx", [
+        ([np.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]]),  # passed every check, then sample raised numpy's error
+        ([0.5, 0.5], [[np.nan, 1.0], [0.0, 1.0]]),  # passed, and rate_experiment ran on it silently
+        ([0.5, 0.5], [[np.inf, 0.0], [0.0, 1.0]]),
+    ])
+    def test_non_finite_entries_rejected(self, px, pyx):
+        with pytest.raises(InputError, match="^probabilities must be finite$"):
+            DiscreteDistribution(np.array(px), np.array(pyx))
 
 
 class TestSample:
@@ -179,6 +188,17 @@ class TestRateExperiment:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * one_model, peak / one_model
+
+    @pytest.mark.parametrize("a,message", [
+        (1e-200, "excess inf is not finite"),  # W is finite, the table's squared error overflows
+        (1e-320, "ridge inverse with shift 3.16202e-320 has a non-finite entry"),  # 1/shift overflows
+    ])
+    def test_non_finite_fit_raises_naming_n_seed_and_shift(self, a, message):
+        d = DiscreteDistribution(np.array([1.0]), np.array([[1.0]]))
+        with np.errstate(all="raise"):  # and no numpy warning on the way
+            with pytest.raises(NumericalError) as info:
+                rate_experiment(d, [10, 20, 40], [0, 1], schedule=(a, 0.5))
+        assert str(info.value) == f"rate fit at n=10, seed=0, lambda*n={a * 10 ** -0.5 * 10:.6g}: {message}"
 
     def test_bad_grid(self):
         d = dist_2x2()
