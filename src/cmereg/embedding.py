@@ -160,13 +160,7 @@ def cross_validate(
     for g, (lam, bw) in enumerate(grid):
         ks = kspec if bw is None else replace(kspec, bandwidth=float(bw))
         for f, (rest, held) in enumerate(splits):
-            # bound, so the last fold's model lives through this fit, for three 0.8 MB arrays
-            # of peak at n = 320. Under glibc's default thresholds, freeing it first would let
-            # malloc return those pages and fault them in again for the next Grams (about 69k
-            # minor faults per 90-fit call, not 1.2k). The CLI keeps freed pages in its heap
-            # (cli._keep_freed_pages), where either order takes almost none; a library caller
-            # keeps the defaults. ratecheck.rate_experiment frees its models: there the last
-            # model is a third of the peak (61 MB at n = 1600).
+            # bound through the next fit: freed first, its pages could go back to the system and fault in again
             model = fit(rest, ks, lspec, lam)
             errors[g, f] = empirical_risk(model, held)
     means = errors.mean(axis=1)

@@ -1,6 +1,7 @@
 import csv
 import ctypes
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -55,11 +57,16 @@ def read_rows(path):
         return list(csv.DictReader(fh))
 
 
-def blas_threads_env(threads: str) -> dict:
-    """The environment of a subprocess that imports this cmereg and runs OpenBLAS on `threads` threads."""
+def cmereg_child(*argvs, threads=1, prelude=""):
+    """Run each argv through cli.main in one fresh Python process, which imports this
+    cmereg, runs OpenBLAS on `threads` threads, executes `prelude` first and stops at the
+    first nonzero exit code. The captured stderr shows numpy's warnings too."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    return {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import json, sys\nfrom cmereg import cli\n" + prelude
+            + "\nfor argv in json.loads(sys.argv[1]):\n    if code := cli.main(argv):\n        sys.exit(code)\n")
+    return subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture
@@ -158,25 +165,6 @@ class TestFit:
         exact = np.linalg.norm(written["coefficients.csv"][1], 2)
         assert abs(opnorm - exact) <= 1e-12 * exact
 
-    def test_w_agrees_across_blas_thread_counts(self, tmp_path):
-        # `cmereg fit` in a fresh process per thread count; the process saves the W that the
-        # command hands to write_csv at full precision, since the CSV keeps 12 digits
-        fit_and_save = ("import os, sys\nimport numpy as np\nfrom cmereg import cli\nwritten = {}\n"
-                        "cli.write_csv = lambda path, header, rows: written.update({os.path.basename(path): rows})\n"
-                        "code = cli.main(['fit', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-                        "np.save(sys.argv[3], written['coefficients.csv'])\nsys.exit(code)\n")
-        data = random_dataset(tmp_path / "data.csv", n=300, seed=6)
-        cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-3,
-                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
-        W = {}
-        for threads in ("1", "2"):
-            saved = tmp_path / f"W{threads}.npy"
-            subprocess.run([sys.executable, "-c", fit_and_save, cfg, str(tmp_path / threads), str(saved)],
-                           env=blas_threads_env(threads), check=True)
-            W[threads] = np.load(saved)
-        assert W["1"].shape == (300, 300)
-        np.testing.assert_array_equal(W["1"], W["2"])  # main runs the command on one thread per pool
-
 
 class TestCv:
     def base_cfg(self, dataset):
@@ -192,13 +180,6 @@ class TestCv:
         rows = read_rows(out / "cv.csv")
         assert all(r["grid_index"] == "0" and r["best"] == "1" for r in rows)
         assert len(rows) == 3  # one per fold
-
-    def test_rerun_byte_identical(self, tmp_path, tiny_dataset):
-        path = write_config(tmp_path, self.base_cfg(tiny_dataset))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert main(["cv", "--config", path, "--out", str(a)]) == 0
-        assert main(["cv", "--config", path, "--out", str(b)]) == 0
-        assert (a / "cv.csv").read_bytes() == (b / "cv.csv").read_bytes()
 
     def test_best_matches_sweep_oracle(self, tmp_path):
         data = random_dataset(tmp_path / "d.csv", n=30, seed=1)
@@ -254,21 +235,6 @@ class TestSparsify:
         assert main(["sparsify", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "sparsify.csv")
         assert [(r["iterations"], r["converged"]) for r in rows] == [("1", "0"), ("1", "0")]
-
-    def test_rows_agree_across_blas_thread_counts(self, tmp_path):
-        # each row stops on the stopping rule, at an iteration that rounding decides, so
-        # identical rows need identical rounding paths under either thread count
-        data = random_dataset(tmp_path / "d.csv", n=60, seed=7)
-        cfg = write_config(tmp_path, {"dataset": data, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
-        rows = {}
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            subprocess.run([sys.executable, "-m", "cmereg.cli", "sparsify", "--config", cfg, "--out", str(out)],
-                           env=blas_threads_env(threads), check=True)
-            rows[threads] = read_rows(out / "sparsify.csv")
-        assert [r["converged"] for r in rows["1"]] == ["1", "1"]
-        assert rows["1"] == rows["2"]
 
     def test_unsorted_gammas(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -432,7 +398,9 @@ class TestRate:
 
     @pytest.mark.parametrize("a,message", [
         # before: numpy's overflow warning, then excess inf and slope=nan written, exit 0
-        (1e-200, "rate fit at n=10, seed=0, lambda*n=3.16228e-200: excess inf is not finite"),
+        (1e-200, "rate fit at n=10, seed=0, lambda*n=3.16228e-200: excess inf is not <= 2, a delta fit's bound"),
+        # before: finite excesses of 6.0e88 to 2.0e89 and slope=0.862 written, exit 0
+        (1e-60, "rate fit at n=10, seed=0, lambda*n=3.16228e-60: excess 6.01761e+88 is not <= 2, a delta fit's bound"),
         # before: two overflow warnings from the ridge inverse, then NaN written, exit 0
         (1e-320, "rate fit at n=10, seed=0, lambda*n=3.16202e-320: "
                  "ridge inverse with shift 3.16202e-320 has a non-finite entry"),
@@ -441,8 +409,7 @@ class TestRate:
         cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1],
                                       "schedule": {"a": a}})
         out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-m", "cmereg.cli", "rate", "--config", cfg, "--out", str(out)],
-                              capture_output=True, text=True, env=blas_threads_env("1"))
+        proc = cmereg_child(["rate", "--config", cfg, "--out", str(out)])
         assert proc.returncode == 3
         assert proc.stderr.splitlines() == [f"numeric failure: {message}"]
         assert os.listdir(out) == []
@@ -470,15 +437,10 @@ class TestPendulum:
         cfg = write_config(tmp_path, {"n": 20, "seed": 0, "dt": -1})
         assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
-    def run_cmereg(self, tmp_path, cfg, out):
-        """`cmereg pendulum` in a subprocess, whose stderr shows numpy's warnings too."""
-        cmd = [sys.executable, "-m", "cmereg.cli", "pendulum", "--config", write_config(tmp_path, cfg),
-               "--out", str(tmp_path / out)]
-        return subprocess.run(cmd, capture_output=True, text=True, env=blas_threads_env("1"))
-
     def test_overflowing_dynamics_print_one_line(self, tmp_path):
         # dt * omega overflows the angle: exit 2 with one line naming the parameters, no warnings
-        proc = self.run_cmereg(tmp_path, {"n": 20, "seed": 0, "dt": 1e308}, "out")
+        cfg = write_config(tmp_path, {"n": 20, "seed": 0, "dt": 1e308})
+        proc = cmereg_child(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "config error: pendulum dynamics with dt=1e+308 and friction=0.05 give a non-finite transition"]
@@ -486,7 +448,8 @@ class TestPendulum:
     def test_overflowing_friction_runs_silently(self, tmp_path):
         # friction * omega overflows, and the clamp gives the files a large finite friction gives
         small = {"n": 20, "seed": 0, "sweeps": 2, "episodes": 2, "horizon": 3}
-        proc = self.run_cmereg(tmp_path, {**small, "friction": 1e308}, "huge")
+        proc = cmereg_child(["pendulum", "--config", write_config(tmp_path, {**small, "friction": 1e308}),
+                             "--out", str(tmp_path / "huge")])
         assert (proc.returncode, proc.stderr) == (0, "")
         cfg = write_config(tmp_path, {**small, "friction": 1e306}, "finite.json")
         assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "finite")]) == 0
@@ -513,29 +476,6 @@ class TestBlasThreads:
     """main runs each command on one OpenBLAS thread per pool, and gives both pools
     back the counts they had."""
 
-    @pytest.mark.parametrize("command", ["fit", "sparsify", "pendulum"])
-    def test_out_tree_identical_across_thread_counts(self, tmp_path, command):
-        # each of these wrote other bytes under 1 and 2 threads before main set the count:
-        # the last digits of coefficients.csv and policy.csv, whole rows of sparsify.csv
-        # (here a row_group sweep scored on a held-out set; TestSparsify has the default one)
-        def data(name, n, seed):
-            return random_dataset(tmp_path / name, n=n, seed=seed)
-
-        cfg = {"fit": lambda: {"dataset": data("d.csv", 300, 6), "lambda": 1e-3,
-                               "x_kernel": GAUSS, "y_kernel": GAUSS},
-               "sparsify": lambda: {"dataset": data("d.csv", 60, 7), "test_dataset": data("t.csv", 30, 107),
-                                    "penalty": "row_group", "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                                    "x_kernel": GAUSS, "y_kernel": GAUSS},
-               "pendulum": lambda: {"n": 300, "seed": 1, "episodes": 10, "horizon": 50}}[command]()
-        cfg = write_config(tmp_path, cfg)
-        trees = {}
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            subprocess.run([sys.executable, "-m", "cmereg.cli", command, "--config", cfg, "--out", str(out)],
-                           env=blas_threads_env(threads), check=True)
-            trees[threads] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
-        assert trees["1"] and trees["1"] == trees["2"]
-
     @pytest.mark.parametrize("cfg,code", [
         ({"lambda": 0.1}, 0),
         ({"dataset": "no-such-dataset.csv", "lambda": 0.1}, 2),  # read_dataset fails inside the command
@@ -549,30 +489,8 @@ class TestBlasThreads:
 
 
 class TestHeapPages:
-    """main keeps freed heap pages for the next fit (cli._keep_freed_pages); that
-    moves no output bit, and a C library without mallopt leaves the command running."""
-
-    @pytest.mark.parametrize("command", ["rate", "compare", "pendulum"])
-    def test_out_files_identical_without_the_setting(self, tmp_path, command):
-        cfg = write_config(tmp_path, {
-            "rate": {"px": [0.4, 0.3, 0.2, 0.1],
-                     "pyx": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.5, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1],
-                             [0.25, 0.25, 0.25, 0.25]],
-                     "n_grid": [100, 200, 400], "seeds": [0, 1]},
-            "compare": {"pendulum": {"n": 60, "n_test": 30}, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                        "ranks": [5, 20], "seed": 0},
-            "pendulum": {"n": 200, "seed": 1, "sweeps": 10, "episodes": 5, "horizon": 20},
-        }[command])
-        run_main = "import sys; from cmereg import cli; sys.exit(cli.main(sys.argv[1:]))"
-        glibc_defaults = "import sys; from cmereg import cli; cli._keep_freed_pages = lambda: None; " \
-                         "sys.exit(cli.main(sys.argv[1:]))"
-        trees = {}
-        for name, code in (("kept", run_main), ("defaults", glibc_defaults)):
-            out = tmp_path / name
-            subprocess.run([sys.executable, "-c", code, command, "--config", cfg, "--out", str(out)],
-                           env=blas_threads_env("1"), check=True)
-            trees[name] = {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
-        assert trees["kept"] and trees["kept"] == trees["defaults"]
+    """main keeps freed heap pages for the next fit (cli._keep_freed_pages; TestByteIdentity
+    shows that no output bit moves), and a C library without mallopt leaves the command running."""
 
     def test_no_mallopt_found_runs_the_command(self, tmp_path, tiny_dataset, monkeypatch):
         load, asked = ctypes.CDLL, []
@@ -585,6 +503,85 @@ class TestHeapPages:
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1, "x_kernel": GAUSS, "y_kernel": GAUSS})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert None in asked and (tmp_path / "out" / "summary.csv").exists()
+
+
+def keep_full_precision(write_csv):
+    """write_csv that also saves each array it writes as <path>.npy: the CSV keeps 12 digits."""
+    def write(path, header, rows):
+        write_csv(path, header, rows)
+        if isinstance(rows, np.ndarray):
+            np.save(path + ".npy", rows)
+    return write
+
+
+# (OpenBLAS threads, prelude) of the fresh process of each variant; each changes one thing
+# against the reference, which runs on one thread and keeps freed heap pages
+BYTE_VARIANTS = {
+    "2_threads": (2, ""),
+    "glibc_heap": (1, "cli._keep_freed_pages = lambda: None\n"),  # glibc's default thresholds
+}
+
+
+@pytest.fixture(scope="module")
+def byte_matrix(tmp_path_factory):
+    """Root of the --out trees of all six commands: under reference/, run in this process;
+    under <variant>/, run in one fresh process per variant. Returns (root, {variant: process})."""
+    root = tmp_path_factory.mktemp("bytes")
+    d300, d60 = random_dataset(root / "d300.csv", n=300, seed=6), random_dataset(root / "d60.csv", n=60, seed=7)
+    configs = {
+        "fit": {"dataset": d300, "lambda": 1e-3, "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "cv": {"dataset": d300, "lambdas": [1e-3, 1e-2], "bandwidths": [0.5, 1.0], "folds": 3, "seed": 0,
+               "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "sparsify": {"dataset": d60, "test_dataset": random_dataset(root / "t30.csv", n=30, seed=107),
+                     "penalty": "row_group", "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                     "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "compare": {"pendulum": {"n": 60, "n_test": 30}, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                    "ranks": [5, 20], "seed": 0},
+        "rate": {"px": [0.4, 0.3, 0.2, 0.1],
+                 "pyx": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.5, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1], [0.25, 0.25, 0.25, 0.25]],
+                 "n_grid": [100, 200, 400], "seeds": [0, 1]},
+        "pendulum": {"n": 300, "seed": 1, "episodes": 10, "horizon": 50},
+    }
+    paths = {command: write_config(root, cfg, command + ".json") for command, cfg in configs.items()}
+
+    def argvs(variant):
+        return [[command, "--config", path, "--out", str(root / variant / command)] for command, path in paths.items()]
+
+    save = ("import numpy as np\n" + inspect.getsource(keep_full_precision)
+            + "cli.write_csv = keep_full_precision(cli.write_csv)\n")
+    with ThreadPoolExecutor(len(BYTE_VARIANTS)) as pool:  # the children run while this process does
+        children = {variant: pool.submit(cmereg_child, *argvs(variant), threads=threads, prelude=save + prelude)
+                    for variant, (threads, prelude) in BYTE_VARIANTS.items()}
+        with pytest.MonkeyPatch.context() as mp, blas_threads(1):  # one thread whatever the environment
+            mp.setattr(cli, "write_csv", keep_full_precision(cli.write_csv))
+            assert [main(argv) for argv in argvs("reference")] == [0] * len(configs)
+        return root, {variant: child.result() for variant, child in children.items()}
+
+
+class TestByteIdentity:
+    """The CLI writes the same bytes under any OpenBLAS thread count and either heap setting.
+    Each command wrote other bytes under 1 and 2 threads before main set the count: the last
+    digits of coefficients.csv and policy.csv, whole rows of sparsify.csv and compare.csv."""
+
+    @pytest.mark.parametrize("variant", BYTE_VARIANTS)
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_tree_identical(self, byte_matrix, command, variant):
+        root, procs = byte_matrix
+        assert (procs[variant].returncode, procs[variant].stderr) == (0, "")
+        reference, tree = ({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
+                           for out in (root / "reference" / command, root / variant / command))
+        assert reference and tree == reference
+
+    def test_fit_tree_holds_w_at_full_precision(self, byte_matrix):
+        root, _ = byte_matrix
+        assert np.load(root / "reference" / "fit" / "coefficients.csv.npy").shape == (300, 300)
+
+    def test_l1_rows_stop_on_the_stopping_rule(self, byte_matrix):
+        # each row stops at an iteration that rounding decides, so identical rows need
+        # identical rounding paths under either thread count
+        root, _ = byte_matrix
+        rows = read_rows(root / "reference" / "compare" / "compare.csv")
+        assert [r["converged"] for r in rows if r["method"] == "lasso"] == ["1", "1"]
 
 
 class TestPlumbing:

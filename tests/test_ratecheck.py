@@ -190,7 +190,8 @@ class TestRateExperiment:
         assert peak <= 1.25 * one_model, peak / one_model
 
     @pytest.mark.parametrize("a,message", [
-        (1e-200, "excess inf is not finite"),  # W is finite, the table's squared error overflows
+        (1e-200, "excess inf is not <= 2, a delta fit's bound"),  # the squared error overflows
+        (1e-60, "excess 6.01761e+88 is not <= 2, a delta fit's bound"),  # W k_x cancels 1/shift
         (1e-320, "ridge inverse with shift 3.16202e-320 has a non-finite entry"),  # 1/shift overflows
     ])
     def test_non_finite_fit_raises_naming_n_seed_and_shift(self, a, message):
