@@ -78,6 +78,68 @@ def tiny_dataset(tmp_path):
 GAUSS = {"variant": "gaussian", "bandwidth": 1.0}
 
 
+def keep_full_precision(write_csv):
+    """write_csv that also saves each array it writes as <path>.npy: the CSV keeps 12 digits."""
+    def write(path, header, rows):
+        write_csv(path, header, rows)
+        if isinstance(rows, np.ndarray):
+            np.save(path + ".npy", rows)
+    return write
+
+
+# (OpenBLAS threads, prelude) of each variant's fresh process: one change against the reference
+BYTE_VARIANTS = {
+    "2_threads": (2, ""),
+    "glibc_heap": (1, "cli._keep_freed_pages = lambda: None\n"),  # glibc's default thresholds
+}
+
+
+@pytest.fixture(scope="module")
+def byte_matrix(tmp_path_factory):
+    """Root of the --out trees of all six commands: under reference/, run in this process on one
+    thread with freed heap pages kept; under <variant>/, run in one fresh process per variant.
+    Returns (root, {variant: process})."""
+    root = tmp_path_factory.mktemp("bytes")
+    d300, d60 = random_dataset(root / "d300.csv", n=300, seed=6), random_dataset(root / "d60.csv", n=60, seed=7)
+    configs = {
+        "fit": {"dataset": d300, "lambda": 1e-3, "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "cv": {"dataset": d300, "lambdas": [1e-3, 1e-2], "bandwidths": [0.5, 1.0], "folds": 3, "seed": 0,
+               "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "sparsify": {"dataset": d60, "test_dataset": random_dataset(root / "t30.csv", n=30, seed=107),
+                     "penalty": "row_group", "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                     "x_kernel": GAUSS, "y_kernel": GAUSS},
+        "compare": {"pendulum": {"n": 60, "n_test": 30}, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
+                    "ranks": [5, 20], "seed": 0},
+        "rate": {"px": [0.4, 0.3, 0.2, 0.1],
+                 "pyx": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.5, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1], [0.25, 0.25, 0.25, 0.25]],
+                 "n_grid": [100, 200, 400], "seeds": [0, 1]},
+        "pendulum": {"n": 300, "seed": 1, "episodes": 10, "horizon": 50},
+    }
+    paths = {command: write_config(root, cfg, command + ".json") for command, cfg in configs.items()}
+
+    def argvs(variant):
+        return [[command, "--config", path, "--out", str(root / variant / command)] for command, path in paths.items()]
+
+    save = ("import numpy as np\n" + inspect.getsource(keep_full_precision)
+            + "cli.write_csv = keep_full_precision(cli.write_csv)\n")
+    with ThreadPoolExecutor(len(BYTE_VARIANTS)) as pool:  # the children run while this process does
+        children = {variant: pool.submit(cmereg_child, *argvs(variant), threads=threads, prelude=save + prelude)
+                    for variant, (threads, prelude) in BYTE_VARIANTS.items()}
+        with pytest.MonkeyPatch.context() as mp, blas_threads(1):  # one thread whatever the environment
+            mp.setattr(cli, "write_csv", keep_full_precision(cli.write_csv))
+            assert [main(argv) for argv in argvs("reference")] == [0] * len(configs)
+        return root, {variant: child.result() for variant, child in children.items()}
+
+
+def assert_same_out_tree(byte_matrix, command, variant):
+    """The --out tree of `command` in the fresh process of `variant` is the reference's, byte for byte."""
+    root, procs = byte_matrix
+    assert (procs[variant].returncode, procs[variant].stderr) == (0, "")
+    reference, tree = ({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
+                       for out in (root / "reference" / command, root / variant / command))
+    assert reference and tree == reference
+
+
 class TestFit:
     def test_smoke(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -166,6 +228,12 @@ class TestFit:
         assert abs(opnorm - exact) <= 1e-12 * exact
 
 
+    def test_w_agrees_across_blas_thread_counts(self, byte_matrix):
+        # fit's W at full precision (keep_full_precision); main runs it on one thread per pool
+        W = [np.load(byte_matrix[0] / v / "fit" / "coefficients.csv.npy") for v in ("reference", "2_threads")]
+        assert W[0].shape == (300, 300)
+        np.testing.assert_array_equal(*W)
+
 class TestCv:
     def base_cfg(self, dataset):
         return {"dataset": dataset, "lambdas": [0.01, 0.1, 1.0], "folds": 3,
@@ -200,8 +268,7 @@ class TestCv:
         cfg["folds"] = 1
         assert main(["cv", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
         cfg["folds"] = 10  # only 5 samples
-        assert main(["cv", "--config", write_config(tmp_path, cfg, "c2.json"),
-                     "--out", str(tmp_path)]) == 2
+        assert main(["cv", "--config", write_config(tmp_path, cfg, "c2.json"), "--out", str(tmp_path)]) == 2
 
 
 class TestSparsify:
@@ -226,15 +293,21 @@ class TestSparsify:
     def test_converged_column_reports_cap(self, tmp_path):
         data = random_dataset(tmp_path / "d.csv", n=20, seed=2)
         cfg = write_config(tmp_path, {
-            "dataset": data, "lambda": 0.1, "gammas": [0.001, 0.01],
+            "dataset": data, "lambda": 0.1, "gammas": [0.001, 0.01], "max_iter": 1,
             "x_kernel": {"variant": "gaussian", "bandwidth": 0.3},
             "y_kernel": {"variant": "gaussian", "bandwidth": 0.3},
-            "max_iter": 1,
         })
         out = tmp_path / "out"
         assert main(["sparsify", "--config", cfg, "--out", str(out)]) == 0
         rows = read_rows(out / "sparsify.csv")
         assert [(r["iterations"], r["converged"]) for r in rows] == [("1", "0"), ("1", "0")]
+
+    def test_rows_agree_across_blas_thread_counts(self, byte_matrix):
+        # each l1 row stops on the stopping rule, at an iteration that rounding decides, so
+        # identical rows need identical rounding paths under either thread count
+        rows = [[r for r in read_rows(byte_matrix[0] / variant / "compare" / "compare.csv") if r["method"] == "lasso"]
+                for variant in ("reference", "2_threads")]
+        assert [r["converged"] for r in rows[0]] == ["1", "1"] and rows[0] == rows[1]
 
     def test_unsorted_gammas(self, tmp_path, tiny_dataset):
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
@@ -424,8 +497,7 @@ class TestRate:
 
 class TestPendulum:
     def test_smoke(self, tmp_path):
-        cfg = write_config(tmp_path, {"n": 40, "seed": 0, "sweeps": 10,
-                                      "episodes": 5, "horizon": 10})
+        cfg = write_config(tmp_path, {"n": 40, "seed": 0, "sweeps": 10, "episodes": 5, "horizon": 10})
         out = tmp_path / "out"
         assert main(["pendulum", "--config", cfg, "--out", str(out)]) == 0
         policy = read_rows(out / "policy.csv")
@@ -464,8 +536,7 @@ class TestPendulum:
         assert "value iteration diverged" in capsys.readouterr().err
 
     def test_seed_override_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path, {"n": 30, "seed": 0, "sweeps": 5,
-                                      "episodes": 3, "horizon": 5})
+        cfg = write_config(tmp_path, {"n": 30, "seed": 0, "sweeps": 5, "episodes": 3, "horizon": 5})
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(["pendulum", "--config", cfg, "--out", str(a)]) == 0
         assert main(["pendulum", "--config", cfg, "--out", str(b), "--seed", "1"]) == 0
@@ -475,6 +546,12 @@ class TestPendulum:
 class TestBlasThreads:
     """main runs each command on one OpenBLAS thread per pool, and gives both pools
     back the counts they had."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_tree_identical_across_thread_counts(self, byte_matrix, command):
+        # before main set the count, fit, sparsify, compare and pendulum wrote other bytes
+        # under 1 and 2 threads: last digits of coefficients.csv and policy.csv, whole rows
+        assert_same_out_tree(byte_matrix, command, "2_threads")
 
     @pytest.mark.parametrize("cfg,code", [
         ({"lambda": 0.1}, 0),
@@ -489,8 +566,12 @@ class TestBlasThreads:
 
 
 class TestHeapPages:
-    """main keeps freed heap pages for the next fit (cli._keep_freed_pages; TestByteIdentity
-    shows that no output bit moves), and a C library without mallopt leaves the command running."""
+    """main keeps freed heap pages for the next fit (cli._keep_freed_pages); that
+    moves no output bit, and a C library without mallopt leaves the command running."""
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_out_files_identical_without_the_setting(self, byte_matrix, command):
+        assert_same_out_tree(byte_matrix, command, "glibc_heap")
 
     def test_no_mallopt_found_runs_the_command(self, tmp_path, tiny_dataset, monkeypatch):
         load, asked = ctypes.CDLL, []
@@ -503,85 +584,6 @@ class TestHeapPages:
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1, "x_kernel": GAUSS, "y_kernel": GAUSS})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         assert None in asked and (tmp_path / "out" / "summary.csv").exists()
-
-
-def keep_full_precision(write_csv):
-    """write_csv that also saves each array it writes as <path>.npy: the CSV keeps 12 digits."""
-    def write(path, header, rows):
-        write_csv(path, header, rows)
-        if isinstance(rows, np.ndarray):
-            np.save(path + ".npy", rows)
-    return write
-
-
-# (OpenBLAS threads, prelude) of the fresh process of each variant; each changes one thing
-# against the reference, which runs on one thread and keeps freed heap pages
-BYTE_VARIANTS = {
-    "2_threads": (2, ""),
-    "glibc_heap": (1, "cli._keep_freed_pages = lambda: None\n"),  # glibc's default thresholds
-}
-
-
-@pytest.fixture(scope="module")
-def byte_matrix(tmp_path_factory):
-    """Root of the --out trees of all six commands: under reference/, run in this process;
-    under <variant>/, run in one fresh process per variant. Returns (root, {variant: process})."""
-    root = tmp_path_factory.mktemp("bytes")
-    d300, d60 = random_dataset(root / "d300.csv", n=300, seed=6), random_dataset(root / "d60.csv", n=60, seed=7)
-    configs = {
-        "fit": {"dataset": d300, "lambda": 1e-3, "x_kernel": GAUSS, "y_kernel": GAUSS},
-        "cv": {"dataset": d300, "lambdas": [1e-3, 1e-2], "bandwidths": [0.5, 1.0], "folds": 3, "seed": 0,
-               "x_kernel": GAUSS, "y_kernel": GAUSS},
-        "sparsify": {"dataset": d60, "test_dataset": random_dataset(root / "t30.csv", n=30, seed=107),
-                     "penalty": "row_group", "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                     "x_kernel": GAUSS, "y_kernel": GAUSS},
-        "compare": {"pendulum": {"n": 60, "n_test": 30}, "lambda": 1e-2, "gammas": [1e-3, 1e-2],
-                    "ranks": [5, 20], "seed": 0},
-        "rate": {"px": [0.4, 0.3, 0.2, 0.1],
-                 "pyx": [[0.7, 0.1, 0.1, 0.1], [0.2, 0.5, 0.2, 0.1], [0.1, 0.2, 0.6, 0.1], [0.25, 0.25, 0.25, 0.25]],
-                 "n_grid": [100, 200, 400], "seeds": [0, 1]},
-        "pendulum": {"n": 300, "seed": 1, "episodes": 10, "horizon": 50},
-    }
-    paths = {command: write_config(root, cfg, command + ".json") for command, cfg in configs.items()}
-
-    def argvs(variant):
-        return [[command, "--config", path, "--out", str(root / variant / command)] for command, path in paths.items()]
-
-    save = ("import numpy as np\n" + inspect.getsource(keep_full_precision)
-            + "cli.write_csv = keep_full_precision(cli.write_csv)\n")
-    with ThreadPoolExecutor(len(BYTE_VARIANTS)) as pool:  # the children run while this process does
-        children = {variant: pool.submit(cmereg_child, *argvs(variant), threads=threads, prelude=save + prelude)
-                    for variant, (threads, prelude) in BYTE_VARIANTS.items()}
-        with pytest.MonkeyPatch.context() as mp, blas_threads(1):  # one thread whatever the environment
-            mp.setattr(cli, "write_csv", keep_full_precision(cli.write_csv))
-            assert [main(argv) for argv in argvs("reference")] == [0] * len(configs)
-        return root, {variant: child.result() for variant, child in children.items()}
-
-
-class TestByteIdentity:
-    """The CLI writes the same bytes under any OpenBLAS thread count and either heap setting.
-    Each command wrote other bytes under 1 and 2 threads before main set the count: the last
-    digits of coefficients.csv and policy.csv, whole rows of sparsify.csv and compare.csv."""
-
-    @pytest.mark.parametrize("variant", BYTE_VARIANTS)
-    @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_out_tree_identical(self, byte_matrix, command, variant):
-        root, procs = byte_matrix
-        assert (procs[variant].returncode, procs[variant].stderr) == (0, "")
-        reference, tree = ({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))}
-                           for out in (root / "reference" / command, root / variant / command))
-        assert reference and tree == reference
-
-    def test_fit_tree_holds_w_at_full_precision(self, byte_matrix):
-        root, _ = byte_matrix
-        assert np.load(root / "reference" / "fit" / "coefficients.csv.npy").shape == (300, 300)
-
-    def test_l1_rows_stop_on_the_stopping_rule(self, byte_matrix):
-        # each row stops at an iteration that rounding decides, so identical rows need
-        # identical rounding paths under either thread count
-        root, _ = byte_matrix
-        rows = read_rows(root / "reference" / "compare" / "compare.csv")
-        assert [r["converged"] for r in rows if r["method"] == "lasso"] == ["1", "1"]
 
 
 class TestPlumbing:
