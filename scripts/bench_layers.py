@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a score followed
-by an inverse and a whole embedding.fit; one rollout step of the pendulum
-policies; and a FISTA iteration at each gamma of the sparse path.
+by an inverse, a whole embedding.fit and a fit followed by its score; one rollout
+step of the pendulum policies; and a FISTA iteration at each gamma of the sparse
+path.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
@@ -15,8 +16,12 @@ lambda 1e-3, as in plan-pendulum's fits), delta on n integer codes drawn from fo
 the queries are the four codes (delta) or 80 fresh points (gaussian, a CV
 fold's held-out share at n = 400). "fit" times `embedding.fit` on those
 points as inputs and outputs, with the same kernel on both sides and the same
-shift: the dense inverse for gaussian, the inverse through the classes for
-delta. Each case runs once as a warm-up and then --repeats times; the result
+shift: the two Grams, and (in a tree whose fit forms W) the dense inverse for
+gaussian or the inverse through the classes for delta. "fit_then_score" times
+that fit followed by `embedding.alpha_batch` of its model at the queries above,
+as one rate fit (four codes, delta) or one CV fold (80 points, gaussian) uses
+its model: the dense solve or the class solve where the model solves for
+alpha, else the product with the fitted W. Each case runs once as a warm-up and then --repeats times; the result
 gives min and median milliseconds of wall time and of `time.process_time()`
 (`cpu_`), the CPU of all the process's threads.
 
@@ -34,8 +39,8 @@ microseconds per iteration of that solve.
 
 "rate_memory" gives the tracemalloc peak of one `ratecheck.rate_experiment` on
 criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
-1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (W and
-the two Grams, 3 n^2 doubles each model). It runs once: the peak is
+1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (the two
+Grams, 2 n^2 doubles each model; a tree whose fit forms W holds 3 n^2). It runs once: the peak is
 deterministic.
 
 "rate_faults" gives the wall time and the minor page faults (`ru_minflt`) of
@@ -210,7 +215,7 @@ def rate_memory() -> dict:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / (3 * 1600**2 * 8), 3)}
+    return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / (2 * 1600**2 * 8), 3)}
 
 
 # One rate_experiment in a fresh process importing cmereg from argv[1], on one BLAS thread
@@ -302,6 +307,8 @@ def main():
                     "score_then_invert": timed(
                         lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
                     "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
+                    "fit_then_score": timed(
+                        lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats),
                 }
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}

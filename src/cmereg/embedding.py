@@ -1,8 +1,9 @@
 """Conditional mean embeddings as vector-valued ridge regressors.
 
-The fitted model stores the coefficient matrix W = (K + lambda*n*I)^{-1};
-the embedding at x is mu(x) = sum_i alpha_i(x) L(y_i, .) with
-alpha(x) = W k_x, (k_x)_j = K(x_j, x).
+The embedding at x is mu(x) = sum_i alpha_i(x) L(y_i, .) with
+alpha(x) = W k_x, (k_x)_j = K(x_j, x), and W = (K + lambda*n*I)^{-1}. A fitted
+model holds the two Grams; alpha comes from one regularized solve, and W is
+formed only when something reads it.
 
 NOTE on conventions: ``lam`` always means the ridge shift lambda*n (the
 regularized objective weighs the squared norm by lam*n), so models fitted
@@ -12,6 +13,7 @@ with the same lam are comparable across sample sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,44 +57,63 @@ class EmbeddingModel:
     kspec: KernelSpec
     lspec: KernelSpec
     lam: float
-    W: np.ndarray
     kgram: np.ndarray
     lgram: np.ndarray
+    coefficients: np.ndarray | None = None  # used in place of the ridge inverse; see with_coefficients
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """The coefficient matrix: the given coefficients, else (K + lam*n*I)^{-1},
+        formed by ridge_coefficients on first read and kept."""
+        if self.coefficients is not None:
+            return self.coefficients
+        return ridge_coefficients(self.kspec, self.kgram, self.lam * self.train.n)
 
     def with_coefficients(self, M: np.ndarray) -> "EmbeddingModel":
-        """Same training data and kernels, but an alternative coefficient matrix
-        (e.g. a sparse approximation of W)."""
+        """Same training data and kernels, but an alternative n x n coefficient
+        matrix (e.g. a sparse approximation of W)."""
         M = np.asarray(M, dtype=float)
-        if M.shape != self.W.shape:
+        if M.shape != (self.train.n, self.train.n):
             raise InputError("coefficient matrix has wrong shape")
-        return replace(self, W=M)
+        return replace(self, coefficients=M)
 
 
 def fit(train: TrainingSet, kspec: KernelSpec, lspec: KernelSpec, lam: float) -> EmbeddingModel:
-    """Fit the ridge estimator: W = (K + lam*n*I)^{-1}."""
+    """Fit the ridge estimator W = (K + lam*n*I)^{-1}: build both Grams. Nothing
+    is solved until alpha_batch or a read of W asks for it."""
     if not lam > 0:
         raise InputError("lam must be positive")
-    n = train.n
+    _check_shift(lam * train.n)
     kg = gram(kspec, train.xs)
-    W = ridge_coefficients(kspec, kg, lam * n)
     lg = gram(lspec, train.ys)
-    return EmbeddingModel(train=train, kspec=kspec, lspec=lspec, lam=lam, W=W, kgram=kg, lgram=lg)
+    return EmbeddingModel(train=train, kspec=kspec, lspec=lspec, lam=lam, kgram=kg, lgram=lg)
 
 
-def ridge_coefficients(kspec: KernelSpec, K, shift: float) -> np.ndarray:
-    """(K + shift*I)^{-1} for a Gram K of kspec: through its classes for a delta
-    kernel, else the dense SPD inverse. A shift that overflowed to inf (a huge
-    lambda times n) raises NumericalError: its inverse would be zeros or NaN."""
+def _check_shift(shift: float):
+    """A shift that overflowed to inf (a huge lambda times n) raises NumericalError:
+    its inverse would be zeros or NaN."""
     if not np.isfinite(shift):
         raise NumericalError(f"ridge shift lambda*n = {shift} is not finite")
+
+
+def ridge_coefficients(kspec: KernelSpec, K, shift: float, B=None) -> np.ndarray:
+    """(K + shift*I)^{-1} for a Gram K of kspec, or (K + shift*I)^{-1} B given B:
+    through its classes for a delta kernel (where B must be a delta cross-Gram of
+    K's points), else the dense SPD solve. Either way one linalg.solve_spd."""
+    _check_shift(shift)
     inverse = class_ridge_inverse if kspec.variant == "delta" else ridge_inverse
-    return inverse(K, shift)
+    return inverse(K, shift, B)
 
 
 def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:
-    """Rows are alpha(x) = W k_x for each query point x; shape (m, n)."""
+    """Rows are alpha(x) = W k_x for each query point x; shape (m, n). A model
+    with coefficients multiplies by them; a fitted model solves
+    (K + lam*n*I) alpha = k_x and never reads W, so its rows are the same bits
+    whether or not W was formed."""
     Kq = cross_gram(model.kspec, model.train.xs, xs)  # (n, m)
-    return matmul(model.W, Kq).T
+    if model.coefficients is not None:
+        return matmul(model.coefficients, Kq).T
+    return ridge_coefficients(model.kspec, model.kgram, model.lam * model.train.n, Kq).T
 
 
 def _clamp_losses(vals: np.ndarray) -> np.ndarray:

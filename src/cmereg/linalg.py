@@ -23,37 +23,49 @@ class SpdSolveResult:
     residual_norm: float
 
 
-def solve_spd(A) -> SpdSolveResult:
-    """Inverse X of a symmetric positive definite A (A X = I): LAPACK dpotrf then
-    dpotri, the lower triangle mirrored so X is exactly symmetric. residual_norm
-    is the O(n^2) probe ||A (X 1) - 1|| / ||1||. Raises NumericalError
-    naming the failing pivot when A is not positive definite.
+def solve_spd(A, B=None) -> SpdSolveResult:
+    """Solution X of A X = B for a symmetric positive definite A: LAPACK dpotrf
+    then dpotrs. Without B, the inverse (B = I) by dpotri, the lower triangle
+    mirrored so X is exactly symmetric. residual_norm is the O(n^2) probe
+    ||A (X 1) - B 1|| / ||B 1|| (the absolute ||A (X 1)|| when B 1 = 0). Raises
+    NumericalError naming the failing pivot when A is not positive definite.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InputError("A must be square")
+    if B is not None:
+        B = np.asarray(B, dtype=float)
+        if B.ndim != 2 or B.shape[0] != A.shape[0]:
+            raise InputError("B must be a matrix with one row per row of A")
     c, info = lapack.dpotrf(A, lower=1)
     if info > 0:
         raise NumericalError(f"non-positive pivot at index {info - 1}")
     if info < 0:
         raise InputError(f"illegal value in argument {-info} of factorization")
-    low, info = lapack.dpotri(c, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError("inverse failed")
-    X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
-    np.fill_diagonal(X, np.diagonal(low))
+    if B is None:
+        low, info = lapack.dpotri(c, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError("inverse failed")
+        X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
+        np.fill_diagonal(X, np.diagonal(low))
+        B1, scale = np.ones(len(A)), np.sqrt(len(A))
+    else:
+        X, _ = lapack.dpotrs(c, B, lower=1)  # its info flags only a bad argument, ruled out above
+        B1 = B.sum(axis=1)
+        scale = float(blas.dnrm2(B1)) or 1.0
     AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)  # A.T: a Fortran view, no copy
-    return SpdSolveResult(solution=X, residual_norm=float(blas.dnrm2(AX1 - 1.0)) / np.sqrt(len(A)))
+    return SpdSolveResult(solution=X, residual_norm=float(blas.dnrm2(AX1 - B1)) / scale)
 
 
-def ridge_inverse(K, shift: float) -> np.ndarray:
-    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, via solve_spd."""
+def ridge_inverse(K, shift: float, B=None) -> np.ndarray:
+    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, or (K + shift*I)^{-1} B
+    given B, via solve_spd."""
     A = np.array(K, dtype=float)
     A.flat[:: len(A) + 1] += shift
-    return solve_spd(A).solution
+    return solve_spd(A, B).solution
 
 
-def class_ridge_inverse(K, shift: float) -> np.ndarray:
+def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     """(K + shift*I)^{-1} in O(n^2) for a delta Gram K (0/1, "same point") and
     shift > 0. K = P P^T for the one-hot P of its classes (a row's first 1 names
     its class); solve_spd inverts the m x m primal system P^T P + shift*I =
@@ -62,10 +74,17 @@ def class_ridge_inverse(K, shift: float) -> np.ndarray:
     points of one class and 0 elsewhere; c - 1 is an exact count, so nothing cancels.
     Raises NumericalError when a shift so small that 1/shift overflows makes an
     entry non-finite.
+
+    Given B whose rows agree within each class (B = P C, as a delta cross-Gram of
+    K's points against any queries is), returns (K + shift*I)^{-1} B = P diag(g) C
+    instead: row i of B times g of i's class. No 1/shift enters, so no digit is
+    lost at any shift.
     """
     K = np.asarray(K, dtype=float)
     _, cls, counts = np.unique(np.argmax(K, axis=1), return_inverse=True, return_counts=True)
     g = np.diagonal(solve_spd(np.diag(counts + shift)).solution)
+    if B is not None:
+        return np.asarray(B, dtype=float) * g[cls][:, None]
     with np.errstate(over="ignore"):
         within, diagonal = -g / shift, g * (shift + (counts - 1)) / shift  # per class
     if not (np.all(np.isfinite(within)) and np.all(np.isfinite(diagonal))):

@@ -1,8 +1,10 @@
 """The call structure the command-line benchmark pins (clibench EXPECTED_CALLS).
 
-Each fit makes one linalg.solve_spd and two kernels.gram calls, whichever
-ridge path it takes, so `cmereg rate` makes as many solves as fits and twice
-as many Gram builds. `cmereg compare` makes one FISTA solve (two eigenvalue
+A fit makes two kernels.gram calls and no solve. The fitted model's first
+alpha_batch call or read of W makes one linalg.solve_spd, whichever ridge
+path it takes; W is kept, so a second read makes none, and a model given its
+coefficients never forms W. `cmereg rate` scores each fit once, so it makes as
+many solves as fits and twice as many Gram builds. `cmereg compare` makes one FISTA solve (two eigenvalue
 calls) per gamma, one pivot run and one refit (a solve per rank; it slices the
 fitted Gram). `cmereg cv` makes one fit per grid point and fold, `fit` and
 `pendulum` one each, and the pendulum rollout one `Policy.act` per episode and
@@ -20,6 +22,7 @@ import pytest
 
 from cmereg import cli, embedding, kernels, linalg, lowrank, pendulum, sparse
 from cmereg.embedding import TrainingSet
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec
 
 COUNTED = {"embedding.fit": embedding.fit, "linalg.solve_spd": linalg.solve_spd, "kernels.gram": kernels.gram,
@@ -52,8 +55,31 @@ def calls(monkeypatch):
     (KernelSpec("gaussian", 1.0), [0.0, 0.5, 1.0, 2.0, 3.5]),
 ], ids=["delta", "gaussian"])
 def test_fit_makes_one_solve_and_two_grams(calls, kspec, points):
-    embedding.fit(TrainingSet(points, points), kspec, KernelSpec("delta"), 0.1)
-    assert dict(calls) == {"embedding.fit": 1, "linalg.solve_spd": 1, "kernels.gram": 2}
+    # the Grams in fit; the solve at the model's first use, alpha_batch or a read of W
+    def fitted():
+        return embedding.fit(TrainingSet(points, points), kspec, KernelSpec("delta"), 0.1)
+
+    model = fitted()
+    assert dict(calls) == {"embedding.fit": 1, "kernels.gram": 2}
+    embedding.alpha_batch(model, points[:2])
+    assert dict(calls) == {"embedding.fit": 1, "kernels.gram": 2, "linalg.solve_spd": 1}
+    model = fitted()
+    model.W
+    model.W  # kept: the second read solves nothing
+    assert calls["linalg.solve_spd"] == 2
+    model, n = fitted(), len(points)
+    with pytest.raises(InputError, match="^coefficient matrix has wrong shape$"):
+        model.with_coefficients(np.eye(n + 1))
+    given = model.with_coefficients(np.eye(n))
+    embedding.alpha_batch(given, points[:2])
+    assert given.W is given.coefficients
+    assert dict(calls) == {"embedding.fit": 3, "kernels.gram": 6, "linalg.solve_spd": 2}
+
+
+def test_non_finite_shift_raises_before_any_gram(calls):
+    with pytest.raises(NumericalError, match="^ridge shift lambda\\*n = inf is not finite$"):
+        embedding.fit(TrainingSet([0.0, 1.0], [0.0, 1.0]), KernelSpec("gaussian", 1.0), KernelSpec("delta"), 1e308)
+    assert dict(calls) == {"embedding.fit": 1}
 
 
 def test_rate_command_counts(calls, tmp_path):

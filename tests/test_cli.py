@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmereg import cli
+from cmereg import cli, ratecheck
 from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
 from cmereg.linalg import blas_threads
 from cmereg.pendulum import PendulumParams, collect_dataset
@@ -469,22 +469,49 @@ class TestRate:
         for name in ("rate.csv", "slope.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    @pytest.mark.parametrize("a,message", [
-        # before: numpy's overflow warning, then excess inf and slope=nan written, exit 0
-        (1e-200, "rate fit at n=10, seed=0, lambda*n=3.16228e-200: excess inf is not <= 2, a delta fit's bound"),
-        # before: finite excesses of 6.0e88 to 2.0e89 and slope=0.862 written, exit 0
-        (1e-60, "rate fit at n=10, seed=0, lambda*n=3.16228e-60: excess 6.01761e+88 is not <= 2, a delta fit's bound"),
-        # before: two overflow warnings from the ridge inverse, then NaN written, exit 0
-        (1e-320, "rate fit at n=10, seed=0, lambda*n=3.16202e-320: "
-                 "ridge inverse with shift 3.16202e-320 has a non-finite entry"),
+    # These shifts once exited 3 (each id keeps the line), and before that wrote inf, 6e88 or NaN:
+    # W k_x cancelled entries of size 1/(lambda n), or 1/(lambda n) overflowed. alpha from the class
+    # solve has no 1/(lambda n), so the run writes the round-off of an excess below 1e-100.
+    @pytest.mark.parametrize("a", [
+        pytest.param(1e-200, id="1e-200-rate fit at n=10, seed=0, lambda*n=3.16228e-200: "
+                                "excess inf is not <= 2, a delta fit's bound"),
+        pytest.param(1e-60, id="1e-60-rate fit at n=10, seed=0, lambda*n=3.16228e-60: "
+                               "excess 6.01761e+88 is not <= 2, a delta fit's bound"),
+        pytest.param(1e-320, id="1e-320-rate fit at n=10, seed=0, lambda*n=3.16202e-320: "
+                                "ridge inverse with shift 3.16202e-320 has a non-finite entry"),
     ])
-    def test_non_finite_fit_exits_three_with_one_line(self, tmp_path, a, message):
+    def test_non_finite_fit_exits_three_with_one_line(self, tmp_path, a):
         cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1],
                                       "schedule": {"a": a}})
         out = tmp_path / "out"
         proc = cmereg_child(["rate", "--config", cfg, "--out", str(out)])
-        assert proc.returncode == 3
-        assert proc.stderr.splitlines() == [f"numeric failure: {message}"]
+        assert (proc.returncode, proc.stderr) == (0, "")  # no numpy warning either
+        excess = [float(r["excess"]) for r in read_rows(out / "rate.csv")]
+        assert len(excess) == 6 and all(0.0 <= e <= 1e-30 for e in excess), excess
+
+    def test_small_shift_keeps_its_digits(self, tmp_path):
+        # at a = 1e-12 the table is (n/(n+s)) with s = lambda*n, so the excess is (s/(n+s))^2, about
+        # 1e-25/n; W k_x cancelled entries of size 1/s, which wrote 1.8e-7 to 4.3e-6 and slope=2.29
+        cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1],
+                                      "schedule": {"a": 1e-12}})
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_rows(out / "rate.csv")
+        assert len(rows) == 6
+        for r in rows:
+            n, s = int(r["n"]), float(r["lambda"]) * int(r["n"])
+            assert float(r["excess"]) == pytest.approx((s / (n + s)) ** 2, rel=0.01), r
+        assert float((out / "slope.txt").read_text().split("=")[1]) == pytest.approx(-1.0, abs=0.02)
+
+    def test_excess_above_two_exits_three_with_one_line(self, tmp_path, monkeypatch, capsys):
+        # a delta fit's table row is nonnegative and sums to at most 1, so excess <= 2 always holds;
+        # a table that breaks it stops the run
+        monkeypatch.setattr(ratecheck, "conditional_table", lambda dist, model: np.full(dist.pyx.shape, 3.0))
+        cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1]})
+        out = tmp_path / "out"
+        assert main(["rate", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: rate fit at n=10, seed=0, lambda*n=3.16228: excess 4 is not <= 2, a delta fit's bound"]
         assert os.listdir(out) == []
 
     def test_seeds_above_two_to_the_53(self, tmp_path):

@@ -18,7 +18,7 @@ from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, gram
 from cmereg.linalg import sym_eig_max
 from cmereg.ratecheck import DiscreteDistribution, sample
-from oracles import delta_ridge_inverse_exact
+from oracles import delta_by_tuples, delta_ridge_inverse_exact
 
 DELTA = KernelSpec("delta")
 
@@ -96,17 +96,22 @@ SIGNED_ZERO_ROWS = [[0.0, 1.0, -0.0], [-0.0, 1.0, 0.0], [0.0, 2.0, 0.0], [1.0, -
                     [1.0, 0.0, -0.0], [0.0, 1.0, 0.0], [-0.0, -0.0, -0.0], [0.0, 0.0, 0.0]]
 
 
-class TestDeltaFitExact:
-    """A delta fit's W against (K + sI)^{-1} in exact rational arithmetic."""
+DELTA_SETS = [  # (points, shift lambda*n) of the exact delta checks
+    ([0, 1, 2], 3e-9),
+    ([0, 1, 1, 2, 3, 3, 3], 1e-12),
+    (_draws(60, 4, 1), 60**0.5),
+    (_draws(60, 30, 2), 1e-6),
+    (_draws(40, 10, 3), 1e6),
+    (SIGNED_ZERO_ROWS, 0.3),
+]
+DELTA_IDS = ["singletons", "tiny-shift", "4-codes", "30-codes", "huge-shift", "signed-zero-rows"]
 
-    @pytest.mark.parametrize("points,shift", [
-        ([0, 1, 2], 3e-9),
-        ([0, 1, 1, 2, 3, 3, 3], 1e-12),
-        (_draws(60, 4, 1), 60**0.5),
-        (_draws(60, 30, 2), 1e-6),
-        (_draws(40, 10, 3), 1e6),
-        (SIGNED_ZERO_ROWS, 0.3),
-    ], ids=["singletons", "tiny-shift", "4-codes", "30-codes", "huge-shift", "signed-zero-rows"])
+
+class TestDeltaFitExact:
+    """A delta fit's W and alpha against (K + sI)^{-1} and (K + sI)^{-1} k_x in exact
+    rational arithmetic."""
+
+    @pytest.mark.parametrize("points,shift", DELTA_SETS, ids=DELTA_IDS)
     def test_matches_rational_inverse(self, points, shift):
         points = np.asarray(points)
         n = len(points)
@@ -121,6 +126,25 @@ class TestDeltaFitExact:
                 else:
                     rel = abs(Fraction(W[i, j]) - exact[i][j]) / abs(exact[i][j])
                     assert rel <= 2e-15, (i, j, float(rel))
+
+    @pytest.mark.parametrize("points,shift", DELTA_SETS, ids=DELTA_IDS)
+    def test_alpha_matches_rational_solve(self, points, shift):
+        # each distinct point and one the fit never saw; alpha from the class solve, not from W
+        points = np.asarray(points)
+        n = len(points)
+        lam = shift / n
+        model = fit(TrainingSet(points, np.zeros(n)), DELTA, KernelSpec("linear"), lam)
+        queries = np.concatenate([np.unique(points, axis=0), np.full((1,) + points.shape[1:], 99.0)])
+        exact_W = delta_ridge_inverse_exact(points, lam * n)
+        A = alpha_batch(model, queries)
+        for q, kx in enumerate(delta_by_tuples(points, queries).T):
+            for i in range(n):
+                exact = sum((exact_W[i][j] for j in range(n) if kx[j]), Fraction(0))
+                if exact == 0:
+                    assert A[q, i] == 0.0 and not np.signbit(A[q, i]), (q, i)
+                else:
+                    rel = abs(Fraction(A[q, i]) - exact) / abs(exact)
+                    assert rel <= 2e-15, (q, i, float(rel))
 
     def test_oracle_inverts_shifted_gram(self):
         points, s = [0, 1, 1, 2, 3, 3, 3], Fraction(1e-12)
@@ -141,6 +165,23 @@ class TestAlpha:
         ts = TrainingSet([0, 1], [0, 1])
         model = fit(ts, DELTA, DELTA, 0.1)
         np.testing.assert_array_equal(alpha_batch(model, [2])[0], np.zeros(2))
+
+    def test_dense_solve_matches_coefficients(self):
+        model = small_model(seed=4, n=60, lam=1e-3)
+        queries = np.random.default_rng(4).uniform(0, 3, size=(25, 2))
+        solved = alpha_batch(model, queries)
+        multiplied = alpha_batch(model.with_coefficients(model.W), queries)
+        assert np.linalg.norm(solved - multiplied) <= 1e-12 * np.linalg.norm(multiplied)
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["gaussian", "delta"])
+    def test_same_bits_before_and_after_w_is_read(self, delta):
+        if delta:
+            model, queries = fit(TrainingSet(_draws(50, 6, 4), np.zeros(50)), DELTA, DELTA, 0.02), np.arange(7)
+        else:
+            model, queries = small_model(seed=5, n=40), np.random.default_rng(5).uniform(0, 3, size=(9, 2))
+        before = alpha_batch(model, queries).tobytes()
+        model.W
+        assert alpha_batch(model, queries).tobytes() == before
 
     def test_matches_matrix_vector_oracle(self):
         model = small_model(seed=3)

@@ -104,6 +104,30 @@ class TestSolveSpd:
         with pytest.raises(InputError):
             solve_spd(np.ones(3))
 
+    def test_right_hand_side_residual(self):
+        rng = np.random.default_rng(11)
+        A, B = random_spd(rng, 40), rng.standard_normal((40, 7))
+        res = solve_spd(A, B)
+        assert res.solution.shape == (40, 7)
+        assert np.linalg.norm(A @ res.solution - B) <= 1e-12 * np.linalg.norm(B)
+        probe = np.linalg.norm(A @ res.solution.sum(axis=1) - B.sum(axis=1)) / np.linalg.norm(B.sum(axis=1))
+        assert res.residual_norm == pytest.approx(probe, rel=1e-6, abs=1e-17)
+        assert res.residual_norm <= 1e-12
+
+    def test_right_hand_side_summing_to_zero(self):
+        # B 1 = 0: the probe is the absolute ||A X 1||, finite and at round-off
+        rng = np.random.default_rng(12)
+        B = rng.standard_normal((30, 4))
+        B[:, -1] = -B[:, :-1].sum(axis=1)
+        res = solve_spd(random_spd(rng, 30), B)
+        assert np.isfinite(res.residual_norm) and res.residual_norm <= 1e-12
+
+    def test_right_hand_side_keeps_pivot_message(self):
+        with pytest.raises(NumericalError, match="^non-positive pivot at index 1$"):
+            solve_spd(np.diag([1.0, 0.0, 2.0]), np.ones((3, 2)))
+        with pytest.raises(InputError):
+            solve_spd(np.eye(3), np.ones((2, 2)))
+
 
 class TestSymEigMax:
     def test_identity(self):
