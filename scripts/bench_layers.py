@@ -10,7 +10,9 @@ For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
 `kernels.gram` over n points and `linalg.ridge_inverse` of that Gram with a
 fit's shift lambda*n: gaussian on 4-d standard normal points (bandwidth 2,
 lambda 1e-3, as in plan-pendulum's fits), delta on n integer codes drawn from four
-(lambda n^-1/2, the rate schedule). "score_then_invert" times
+(lambda n^-1/2, the rate schedule). Delta cases also time "gram_distinct",
+`kernels.gram` over n distinct codes (a seeded permutation of 0..n-1), where no
+point repeats and so no row is shared. "score_then_invert" times
 `embedding.alpha_batch` of a model fitted to those points followed by
 `ridge_inverse`, as one rate fit's scoring precedes the next fit's inverse:
 the queries are the four codes (delta) or 80 fresh points (gaussian, a CV
@@ -310,6 +312,9 @@ def main():
                     "fit_then_score": timed(
                         lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats),
                 }
+                if variant == "delta":  # its own generator: rng, and so every other case's points, stays as it was
+                    distinct = np.random.default_rng(n).permutation(n)
+                    cases[f"{variant}-{n}"]["gram_distinct"] = timed(lambda: gram(spec, distinct), args.repeats)
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
         cases["rate-delta"] = {"rate_memory": rate_memory(), "rate_faults": rate_faults(src, args.repeats)}

@@ -72,8 +72,9 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     diag(c + shift), c the class sizes. With g = 1/(c + shift) of a point's class,
     the inverse has g*(shift + c - 1)/shift on the diagonal, -g/shift between two
     points of one class and 0 elsewhere; c - 1 is an exact count, so nothing cancels.
-    Raises NumericalError when a shift so small that 1/shift overflows makes an
-    entry non-finite.
+    Raises InputError when a diagonal entry of K is not 1, as for a NaN point,
+    which equals nothing and so has no class; NumericalError when a shift so
+    small that 1/shift overflows makes an entry non-finite.
 
     Given B whose rows agree within each class (B = P C, as a delta cross-Gram of
     K's points against any queries is), returns (K + shift*I)^{-1} B = P diag(g) C
@@ -81,6 +82,8 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     lost at any shift.
     """
     K = np.asarray(K, dtype=float)
+    if not np.all(np.diagonal(K) == 1.0):  # argmax would put an all-0 row in class 0
+        raise InputError("a delta Gram needs 1 on its diagonal: each point must equal itself")
     _, cls, counts = np.unique(np.argmax(K, axis=1), return_inverse=True, return_counts=True)
     g = np.diagonal(solve_spd(np.diag(counts + shift)).solution)
     if B is not None:

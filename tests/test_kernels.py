@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,23 +128,62 @@ def test_overflowing_linear_kernel_raises():
                  np.random.default_rng(9).integers(0, 2, (9, 4)).astype(float), id="rows-4"),
     pytest.param(np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, -0.0], [1.0, 0.0]]),
                  np.array([[-0.0, 1.0], [0.0, 0.0], [1.0, -0.0]]), id="signed-zeros"),
+    # a NaN equals nothing, so its diagonal entry is 0
+    pytest.param(np.array([np.nan, 1.0, np.nan, 2.0, 1.0]), np.array([np.nan, 1.0, 3.0]), id="nan-codes"),
+    pytest.param(np.array([[np.nan, 0.0], [1.0, 0.0], [np.nan, 0.0], [1.0, -0.0]]),
+                 np.array([[np.nan, 0.0], [1.0, 0.0]]), id="nan-rows"),
+    pytest.param(np.array([3, 1, 3, 0, 2, 1, 1, 0, 3]), np.array([2, 0, 1]), id="repeats-unsorted"),
+    pytest.param(np.array([[2.0, 1.0], [0.0, 5.0], [2.0, 1.0], [0.0, 5.0]]),
+                 np.array([[0.0, 5.0], [2.0, 1.0], [2.0, 1.0]]), id="repeated-rows-unsorted"),
+    pytest.param(np.array([0, 1, 1, 0]), np.array([7, 1, -3, 0, 9]), id="unseen-columns"),
+    pytest.param(np.array([2]), np.array([2, 0, 2, 5]), id="one-row"),
+    pytest.param(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0], [2.0, 1.0]]), id="one-row-2d"),
+    pytest.param(np.random.default_rng(11).permutation(50), np.arange(-5, 60), id="all-distinct"),
 ])
 def test_delta_matches_tuple_equality_oracle(rows, cols):
+    # one row per distinct point, copied to its class: exactly symmetric, and every
+    # entry +0.0 or 1.0, never -0.0
     spec = KernelSpec("delta")
-    assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
-    assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
+    K, Kc = gram(spec, rows), cross_gram(spec, rows, cols)
+    assert np.array_equal(K, delta_by_tuples(rows, rows))
+    assert np.array_equal(Kc, delta_by_tuples(rows, cols))
+    assert np.array_equal(K, K.T)
+    assert not np.any(np.signbit(K)) and not np.any(np.signbit(Kc))
 
 
 @pytest.mark.parametrize("block", [1, 17])
 def test_delta_row_blocks_match_tuple_equality_oracle(monkeypatch, block):
-    # the delta kernel is written by row blocks of about _DELTA_BLOCK entries: one
-    # row a block, or blocks of 3 rows with a last one of 2, give the same values
+    # the delta kernel writes its rows by blocks of about _DELTA_BLOCK entries: one row
+    # a block, or blocks of 3 rows with a last one of 2, give the same values, also when
+    # the distinct points span several blocks and when no point repeats
     monkeypatch.setattr(kernels, "_DELTA_BLOCK", block)
     rng = np.random.default_rng(10)
-    rows, cols = rng.integers(0, 2, (23, 3)).astype(float), rng.integers(0, 2, (5, 3)).astype(float)
     spec = KernelSpec("delta")
-    assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
-    assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
+    for rows, cols in (
+            (rng.integers(0, 2, (23, 3)).astype(float), rng.integers(0, 2, (5, 3)).astype(float)),
+            (rng.integers(0, 4, (40, 2)).astype(float), rng.integers(0, 4, (5, 2)).astype(float)),
+            (rng.permutation(23), rng.integers(0, 30, 5)),
+            (rng.permutation(46).reshape(23, 2), rng.permutation(46)[:10].reshape(5, 2))):
+        assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
+        assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
+
+
+@pytest.mark.parametrize("points", [
+    pytest.param(np.random.default_rng(12).integers(0, 4, 1000), id="codes"),
+    pytest.param(np.random.default_rng(13).integers(0, 2, (1000, 2)), id="rows-2"),
+    pytest.param(np.random.default_rng(14).permutation(1000), id="distinct"),
+])
+def test_delta_gram_peak_memory(points):
+    # one n x n output and small temporaries: class rows copied into the output, or
+    # written in place when no point repeats, never a second n x n array
+    n = len(points)
+    tracemalloc.start()
+    try:
+        gram(KernelSpec("delta"), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * n * n * 8, peak / (n * n * 8)
 
 
 def test_gram_delta_identity():

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from cmereg import linalg
 from cmereg.errors import InputError, NumericalError
-from cmereg.embedding import fit
+from cmereg.embedding import fit, ridge_coefficients
 from cmereg.kernels import KernelSpec, gram
-from cmereg.linalg import blas_threads, matmul, ridge_inverse, solve_spd, sym_eig_max
+from cmereg.linalg import blas_threads, class_ridge_inverse, matmul, ridge_inverse, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.sparse import PENALTIES
 
@@ -73,6 +73,17 @@ class TestSolveSpd:
         assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(W, W.T)
         assert np.array_equal(K, before)
+
+    def test_class_ridge_inverse_rejects_a_zero_on_the_diagonal(self):
+        # a NaN point equals nothing, so its Gram row is all 0 and argmax put it in
+        # class 0: ridge_coefficients gave W[0, 0] = 0.5 where (K + I)^{-1} has 1.0
+        K = gram(KernelSpec("delta"), [np.nan, 1.0])
+        assert np.array_equal(K, [[0.0, 0.0], [0.0, 1.0]])
+        for B in (None, np.ones((2, 1))):
+            with pytest.raises(InputError, match="diagonal"):
+                ridge_coefficients(KernelSpec("delta"), K, 1.0, B)
+        with pytest.raises(InputError, match="diagonal"):
+            class_ridge_inverse(np.array([[1.0, 1.0], [1.0, 2.0]]), 1.0)
 
     def test_singular_names_pivot(self):
         A = np.diag([1.0, 0.0, 2.0])
