@@ -52,6 +52,16 @@ the same `rate_experiment`, each run in a fresh process on one BLAS thread:
 alternating order; min, median and max of each. A tree without the helper
 records null.
 
+"cli_import" gives, over --repeats fresh processes, the wall time and CPU of
+`import cmereg.cli` after `import numpy`, then the CPU minus wall of a 50 ms
+loop of 64 x 64 `dgemm` calls on one BLAS thread (`linalg.blas_threads(1)`, as
+the CLI runs a command) right after it: an OpenBLAS worker still spinning
+from its library's load shows there as CPU beyond the wall time. Milliseconds,
+min, median and max of each. "right_after_numpy" imports cmereg at once, as
+the CLI does; "numpy_settled" 0.3 s later, once the worker of numpy's own
+OpenBLAS has stopped spinning from numpy's import, so what is left is
+cmereg's.
+
 "blas_threads" times, for n in 120, 320, 800 and 1600, `linalg.ridge_inverse`
 of a gaussian Gram (as above) and one FISTA iteration's two `dgemm` calls
 (D^T K^T, then L^T times that, into F-ordered buffers, as `sparse.fista_solve`
@@ -255,6 +265,43 @@ def rate_faults(src: str, repeats: int) -> dict | None:
             for name, rs in runs.items()}
 
 
+# Import cmereg.cli from argv[1] in a fresh process argv[2] seconds after numpy, then run
+# 64 x 64 dgemm calls on one BLAS thread for 50 ms; prints the import's wall and CPU and
+# the loop's CPU minus wall, in milliseconds, as JSON.
+_CLI_IMPORT_CHILD = """
+import json, resource, sys, time
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+time.sleep(float(sys.argv[2]))
+
+def cpu():
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_utime + usage.ru_stime
+
+cpu0, start = cpu(), time.perf_counter()
+import cmereg.cli
+wall, used = time.perf_counter() - start, cpu() - cpu0
+from cmereg import linalg
+A = np.ones((64, 64))
+with linalg.blas_threads(1):
+    cpu0, start = cpu(), time.perf_counter()
+    while time.perf_counter() - start < 0.05:
+        linalg.blas.dgemm(1.0, A, A)
+    spin = (cpu() - cpu0) - (time.perf_counter() - start)
+print(json.dumps({"import_ms": 1e3 * wall, "import_cpu_ms": 1e3 * used, "dgemm_spin_ms": 1e3 * spin}))
+"""
+
+
+def cli_import(src: str, repeats: int) -> dict:
+    result = {}
+    for name, pause in (("right_after_numpy", "0"), ("numpy_settled", "0.3")):
+        runs = [json.loads(subprocess.run([sys.executable, "-c", _CLI_IMPORT_CHILD, src, pause], capture_output=True,
+                                          text=True, check=True).stdout) for _ in range(repeats)]
+        result[name] = {f"{key[:-3]}_{stat}_ms": round(f([r[key] for r in runs]), 2) for key in runs[0]
+                        for stat, f in (("min", min), ("median", statistics.median), ("max", max))}
+    return result
+
+
 def fista_per_gamma(repeats: int) -> dict:
     from cmereg import pendulum
     from cmereg.embedding import fit
@@ -318,6 +365,7 @@ def main():
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
         cases["rate-delta"] = {"rate_memory": rate_memory(), "rate_faults": rate_faults(src, args.repeats)}
+    cases["cli_import"] = cli_import(src, args.repeats)
     cases["blas_threads"] = blas_thread_counts(args.repeats)
     result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": threads, "cases": cases}
     print(json.dumps(result, indent=1))

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram, diag, gram
@@ -172,7 +173,7 @@ def cross_validate(
         raise InputError("grid must be nonempty")
     if folds < 2 or folds > train.n:
         raise InputError("folds must satisfy 2 <= folds <= n")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     perm = rng.permutation(train.n)
     blocks = np.array_split(perm, folds)
     splits = [(train.subset(np.concatenate(blocks[:f] + blocks[f + 1:])), train.subset(held))

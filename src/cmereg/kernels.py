@@ -19,9 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist, pdist
+from numpy.random import default_rng
 
 from .errors import InputError, NumericalError
+from .linalg import distance
 
 VARIANTS = ("gaussian", "linear", "delta")
 
@@ -106,12 +107,13 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
     if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
     with np.errstate(over="ignore"):  # a tiny sigma^2 can send d2 / scale to -inf, whose exp is the right 0
-        return np.exp(cdist(R, C, metric="sqeuclidean") / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
+        return np.exp(distance.cdist_sqeuclidean(R, C) / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
     """Gram matrix over one point set, exactly symmetric by construction: delta compares
-    entries, cdist sums a pair's squared differences in one order, numpy's R @ R.T is syrk."""
+    entries, scipy's sqeuclidean kernel sums a pair's squared differences in one order,
+    numpy's R @ R.T is syrk."""
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
     if spec.variant == "linear":
@@ -148,8 +150,16 @@ def median_bandwidth(points) -> float:
         arr = arr.reshape(-1, 1)
     n = arr.shape[0]
     if n > _MEDIAN_MAX_POINTS:
-        idx = np.random.default_rng(_MEDIAN_SEED).choice(n, size=_MEDIAN_MAX_POINTS, replace=False)
+        idx = default_rng(_MEDIAN_SEED).choice(n, size=_MEDIAN_MAX_POINTS, replace=False)
         arr = arr[np.sort(idx)]
-    vals = pdist(arr)
-    med = float(np.median(vals)) if vals.size else 1.0
+    vals = distance.pdist_euclidean(arr)  # scipy's pdist(arr)
+    med = _median(vals) if vals.size else 1.0
     return med if med > 0 else 1.0
+
+
+def _median(vals) -> float:
+    """np.median(vals) bit for bit, NaN for any NaN, without the check whose
+    np.ma lookup imports numpy.ma (about 10 ms) on a first call."""
+    lo, hi = (vals.size - 1) // 2, vals.size // 2
+    part = np.partition(vals, [lo, hi, -1])  # a NaN sorts last
+    return float("nan") if np.isnan(part[-1]) else float(np.mean(part[lo:hi + 1]))

@@ -1,20 +1,57 @@
 """Dense linear algebra on scipy's BLAS/LAPACK, the one BLAS pool of the
 fit -> score -> sparsify path (see README, Conventions), and blas_threads,
-which sets the thread count of scipy's and numpy's bundled OpenBLAS."""
+which sets the thread count of scipy's and numpy's bundled OpenBLAS.
+
+The one module that touches scipy: blas, lapack and distance are the three
+compiled modules the package calls (scipy.linalg._fblas, scipy.linalg._flapack
+and scipy.spatial._distance_pybind), loaded on their own, without the
+scipy.linalg and scipy.spatial packages, whose imports cost most of the CLI's
+start-up."""
 
 from __future__ import annotations
 
 import ctypes
 import glob
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.linalg import blas, eigh, lapack
 
 from .errors import InputError, NumericalError
+
+
+def _load(name: str):
+    """scipy's compiled module `name`, from sys.modules if anything loaded it
+    already, else from scipy's install directory, registered under its full name
+    so a later import of its package binds the same module."""
+    if name not in sys.modules:
+        parent = name.rpartition(".")[0].split(".")[1:]
+        spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], *parent)])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+# OpenBLAS reads OPENBLAS_THREAD_TIMEOUT once, when it loads: an idle worker spins
+# 2^t cycles before it sleeps, 2^28 by default (0.13 s at 2 GHz), also right after
+# the load and on one thread. scipy's OpenBLAS loads with t = 20 (0.5 ms at 2 GHz)
+# unless the caller set t, and the environment is restored either way. The least,
+# t = 4, would also put workers to sleep between the BLAS calls of one LAPACK
+# routine: a 2-thread ridge_inverse at n = 120 ran 1.6x slower.
+_saved = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+try:
+    blas, lapack = _load("scipy.linalg._fblas"), _load("scipy.linalg._flapack")
+    distance = _load("scipy.spatial._distance_pybind")
+finally:
+    if _saved is None:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 
 @dataclass(frozen=True)
@@ -110,12 +147,20 @@ def matmul(A, B) -> np.ndarray:
 
 
 def sym_eig_max(A) -> float:
-    """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding
-    (LAPACK dsyevd, as numpy's eigvalsh, on scipy's BLAS pool).
+    """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding: LAPACK
+    dsyevd on the lower triangle, called as scipy.linalg.eigh(A, eigvals_only=True,
+    driver="evd") calls it, with its ValueError for a non-finite or non-square A.
 
     Round-off below zero is clamped, so a zero matrix gives 0.0.
     """
-    return max(0.0, float(eigh(A, eigvals_only=True, driver="evd")[-1]))
+    A = np.asarray_chkfinite(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError('expected square "a" matrix')
+    lwork, liwork, _ = lapack.dsyevd_lwork(len(A), compute_v=0, lower=1)  # eigh's workspace query
+    w, _, info = lapack.dsyevd(A, compute_v=0, lower=1, lwork=int(lwork), liwork=int(liwork))
+    if info != 0:
+        raise NumericalError(f"eigenvalues did not converge (dsyevd info {info})")
+    return max(0.0, float(w[-1]))
 
 
 # The OpenBLAS that scipy and numpy each bundle in <package>.libs: (package, library

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, ridge_coefficients
 from .errors import InputError, NumericalError
+from .linalg import blas
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.random import default_rng
 
 from .embedding import EmbeddingModel, TrainingSet
 from .errors import InputError, NumericalError
@@ -103,7 +104,7 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     """
     if n < 1:
         raise InputError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     theta = rng.uniform(-math.pi, math.pi, size=n)
     omega = rng.uniform(-OMEGA_MAX, OMEGA_MAX, size=n)
     u = rng.uniform(-TORQUE_MAX, TORQUE_MAX, size=n)
@@ -196,7 +197,7 @@ def evaluate_policy(policy, params: PendulumParams, episodes: int, horizon: int,
     """
     if episodes < 1:
         raise InputError("episodes must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     low, high = [-math.pi, -OMEGA_MAX], [math.pi, OMEGA_MAX]
     theta, omega = rng.uniform(low, high, size=(episodes, 2)).T  # draws theta_0, omega_0, theta_1, ...
     total = reward(theta, omega)

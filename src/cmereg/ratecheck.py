@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .embedding import EmbeddingModel, TrainingSet, alpha_batch, fit
 from .errors import InputError, NumericalError
@@ -55,7 +56,7 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
     dist.pyx); deterministic per seed."""
     if n < 1:
         raise InputError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     xi = rng.choice(len(dist.px), size=n, p=dist.px)
     cum = np.cumsum(dist.pyx, axis=1)
     u = rng.random(n)

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import blas
 
 from .embedding import EmbeddingModel, TrainingSet, empirical_risk
 from .errors import InputError, NumericalError
 from .kernels import cross_gram
-from .linalg import matmul, sym_eig_max
+from .linalg import blas, matmul, sym_eig_max
 
 _NNZ_EPS = 1e-12
 

@@ -169,6 +169,24 @@ class TestFit:
                                       "x_kernel": GAUSS, "y_kernel": GAUSS, "lamda": 0.2})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_non_finite_w_keeps_scipy_eighs_value_error(self, tmp_path, tiny_dataset, monkeypatch):
+        # sym_eig_max raises the ValueError scipy's eigh raised for a non-finite
+        # matrix; main maps no ValueError of a command to an exit, so none moves
+        real_fit = cli.embedding.fit
+
+        def fit_with_nan(*args):
+            model = real_fit(*args)
+            W = model.W.copy()
+            W[0, 0] = np.nan
+            return model.with_coefficients(W)
+
+        monkeypatch.setattr(cli.embedding, "fit", fit_with_nan)
+        cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
+                                      "x_kernel": GAUSS, "y_kernel": GAUSS})
+        with pytest.raises(ValueError, match="must not contain infs or NaNs") as raised:
+            main(["fit", "--config", cfg, "--out", str(tmp_path)])
+        assert type(raised.value) is ValueError
+
     def test_singular_system_exits_three(self, tmp_path):
         # linear kernel on identical points: the ridge shift underflows into
         # the all-ones Gram matrix, so the factorization hits a zero pivot

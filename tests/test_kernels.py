@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist, pdist
 
 from cmereg import kernels
 from cmereg.errors import InputError, NumericalError
@@ -302,6 +303,34 @@ def test_reproducing_consistency():
     for i, y in enumerate(ys):
         for j, yp in enumerate(ys):
             assert g[i, j] == pytest.approx(pair(spec, y, yp), abs=1e-15)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gaussian_bitwise_scipy_cdist(d):
+    # exp(d2 / scale) with d2 from scipy's cdist, as the kernel was first written
+    rng = np.random.default_rng(d)
+    spec = KernelSpec("gaussian", 1.7)
+    scale = -2.0 * 1.7**2
+    pts = rng.standard_normal((150, d))
+    assert gram(spec, pts).tobytes() == np.exp(cdist(pts, pts, "sqeuclidean") / scale).tobytes()
+    for m, n in ((1, 800), (800, 1), (37, 90)):
+        R, C = rng.standard_normal((m, d)), rng.standard_normal((n, d))
+        assert cross_gram(spec, R, C).tobytes() == np.exp(cdist(R, C, "sqeuclidean") / scale).tobytes()
+
+
+@pytest.mark.parametrize("n,d", [(2, 1), (5, 1), (40, 2), (41, 3), (499, 4), (1200, 4)])
+def test_median_bandwidth_bitwise_numpy_median_of_scipy_pdist(n, d):
+    points = sample = np.random.default_rng(n).uniform(0.0, 3.0, (n, d))
+    if n > 500:  # the seeded subsample median_bandwidth reads
+        sample = points[np.sort(np.random.default_rng(0).choice(n, size=500, replace=False))]
+    assert median_bandwidth(points) == float(np.median(pdist(sample)))
+
+
+def test_median_bandwidth_nan_and_coincident_points_fall_back_to_one():
+    # np.median of distances with a NaN is NaN, and of all-zero distances 0: both give 1.0
+    assert median_bandwidth([[0.0], [np.nan], [1.0], [2.0]]) == 1.0
+    assert median_bandwidth([[1.0, 2.0]] * 4) == 1.0
+    assert median_bandwidth([[1.0]]) == 1.0
 
 
 def test_median_bandwidth_scalar_points():

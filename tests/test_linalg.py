@@ -172,10 +172,35 @@ class TestSymEigMax:
         oracle = scipy.linalg.eigh(A, eigvals_only=True, subset_by_index=[399, 399])[0]
         assert sym_eig_max(A) == pytest.approx(oracle, rel=1e-12)
 
-
     def test_equals_numpy_eigvalsh_on_gaussian_gram(self):
         K = gram(KernelSpec("gaussian", 1.0), np.random.default_rng(4).standard_normal((120, 2)))
         assert sym_eig_max(K) == pytest.approx(np.linalg.eigvalsh(K)[-1], rel=1e-14)
+
+    @staticmethod
+    def eigh_evd_max(A):
+        return max(0.0, float(scipy.linalg.eigh(A, eigvals_only=True, driver="evd")[-1]))
+
+    @pytest.mark.parametrize("n", [120, 320])
+    def test_bitwise_scipy_eigh_evd_on_gaussian_grams(self, n):
+        for seed, bandwidth in ((0, 1.0), (1, 2.0)):
+            K = gram(KernelSpec("gaussian", bandwidth), np.random.default_rng(seed).standard_normal((n, 4)))
+            assert sym_eig_max(K) == self.eigh_evd_max(K)
+
+    def test_bitwise_scipy_eigh_evd_on_w_wt(self):
+        train = collect_dataset(PendulumParams(), 200, 0)
+        W = fit(train, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5), 1e-3).W
+        A = matmul(W, W.T)
+        assert sym_eig_max(A) == self.eigh_evd_max(A)
+        assert sym_eig_max(W) == self.eigh_evd_max(W)
+
+    @pytest.mark.parametrize("A", [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf]),
+                                   np.ones((3, 2)), np.ones(3)], ids=["nan", "inf", "3x2", "vector"])
+    def test_bad_input_raises_what_scipy_eigh_raised(self, A):
+        with pytest.raises(Exception) as expected:
+            scipy.linalg.eigh(A, eigvals_only=True, driver="evd")
+        with pytest.raises(Exception) as got:
+            sym_eig_max(A)
+        assert type(got.value) is type(expected.value) is ValueError
 
 
 def operand(rng, shape, layout):

@@ -2,12 +2,17 @@
 never uses or imports another module's private name, no dataclass keeps a
 field that nothing reads, no public name or field is read only by tests
 without a stated reason, the modules on the fit -> score -> sparsify
-path form no product on numpy's BLAS, and the package raises only the two
-errors the CLI maps to its exits (no linter ships with the project, so
-these scans stand in)."""
+path form no product on numpy's BLAS, only linalg imports scipy (and, in a
+fresh process, only its three compiled modules), and the package raises only
+the two errors the CLI maps to its exits (no linter ships with the project,
+so these scans stand in)."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -177,7 +182,7 @@ def test_public_names_read_outside_tests():
     assert unread_public_names(sources, sources + [p.read_text() for p in SCRIPTS]) == sorted(TEST_ONLY)
 
 
-# Modules whose products run on scipy's BLAS (linalg.matmul, scipy.linalg.blas);
+# Modules whose products run on scipy's BLAS (linalg.matmul, linalg.blas);
 # kernels and pendulum keep their numpy products (see README, Conventions).
 ONE_POOL = ("embedding", "sparse", "ratecheck", "lowrank", "cli", "linalg")
 NUMPY_PRODUCTS = {"dot", "vdot", "inner", "matmul", "linalg"}
@@ -219,7 +224,8 @@ MAPPED = {"InputError", "NumericalError"}
 OTHER_RAISES = {
     ("cli.py", name, "ValueError"): "a schema check: main turns the ValueError _fill passes on into InputError"
     for name in ("_is", "_real", "_list", "_fill")
-} | {("cli.py", "read_dataset", "ValueError"): "a ragged row: read_dataset's own handler words it as InputError"}
+} | {("cli.py", "read_dataset", "ValueError"): "a ragged row: read_dataset's own handler words it as InputError",
+      ("linalg.py", "sym_eig_max", "ValueError"): "scipy's eigh raised it for a non-square matrix; kept as it was"}
 
 
 def unmapped_raises(module: str, source: str, allowed) -> list:
@@ -254,3 +260,65 @@ def test_scan_flags_an_unmapped_raise():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_raises_only_mapped_errors(path):
     assert unmapped_raises(path.name, path.read_text(), OTHER_RAISES) == []
+
+
+def scipy_imports(source: str) -> list:
+    """Each import of scipy or a scipy module in source, in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, a.name) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and not node.level and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.lineno, node.module))
+    return [f"{what} (line {line})" for line, what in sorted(found)]
+
+
+def test_scan_flags_a_scipy_import():
+    source = ("import numpy as np\nimport scipy\nfrom scipy.linalg import blas\nimport scipy.spatial as sp\n"
+              "from . import linalg\nfrom .linalg import blas\nimport scipyx\n"
+              "def f():\n    from scipy.spatial.distance import cdist\n")
+    assert scipy_imports(source) == ["scipy (line 2)", "scipy.linalg (line 3)", "scipy.spatial (line 4)",
+                                     "scipy.spatial.distance (line 9)"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_linalg_imports_scipy(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+# In a fresh process: import scipy's packages first if argv[1] says so, then
+# cmereg.cli; print what that import left in sys.modules and os.environ, and
+# whether linalg's modules are the ones scipy's packages bind.
+_IMPORT_CHILD = """
+import json, os, sys
+before = dict(os.environ)
+if sys.argv[1] == "scipy-first":
+    import scipy.linalg, scipy.spatial.distance
+import cmereg.cli
+from cmereg import linalg
+after = dict(os.environ)
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.linalg", "scipy.spatial")))
+import scipy.linalg, scipy.spatial.distance
+print(json.dumps({"loaded": loaded, "environ_kept": after == before,
+                  "timeout": after.get("OPENBLAS_THREAD_TIMEOUT"),
+                  "same": [linalg.blas.dgemm is scipy.linalg.blas.dgemm,
+                           linalg.lapack.dpotrf is scipy.linalg.lapack.dpotrf,
+                           linalg.blas is scipy.linalg.blas._fblas, linalg.lapack is scipy.linalg.lapack._flapack,
+                           linalg.distance is scipy.spatial.distance._distance_pybind]}))
+"""
+COMPILED = ["scipy.linalg._fblas", "scipy.linalg._flapack", "scipy.spatial._distance_pybind"]
+
+
+@pytest.mark.parametrize("order,timeout", [("cmereg-first", None), ("cmereg-first", "7"), ("scipy-first", None)])
+def test_cli_import_loads_only_the_compiled_modules(order, timeout):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    if timeout is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout
+    child = subprocess.run([sys.executable, "-c", _IMPORT_CHILD, order], capture_output=True, text=True,
+                           env=env, check=True)
+    seen = json.loads(child.stdout)
+    if order == "cmereg-first":  # no scipy.linalg or scipy.spatial package, nor any module of theirs
+        assert seen["loaded"] == COMPILED
+    assert seen["environ_kept"] and seen["timeout"] == timeout
+    assert seen["same"] == [True] * 5
