@@ -1,31 +1,26 @@
 #!/usr/bin/env python3
-"""Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a score followed
-by an inverse, a whole embedding.fit and a fit followed by its score; one rollout
-step of the pendulum policies; and a FISTA iteration at each gamma of the sparse
-path.
+"""Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a whole
+embedding.fit and a fit followed by its score; one rollout step of the pendulum
+policies; and a FISTA iteration at each gamma of the sparse path.
 
     python3 scripts/bench_layers.py [--src DIR] [--repeats N] [--label NAME --out FILE]
 
 For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
-`kernels.gram` over n points and `linalg.ridge_inverse` of that Gram with a
-fit's shift lambda*n: gaussian on 4-d standard normal points (bandwidth 2,
-lambda 1e-3, as in plan-pendulum's fits), delta on n integer codes drawn from four
-(lambda n^-1/2, the rate schedule). Delta cases also time "gram_distinct",
-`kernels.gram` over n distinct codes (a seeded permutation of 0..n-1), where no
-point repeats and so no row is shared. "score_then_invert" times
-`embedding.alpha_batch` of a model fitted to those points followed by
-`ridge_inverse`, as one rate fit's scoring precedes the next fit's inverse:
-the queries are the four codes (delta) or 80 fresh points (gaussian, a CV
-fold's held-out share at n = 400). "fit" times `embedding.fit` on those
-points as inputs and outputs, with the same kernel on both sides and the same
-shift: the two Grams, and (in a tree whose fit forms W) the dense inverse for
-gaussian or the inverse through the classes for delta. "fit_then_score" times
-that fit followed by `embedding.alpha_batch` of its model at the queries above,
-as one rate fit (four codes, delta) or one CV fold (80 points, gaussian) uses
-its model: the dense solve or the class solve where the model solves for
-alpha, else the product with the fitted W. Each case runs once as a warm-up and then --repeats times; the result
-gives min and median milliseconds of wall time and of `time.process_time()`
-(`cpu_`), the CPU of all the process's threads.
+`kernels.gram` over n points: gaussian on 4-d standard normal points
+(bandwidth 2, lambda 1e-3, as in plan-pendulum's fits), delta on n integer
+codes drawn from four (lambda n^-1/2, the rate schedule). Gaussian cases also
+time `linalg.ridge_inverse` of that Gram with the fit's shift lambda*n, the W
+that `fit`, `sparsify` and `compare` form; no code path forms a delta Gram's
+dense inverse. Delta cases also time "gram_distinct", `kernels.gram` over n
+distinct codes (a seeded permutation of 0..n-1), where no point repeats and so
+no row is shared. "fit" times `embedding.fit` on those points as inputs and
+outputs, with the same kernel on both sides and the same shift: the two Grams.
+"fit_then_score" times that fit followed by `embedding.alpha_batch` of its
+model at a fit's queries, as one rate fit (the four codes, delta, by the class
+solve) or one CV fold (80 fresh points, gaussian, a held-out share at n = 400,
+by the dense solve) uses its model. Each case runs once as a warm-up and then
+--repeats times; the result gives min and median milliseconds of wall time and
+of `time.process_time()` (`cpu_`), the CPU of all the process's threads.
 
 "rollout_step" gives min and median microseconds (wall and CPU) per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
@@ -42,15 +37,13 @@ microseconds per iteration of that solve.
 "rate_memory" gives the tracemalloc peak of one `ratecheck.rate_experiment` on
 criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
 1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (the two
-Grams, 2 n^2 doubles each model; a tree whose fit forms W holds 3 n^2). It runs once: the peak is
-deterministic.
+Grams, 2 n^2 doubles each model). It runs once: the peak is deterministic.
 
 "rate_faults" gives the wall time and the minor page faults (`ru_minflt`) of
 the same `rate_experiment`, each run in a fresh process on one BLAS thread:
 --repeats processes with the heap setting of the CLI
 (`cli._keep_freed_pages`, "kept") and as many without ("defaults"), in
-alternating order; min, median and max of each. A tree without the helper
-records null.
+alternating order; min, median and max of each.
 
 "cli_import" gives, over --repeats fresh processes, the wall time and CPU of
 `import cmereg.cli` after `import numpy`, then the CPU minus wall of a 50 ms
@@ -70,26 +63,19 @@ makes them) on n x n operands, inside `linalg.blas_threads(1)` and
 CPU, so the CPU that a second thread burns shows. A sample makes
 round((800/n)^3) calls back to back (at least one), long enough for
 process_time to see the other thread; each thread count starts after a 0.3 s
-pause, once the workers of the calls before it have stopped spinning. A tree
-without `blas_threads` records null.
+pause, once the workers of the calls before it have stopped spinning.
 
 Every case but "blas_threads" runs inside `linalg.blas_threads(1)`, as each CLI
-command does (`cmereg.cli.main`), and the result says so as "case_threads": 1;
-a tree without it runs them on the environment's thread count, recorded as
-null.
+command does (`cmereg.cli.main`), and the result says so as "case_threads": 1.
 
 --src is the source tree cmereg is imported from (default: this checkout's
-src), so one script times two commits alike. The script builds each kernel as
-`KernelSpec(variant, bandwidth)` and lets the points give their width, so it
-cannot time a tree whose `KernelSpec` still declares a point dimension: there the
-spec defaults to width 1 and rejects the 4-column points. The result, with its
+src), so one script times two commits alike. The result, with its
 provenance (machine, library versions, BLAS builds, `git describe --dirty`
 and a SHA-256 of the cmereg sources), is printed as JSON; with --out it is
 also stored under --label in FILE, next to the labels already there.
 """
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -158,14 +144,12 @@ def per_call(fn, calls: int, repeats: int) -> dict:
     return {key[:-2] + "us": round(1e3 * ms / calls, 2) for key, ms in timed(fn, repeats).items()}
 
 
-def blas_thread_counts(repeats: int) -> dict | None:
+def blas_thread_counts(repeats: int) -> dict:
     import numpy as np
     from scipy.linalg import blas
     from cmereg import linalg
     from cmereg.kernels import KernelSpec, gram
 
-    if not hasattr(linalg, "blas_threads"):
-        return None
     rng = np.random.default_rng(3)
     result = {}
     for n in (120, 320, 800, 1600):
@@ -249,11 +233,7 @@ print(json.dumps({"ms": 1e3 * wall, "minflt": resource.getrusage(resource.RUSAGE
 """
 
 
-def rate_faults(src: str, repeats: int) -> dict | None:
-    from cmereg import cli
-
-    if not hasattr(cli, "_keep_freed_pages"):
-        return None
+def rate_faults(src: str, repeats: int) -> dict:
     runs = {"kept": [], "defaults": []}
     for _ in range(repeats):
         for name, flag in (("kept", "1"), ("defaults", "0")):  # alternating, so drift hits both alike
@@ -335,11 +315,9 @@ def main():
     from cmereg.kernels import KernelSpec, gram
     from cmereg.linalg import ridge_inverse
 
-    threads = 1 if hasattr(linalg, "blas_threads") else None
-    one_thread = linalg.blas_threads(1) if threads else contextlib.nullcontext()
     rng = np.random.default_rng(0)
     cases = {}
-    with one_thread:  # the CLI's thread count
+    with linalg.blas_threads(1):  # the CLI's thread count
         for n in SIZES:
             setups = {
                 "gaussian": (KernelSpec("gaussian", 2.0), rng.standard_normal((n, 4)), 1e-3 * n,
@@ -347,27 +325,23 @@ def main():
                 "delta": (KernelSpec("delta"), rng.integers(0, 4, n), n**0.5, np.arange(4)),
             }
             for variant, (spec, points, shift, queries) in setups.items():
-                K = gram(spec, points)
                 train = TrainingSet(points, points)
-                model = fit(train, spec, spec, shift / n)
-                cases[f"{variant}-{n}"] = {
-                    "gram": timed(lambda: gram(spec, points), args.repeats),
-                    "ridge_inverse": timed(lambda: ridge_inverse(K, shift), args.repeats),
-                    "score_then_invert": timed(
-                        lambda: (alpha_batch(model, queries), ridge_inverse(K, shift)), args.repeats),
-                    "fit": timed(lambda: fit(train, spec, spec, shift / n), args.repeats),
-                    "fit_then_score": timed(
-                        lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats),
-                }
+                case = cases[f"{variant}-{n}"] = {"gram": timed(lambda: gram(spec, points), args.repeats)}
+                if variant == "gaussian":
+                    K = gram(spec, points)
+                    case["ridge_inverse"] = timed(lambda: ridge_inverse(K, shift), args.repeats)
+                case["fit"] = timed(lambda: fit(train, spec, spec, shift / n), args.repeats)
+                case["fit_then_score"] = timed(
+                    lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats)
                 if variant == "delta":  # its own generator: rng, and so every other case's points, stays as it was
                     distinct = np.random.default_rng(n).permutation(n)
-                    cases[f"{variant}-{n}"]["gram_distinct"] = timed(lambda: gram(spec, distinct), args.repeats)
+                    case["gram_distinct"] = timed(lambda: gram(spec, distinct), args.repeats)
         cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
         cases["rate-delta"] = {"rate_memory": rate_memory(), "rate_faults": rate_faults(src, args.repeats)}
     cases["cli_import"] = cli_import(src, args.repeats)
     cases["blas_threads"] = blas_thread_counts(args.repeats)
-    result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": threads, "cases": cases}
+    result = {"provenance": provenance(src), "repeats": args.repeats, "case_threads": 1, "cases": cases}
     print(json.dumps(result, indent=1))
     if args.out:
         stored = {}

@@ -99,7 +99,7 @@ def _check_shift(shift: float):
 
 def ridge_coefficients(kspec: KernelSpec, K, shift: float, B=None) -> np.ndarray:
     """(K + shift*I)^{-1} for a Gram K of kspec, or (K + shift*I)^{-1} B given B:
-    through its classes for a delta kernel (where B must be a delta cross-Gram of
+    by its class sizes for a delta kernel (where B must be a delta cross-Gram of
     K's points), else the dense SPD solve. Either way one linalg.solve_spd."""
     _check_shift(shift)
     inverse = class_ridge_inverse if kspec.variant == "delta" else ridge_inverse

@@ -144,8 +144,12 @@ _MEDIAN_SEED = 0
 
 
 def median_bandwidth(points) -> float:
-    """Median pairwise distance heuristic for picking a gaussian bandwidth."""
+    """Median pairwise distance heuristic for picking a gaussian bandwidth. Points
+    that are all one (or fewer than two) give 1.0; a non-finite point raises
+    InputError, since its distances have no median."""
     arr = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise InputError("median_bandwidth needs finite points")
     if arr.ndim < 2:  # scalar points, as in _as_array
         arr = arr.reshape(-1, 1)
     n = arr.shape[0]
@@ -158,8 +162,7 @@ def median_bandwidth(points) -> float:
 
 
 def _median(vals) -> float:
-    """np.median(vals) bit for bit, NaN for any NaN, without the check whose
-    np.ma lookup imports numpy.ma (about 10 ms) on a first call."""
+    """np.median(vals) bit for bit for vals without NaN, without the NaN check
+    whose np.ma lookup imports numpy.ma (about 10 ms) on a first call."""
     lo, hi = (vals.size - 1) // 2, vals.size // 2
-    part = np.partition(vals, [lo, hi, -1])  # a NaN sorts last
-    return float("nan") if np.isnan(part[-1]) else float(np.mean(part[lo:hi + 1]))
+    return float(np.mean(np.partition(vals, [lo, hi])[lo:hi + 1]))

@@ -104,34 +104,35 @@ def ridge_inverse(K, shift: float, B=None) -> np.ndarray:
 
 def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     """(K + shift*I)^{-1} in O(n^2) for a delta Gram K (0/1, "same point") and
-    shift > 0. K = P P^T for the one-hot P of its classes (a row's first 1 names
-    its class); solve_spd inverts the m x m primal system P^T P + shift*I =
-    diag(c + shift), c the class sizes. With g = 1/(c + shift) of a point's class,
-    the inverse has g*(shift + c - 1)/shift on the diagonal, -g/shift between two
-    points of one class and 0 elsewhere; c - 1 is an exact count, so nothing cancels.
-    Raises InputError when a diagonal entry of K is not 1, as for a NaN point,
-    which equals nothing and so has no class; NumericalError when a shift so
-    small that 1/shift overflows makes an entry non-finite.
+    shift > 0. A column of K sums to c, the size of its point's class, and
+    (K + shift*I)^{-1} has g*(shift + c - 1)/shift on the diagonal, -g/shift
+    between two points of one class and 0 elsewhere, with g = 1/(c + shift) from
+    one solve_spd of diag(the distinct sizes + shift); c - 1 is an exact count, so
+    nothing cancels. Raises InputError when a diagonal entry of K is not 1, as for
+    a NaN point, which equals nothing; NumericalError when a shift so small that
+    1/shift overflows makes an entry non-finite.
 
-    Given B whose rows agree within each class (B = P C, as a delta cross-Gram of
-    K's points against any queries is), returns (K + shift*I)^{-1} B = P diag(g) C
-    instead: row i of B times g of i's class. No 1/shift enters, so no digit is
-    lost at any shift.
+    Given B, a delta cross-Gram of K's points against any queries, returns
+    (K + shift*I)^{-1} B instead: column j of B times g of its column sum, the
+    size of query j's class. No 1/shift enters, so no digit is lost at any shift.
+    An all-0 column (a query no point equals) takes the g of size 1: it scales
+    only zeros, where 1/shift could overflow to inf and 0 * inf is NaN.
     """
     K = np.asarray(K, dtype=float)
-    if not np.all(np.diagonal(K) == 1.0):  # argmax would put an all-0 row in class 0
+    if not np.all(np.diagonal(K) == 1.0):  # a 0 would be a point outside its own class
         raise InputError("a delta Gram needs 1 on its diagonal: each point must equal itself")
-    _, cls, counts = np.unique(np.argmax(K, axis=1), return_inverse=True, return_counts=True)
-    g = np.diagonal(solve_spd(np.diag(counts + shift)).solution)
+    C = K if B is None else np.asarray(B, dtype=float)
+    sizes, cls = np.unique(C.sum(axis=0), return_inverse=True)  # column j counts the points equal to j's
+    g = np.diagonal(solve_spd(np.diag(np.maximum(sizes, 1.0) + shift)).solution)[cls]
     if B is not None:
-        return np.asarray(B, dtype=float) * g[cls][:, None]
+        return C * g
     with np.errstate(over="ignore"):
-        within, diagonal = -g / shift, g * (shift + (counts - 1)) / shift  # per class
+        within, diagonal = -g / shift, g * (shift + (sizes[cls] - 1)) / shift  # per point
     if not (np.all(np.isfinite(within)) and np.all(np.isfinite(diagonal))):
         raise NumericalError(f"ridge inverse with shift {shift:.6g} has a non-finite entry")
-    W = K * within[cls][:, None]
+    W = K * within
     W += 0.0  # -0.0 (0 times a negative) becomes 0.0; every other entry stays
-    W.flat[:: len(W) + 1] = diagonal[cls]
+    W.flat[:: len(W) + 1] = diagonal
     return W
 
 

@@ -115,11 +115,10 @@ def rate_experiment(
         for seed in seeds:
             # the model lives only inside conditional_table: freed before the next fit, so the peak holds one
             try:
-                with np.errstate(over="ignore", invalid="ignore"):  # checked below
-                    table = conditional_table(dist, fit(sample(dist, n, seed), dspec, dspec, lam))
-                    excess = excess_risk(dist, table)
+                table = conditional_table(dist, fit(sample(dist, n, seed), dspec, dspec, lam))
+                excess = excess_risk(dist, table)
                 # a delta fit's table row is nonnegative and sums to at most 1, so its excess is at
-                # most 2; W k_x cancelling entries of size 1/(lambda n) breaks that (NaN fails too)
+                # most 2 (NaN fails too)
                 if not excess <= 2.0:
                     raise NumericalError(f"excess {excess:.6g} is not <= 2, a delta fit's bound")
             except NumericalError as exc:
@@ -129,7 +128,8 @@ def rate_experiment(
 
 
 def rate_slope(results) -> float:
-    """Least-squares slope of log mean excess against log n."""
+    """Least-squares slope of log mean excess against log n. A mean excess that is
+    not a positive finite number has no logarithm: NumericalError names its n."""
     by_n = {}
     for r in results:
         by_n.setdefault(r.n, []).append(r.excess)
@@ -137,4 +137,7 @@ def rate_slope(results) -> float:
         raise InputError("need at least 3 distinct n values")
     ns = np.array(sorted(by_n))
     means = np.array([np.mean(by_n[n]) for n in ns])
+    bad = ~((means > 0.0) & (means < np.inf))  # NaN fails both
+    if np.any(bad):
+        raise NumericalError(f"mean excess {means[bad][0]:.6g} at n={ns[bad][0]} has no logarithm: no slope")
     return float(np.polyfit(np.log(ns), np.log(means), 1)[0])

@@ -9,7 +9,9 @@ import shutil
 import subprocess
 import sys
 import types
+import warnings
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +246,34 @@ class TestFit:
         opnorm = rows[0][header.index("w_opnorm")]
         exact = np.linalg.norm(written["coefficients.csv"][1], 2)
         assert abs(opnorm - exact) <= 1e-12 * exact
+
+    def test_delta_fit_at_tiny_lambda_scores_through_alpha(self, tmp_path, monkeypatch, capsys):
+        # train_risk once came from W k_x, whose entries of size 1/(lambda n) cancel: at these
+        # lambdas it wrote 0.656832 (1e-15), 1.28e167 (1e-100) or nan with numpy warnings (1e-300);
+        # ||W|| sits a few ulps above the bound 1/(lambda n), and the absolute slack alone wrote bound_ok=0
+        rng = np.random.default_rng(5)
+        xs, ys = rng.integers(0, 7, 300), rng.integers(0, 3, 300)
+        data = write_dataset(tmp_path / "codes.csv", xs, ys)
+        written = {}
+        monkeypatch.setattr(cli, "write_csv", lambda path, header, rows: written.update({path: (header, rows)}))
+        for lam in (1e-12, 1e-15, 1e-100, 1e-300):
+            cfg = write_config(tmp_path, {"dataset": data, "lambda": lam, "x_kernel": {"variant": "delta"},
+                                          "y_kernel": {"variant": "delta"}})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the test
+                assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 0
+            assert capsys.readouterr().err == ""
+            header, rows = written[str(tmp_path / "summary.csv")]
+            row = dict(zip(header, rows[0]))
+            # exact: mu(x) = counts(x, .)/(c + s), s = lambda n, so point (x, y) loses 1 - 2 mu_y + ||mu||^2
+            s, risk = Fraction(lam * 300), Fraction(0)
+            for x in range(7):
+                counts = [Fraction(int(np.sum((xs == x) & (ys == y)))) for y in range(3)]
+                mu = [k / (sum(counts) + s) for k in counts]
+                risk += sum(k * (1 - 2 * m + sum(v * v for v in mu)) for k, m in zip(counts, mu))
+            assert row["train_risk"] == pytest.approx(float(risk / 300), rel=1e-12), lam
+            assert row["w_opnorm_bound"] == 1.0 / (lam * 300)
+            assert row["bound_ok"] == 1, (lam, row["w_opnorm"], row["w_opnorm_bound"])
 
 
     def test_w_agrees_across_blas_thread_counts(self, byte_matrix):
@@ -506,6 +536,22 @@ class TestRate:
         assert (proc.returncode, proc.stderr) == (0, "")  # no numpy warning either
         excess = [float(r["excess"]) for r in read_rows(out / "rate.csv")]
         assert len(excess) == 6 and all(0.0 <= e <= 1e-30 for e in excess), excess
+
+    def test_zero_mean_excess_exits_three_with_one_line(self, tmp_path):
+        # at a = 1e-60, c/(c + s) rounds to 1 at n = 16 and 64, so the mean excess there is 0, whose
+        # log is -inf: the run wrote slope=nan with numpy's divide-by-zero warning and exited 0
+        cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [16, 32, 64], "seeds": [0],
+                                      "schedule": {"a": 1e-60}})
+        two = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [16, 32], "seeds": [0],
+                                      "schedule": {"a": 1e-60}}, "two.json")
+        proc = cmereg_child(["rate", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert proc.returncode == 3
+        assert proc.stderr == "numeric failure: mean excess 0 at n=16 has no logarithm: no slope\n"
+        assert not (tmp_path / "out").exists() or not os.listdir(tmp_path / "out")
+        # fewer than 3 sample sizes give no slope to fit: nan, as before
+        proc = cmereg_child(["rate", "--config", two, "--out", str(tmp_path / "two")])
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "two" / "slope.txt").read_text() == "slope=nan\n"
 
     def test_small_shift_keeps_its_digits(self, tmp_path):
         # at a = 1e-12 the table is (n/(n+s)) with s = lambda*n, so the excess is (s/(n+s))^2, about

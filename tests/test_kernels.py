@@ -326,9 +326,12 @@ def test_median_bandwidth_bitwise_numpy_median_of_scipy_pdist(n, d):
     assert median_bandwidth(points) == float(np.median(pdist(sample)))
 
 
-def test_median_bandwidth_nan_and_coincident_points_fall_back_to_one():
-    # np.median of distances with a NaN is NaN, and of all-zero distances 0: both give 1.0
-    assert median_bandwidth([[0.0], [np.nan], [1.0], [2.0]]) == 1.0
+def test_median_bandwidth_rejects_nan_and_coincident_points_fall_back_to_one():
+    # a NaN point has no distances to take a median of (it once gave 1.0, as if all points
+    # coincided); all-zero distances, or none, give 1.0
+    for points in ([[0.0], [np.nan], [1.0], [2.0]], [np.inf, 0.0], [[0.0, 1.0], [2.0, -np.inf]]):
+        with pytest.raises(InputError, match="finite"):
+            median_bandwidth(points)
     assert median_bandwidth([[1.0, 2.0]] * 4) == 1.0
     assert median_bandwidth([[1.0]]) == 1.0
 

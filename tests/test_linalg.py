@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from cmereg import linalg
 from cmereg.errors import InputError, NumericalError
 from cmereg.embedding import fit, ridge_coefficients
-from cmereg.kernels import KernelSpec, gram
+from cmereg.kernels import KernelSpec, cross_gram, gram
 from cmereg.linalg import blas_threads, class_ridge_inverse, matmul, ridge_inverse, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.sparse import PENALTIES
@@ -84,6 +84,19 @@ class TestSolveSpd:
                 ridge_coefficients(KernelSpec("delta"), K, 1.0, B)
         with pytest.raises(InputError, match="diagonal"):
             class_ridge_inverse(np.array([[1.0, 1.0], [1.0, 2.0]]), 1.0)
+
+    def test_class_ridge_inverse_unseen_query_at_a_subnormal_shift(self):
+        # a query no point equals has an all-0 column of B; 1/shift overflows at a subnormal
+        # shift, and 0 * inf is NaN, so that column must never meet 1/shift
+        delta, points, queries = KernelSpec("delta"), [0, 1, 1, 2, 2, 2], [0, 1, 2, 7]
+        K, B = gram(delta, points), cross_gram(delta, points, queries)
+        for shift in (5e-324, 3e-320, 1e-300, 1e-3, 2.0):
+            with np.errstate(over="raise", invalid="raise"):
+                A = class_ridge_inverse(K, shift, B)
+            # row i of B times g of i's class, g = 1/(c + shift) from one solve of diag(c + shift)
+            g = np.diagonal(solve_spd(np.diag(np.array([1, 2, 3]) + shift)).solution)
+            assert np.array_equal(A, B * g[[0, 1, 1, 2, 2, 2]][:, None]), shift
+            assert np.all(np.isfinite(A)) and not np.any(A[:, 3]) and not np.any(np.signbit(A))
 
     def test_singular_names_pivot(self):
         A = np.diag([1.0, 0.0, 2.0])

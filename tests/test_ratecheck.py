@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cmereg.embedding import TrainingSet, alpha_batch, fit
-from cmereg.errors import InputError
+from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec
 from cmereg.ratecheck import (
     DiscreteDistribution,
@@ -204,6 +204,17 @@ class TestRateExperiment:
         assert [(r.n, r.seed) for r in results] == [(n, s) for n in (10, 20, 40) for s in (0, 1)]
         assert all(0.0 <= r.excess <= 1e-30 for r in results), [r.excess for r in results]
 
+    def test_unseen_symbol_at_a_subnormal_shift(self):
+        # p(x) = 0 for symbol 2, so no fit sees it: its table row is alpha of an all-0 kernel
+        # column, which must stay 0 where 1/(lambda n) overflows (0 * inf is NaN), with no
+        # numpy error state ignored on the way
+        d = DiscreteDistribution(np.array([0.5, 0.5, 0.0]), np.eye(3))
+        with np.errstate(over="raise", invalid="raise"):
+            results = rate_experiment(d, [10, 20, 40], [0, 1], schedule=(1e-320, 0.5))
+            table = conditional_table(d, fit(sample(d, 40, 0), DELTA, DELTA, 1e-320 * 40 ** -0.5))
+        assert all(0.0 <= r.excess <= 1e-30 for r in results), [r.excess for r in results]
+        assert np.array_equal(table[2], [0.0, 0.0, 0.0]) and np.all(np.isfinite(table))
+
     def test_bad_grid(self):
         d = dist_2x2()
         with pytest.raises(InputError):
@@ -225,6 +236,14 @@ class TestRateSlope:
         results = [RateResult(n=n, excess=2.0 * n ** (-2 / 3), seed=0, lambda_used=0.0)
                    for n in (10, 40, 160, 640)]
         assert rate_slope(results) == pytest.approx(-2 / 3, abs=1e-6)
+
+    @pytest.mark.parametrize("excess", [0.0, np.nan, np.inf, -1e-20])
+    def test_mean_without_a_logarithm_raises(self, excess):
+        # log(0) is -inf: polyfit gave a NaN slope and numpy's divide-by-zero warning
+        results = [RateResult(n=n, excess=e, seed=0, lambda_used=0.0)
+                   for n, e in ((16, 1e-30), (32, excess), (64, 2e-30))]
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="at n=32 has no logarithm"):
+            rate_slope(results)
 
     def test_needs_three_points(self):
         results = [RateResult(n=n, excess=1.0 / n, seed=0, lambda_used=0.0) for n in (10, 100)]
