@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the layers of a fit: kernels.gram, linalg.ridge_inverse, a whole
+"""Time the layers of a fit: kernels.gram, the dense ridge inverse, a whole
 embedding.fit and a fit followed by its score; one rollout step of the pendulum
 policies; and a FISTA iteration at each gamma of the sparse path.
 
@@ -9,18 +9,19 @@ For n in 320, 800 and 1600 and for the gaussian and delta kernels, times
 `kernels.gram` over n points: gaussian on 4-d standard normal points
 (bandwidth 2, lambda 1e-3, as in plan-pendulum's fits), delta on n integer
 codes drawn from four (lambda n^-1/2, the rate schedule). Gaussian cases also
-time `linalg.ridge_inverse` of that Gram with the fit's shift lambda*n, the W
-that `fit`, `sparsify` and `compare` form; no code path forms a delta Gram's
-dense inverse. Delta cases also time "gram_distinct", `kernels.gram` over n
-distinct codes (a seeded permutation of 0..n-1), where no point repeats and so
-no row is shared. "fit" times `embedding.fit` on those points as inputs and
-outputs, with the same kernel on both sides and the same shift: the two Grams.
-"fit_then_score" times that fit followed by `embedding.alpha_batch` of its
-model at a fit's queries, as one rate fit (the four codes, delta, by the class
-solve) or one CV fold (80 fresh points, gaussian, a held-out share at n = 400,
-by the dense solve) uses its model. Each case runs once as a warm-up and then
---repeats times; the result gives min and median milliseconds of wall time and
-of `time.process_time()` (`cpu_`), the CPU of all the process's threads.
+time, as "ridge_inverse", `embedding.ridge_coefficients` of that Gram with the
+fit's shift lambda*n (the dense solve), the W that `fit`, `sparsify` and
+`compare` form; no code path forms a delta Gram's dense inverse. Delta cases
+also time "gram_distinct", `kernels.gram` over n distinct codes (a seeded
+permutation of 0..n-1), where no point repeats and so no row is shared. "fit"
+times `embedding.fit` on those points as inputs and outputs, with the same
+kernel on both sides and the same shift: the two Grams. "fit_then_score" times
+that fit followed by `embedding.alpha_batch` of its model at a fit's queries,
+as one rate fit (the four codes, delta, by the class solve) or one CV fold (80
+fresh points, gaussian, a held-out share at n = 400, by the dense solve) uses
+its model. Each case runs once as a warm-up and then --repeats times; the
+result gives min and median milliseconds of wall time and of
+`time.process_time()` (`cpu_`), the CPU of all the process's threads.
 
 "rollout_step" gives min and median microseconds (wall and CPU) per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
@@ -55,15 +56,15 @@ the CLI does; "numpy_settled" 0.3 s later, once the worker of numpy's own
 OpenBLAS has stopped spinning from numpy's import, so what is left is
 cmereg's.
 
-"blas_threads" times, for n in 120, 320, 800 and 1600, `linalg.ridge_inverse`
-of a gaussian Gram (as above) and one FISTA iteration's two `dgemm` calls
-(D^T K^T, then L^T times that, into F-ordered buffers, as `sparse.fista_solve`
-makes them) on n x n operands, inside `linalg.blas_threads(1)` and
-`blas_threads(2)`: min and median microseconds per call of wall time and of
-CPU, so the CPU that a second thread burns shows. A sample makes
-round((800/n)^3) calls back to back (at least one), long enough for
-process_time to see the other thread; each thread count starts after a 0.3 s
-pause, once the workers of the calls before it have stopped spinning.
+"blas_threads" times, for n in 120, 320, 800 and 1600, the dense ridge inverse
+of a gaussian Gram (`ridge_coefficients`, as above) and one FISTA iteration's
+two `dgemm` calls (D^T K^T, then L^T times that, into F-ordered buffers, as
+`sparse.fista_solve` makes them) on n x n operands, inside
+`linalg.blas_threads(1)` and `blas_threads(2)`: min and median microseconds
+per call of wall time and of CPU, so the CPU that a second thread burns shows.
+A sample makes round((800/n)^3) calls back to back (at least one), long enough
+for process_time to see the other thread; each thread count starts after a
+0.3 s pause, once the workers of the calls before it have stopped spinning.
 
 Every case but "blas_threads" runs inside `linalg.blas_threads(1)`, as each CLI
 command does (`cmereg.cli.main`), and the result says so as "case_threads": 1.
@@ -148,6 +149,7 @@ def blas_thread_counts(repeats: int) -> dict:
     import numpy as np
     from scipy.linalg import blas
     from cmereg import linalg
+    from cmereg.embedding import ridge_coefficients
     from cmereg.kernels import KernelSpec, gram
 
     rng = np.random.default_rng(3)
@@ -164,7 +166,7 @@ def blas_thread_counts(repeats: int) -> dict:
             blas.dgemm(1.0, Lt, DK, c=DKL, overwrite_c=1)
 
         def inverse():
-            linalg.ridge_inverse(K, 1e-3 * n)
+            ridge_coefficients(KernelSpec("gaussian", 2.0), K, 1e-3 * n)
 
         calls = max(1, round((800 / n) ** 3))  # a sample lasts tens of milliseconds at any n
         for k in (1, 2):
@@ -311,9 +313,8 @@ def main():
     sys.path.insert(0, src)
     import numpy as np
     from cmereg import linalg
-    from cmereg.embedding import TrainingSet, alpha_batch, fit
+    from cmereg.embedding import TrainingSet, alpha_batch, fit, ridge_coefficients
     from cmereg.kernels import KernelSpec, gram
-    from cmereg.linalg import ridge_inverse
 
     rng = np.random.default_rng(0)
     cases = {}
@@ -329,7 +330,7 @@ def main():
                 case = cases[f"{variant}-{n}"] = {"gram": timed(lambda: gram(spec, points), args.repeats)}
                 if variant == "gaussian":
                     K = gram(spec, points)
-                    case["ridge_inverse"] = timed(lambda: ridge_inverse(K, shift), args.repeats)
+                    case["ridge_inverse"] = timed(lambda: ridge_coefficients(spec, K, shift), args.repeats)
                 case["fit"] = timed(lambda: fit(train, spec, spec, shift / n), args.repeats)
                 case["fit_then_score"] = timed(
                     lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats)

@@ -20,7 +20,7 @@ from numpy.random import default_rng
 
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram, diag, gram
-from .linalg import class_ridge_inverse, matmul, ridge_inverse
+from .linalg import class_ridge_inverse, matmul, solve_spd
 
 _CLAMP = 1e-10
 
@@ -100,10 +100,18 @@ def _check_shift(shift: float):
 def ridge_coefficients(kspec: KernelSpec, K, shift: float, B=None) -> np.ndarray:
     """(K + shift*I)^{-1} for a Gram K of kspec, or (K + shift*I)^{-1} B given B:
     by its class sizes for a delta kernel (where B must be a delta cross-Gram of
-    K's points), else the dense SPD solve. Either way one linalg.solve_spd."""
+    K's points), else the dense SPD solve. Either way one linalg.solve_spd, and a
+    non-finite entry of the result (1/shift overflowed) raises NumericalError."""
     _check_shift(shift)
-    inverse = class_ridge_inverse if kspec.variant == "delta" else ridge_inverse
-    return inverse(K, shift, B)
+    if kspec.variant == "delta":
+        X = class_ridge_inverse(K, shift, B)
+    else:
+        A = np.array(K, dtype=float)
+        A.flat[:: len(A) + 1] += shift
+        X = solve_spd(A, B).solution
+    if not np.all(np.isfinite(X)):
+        raise NumericalError(f"ridge system with shift {shift:.6g} has a non-finite solution")
+    return X
 
 
 def alpha_batch(model: EmbeddingModel, xs) -> np.ndarray:
@@ -139,7 +147,12 @@ def _losses(model: EmbeddingModel, test: TrainingSet) -> np.ndarray:
 def empirical_risk(model: EmbeddingModel, test: TrainingSet) -> float:
     """Mean held-out squared embedding loss (mean, not sum, so values are
     comparable across test-set sizes)."""
-    return float(np.mean(_losses(model, test)))
+    losses = _losses(model, test)
+    with np.errstate(over="ignore"):  # finite losses near the largest float can overflow their sum
+        risk = float(np.mean(losses))
+    if not np.isfinite(risk):
+        raise NumericalError(f"mean loss {risk} over {len(losses)} test points is not finite")
+    return risk
 
 
 def regularized_objective(model: EmbeddingModel) -> float:

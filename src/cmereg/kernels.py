@@ -116,10 +116,8 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
     numpy's R @ R.T is syrk."""
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
-    if spec.variant == "linear":
-        R = _as_array(points)
-        return _linear(R, R.T)
-    return _matrix(spec, points, points)
+    R = _as_array(points)  # one buffer on both sides: two conversions would make R @ R.T a dgemm
+    return _matrix(spec, R, R)
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:

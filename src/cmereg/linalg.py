@@ -43,7 +43,7 @@ def _load(name: str):
 # the load and on one thread. scipy's OpenBLAS loads with t = 20 (0.5 ms at 2 GHz)
 # unless the caller set t, and the environment is restored either way. The least,
 # t = 4, would also put workers to sleep between the BLAS calls of one LAPACK
-# routine: a 2-thread ridge_inverse at n = 120 ran 1.6x slower.
+# routine: a 2-thread dense ridge inverse at n = 120 ran 1.6x slower.
 _saved = os.environ.get("OPENBLAS_THREAD_TIMEOUT")
 os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
 try:
@@ -94,14 +94,6 @@ def solve_spd(A, B=None) -> SpdSolveResult:
     return SpdSolveResult(solution=X, residual_norm=float(blas.dnrm2(AX1 - B1)) / scale)
 
 
-def ridge_inverse(K, shift: float, B=None) -> np.ndarray:
-    """(K + shift*I)^{-1} for a symmetric PSD K and shift > 0, or (K + shift*I)^{-1} B
-    given B, via solve_spd."""
-    A = np.array(K, dtype=float)
-    A.flat[:: len(A) + 1] += shift
-    return solve_spd(A, B).solution
-
-
 def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     """(K + shift*I)^{-1} in O(n^2) for a delta Gram K (0/1, "same point") and
     shift > 0. A column of K sums to c, the size of its point's class, and
@@ -109,8 +101,7 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     between two points of one class and 0 elsewhere, with g = 1/(c + shift) from
     one solve_spd of diag(the distinct sizes + shift); c - 1 is an exact count, so
     nothing cancels. Raises InputError when a diagonal entry of K is not 1, as for
-    a NaN point, which equals nothing; NumericalError when a shift so small that
-    1/shift overflows makes an entry non-finite.
+    a NaN point, which equals nothing; ridge_coefficients checks what 1/shift gives.
 
     Given B, a delta cross-Gram of K's points against any queries, returns
     (K + shift*I)^{-1} B instead: column j of B times g of its column sum, the
@@ -126,13 +117,10 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     g = np.diagonal(solve_spd(np.diag(np.maximum(sizes, 1.0) + shift)).solution)[cls]
     if B is not None:
         return C * g
-    with np.errstate(over="ignore"):
-        within, diagonal = -g / shift, g * (shift + (sizes[cls] - 1)) / shift  # per point
-    if not (np.all(np.isfinite(within)) and np.all(np.isfinite(diagonal))):
-        raise NumericalError(f"ridge inverse with shift {shift:.6g} has a non-finite entry")
-    W = K * within
-    W += 0.0  # -0.0 (0 times a negative) becomes 0.0; every other entry stays
-    W.flat[:: len(W) + 1] = diagonal
+    with np.errstate(over="ignore", invalid="ignore"):  # 1/shift may overflow, and 0 * inf is NaN
+        W = K * (-g / shift)
+        W += 0.0  # -0.0 (0 times a negative) becomes 0.0; every other entry stays
+        W.flat[:: len(W) + 1] = g * (shift + (sizes[cls] - 1)) / shift
     return W
 
 
@@ -150,13 +138,14 @@ def matmul(A, B) -> np.ndarray:
 def sym_eig_max(A) -> float:
     """Largest eigenvalue of a symmetric PSD matrix, exact up to rounding: LAPACK
     dsyevd on the lower triangle, called as scipy.linalg.eigh(A, eigvals_only=True,
-    driver="evd") calls it, with its ValueError for a non-finite or non-square A.
-
-    Round-off below zero is clamped, so a zero matrix gives 0.0.
-    """
-    A = np.asarray_chkfinite(A, dtype=float)
+    driver="evd") calls it. Round-off below zero is clamped, so a zero matrix gives
+    0.0. A non-square A raises InputError; a non-finite one NumericalError, since
+    the clamp would read a NaN as 0."""
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError('expected square "a" matrix')
+        raise InputError("A must be square")
+    if not np.all(np.isfinite(A)):
+        raise NumericalError("A has a non-finite entry: no eigenvalues")
     lwork, liwork, _ = lapack.dsyevd_lwork(len(A), compute_v=0, lower=1)  # eigh's workspace query
     w, _, info = lapack.dsyevd(A, compute_v=0, lower=1, lwork=int(lwork), liwork=int(liwork))
     if info != 0:

@@ -171,9 +171,10 @@ class TestFit:
                                       "x_kernel": GAUSS, "y_kernel": GAUSS, "lamda": 0.2})
         assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 2
 
-    def test_non_finite_w_keeps_scipy_eighs_value_error(self, tmp_path, tiny_dataset, monkeypatch):
-        # sym_eig_max raises the ValueError scipy's eigh raised for a non-finite
-        # matrix; main maps no ValueError of a command to an exit, so none moves
+    def test_non_finite_w_keeps_scipy_eighs_value_error(self, tmp_path, tiny_dataset, monkeypatch, capsys):
+        # the id is older than the behaviour: sym_eig_max raised scipy eigh's ValueError for a
+        # non-finite matrix, which main mapped to no exit (a traceback, exit 1); it now raises
+        # NumericalError, exit 3
         real_fit = cli.embedding.fit
 
         def fit_with_nan(*args):
@@ -185,9 +186,38 @@ class TestFit:
         monkeypatch.setattr(cli.embedding, "fit", fit_with_nan)
         cfg = write_config(tmp_path, {"dataset": tiny_dataset, "lambda": 0.1,
                                       "x_kernel": GAUSS, "y_kernel": GAUSS})
-        with pytest.raises(ValueError, match="must not contain infs or NaNs") as raised:
-            main(["fit", "--config", cfg, "--out", str(tmp_path)])
-        assert type(raised.value) is ValueError
+        assert main(["fit", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.splitlines() == ["numeric failure: A has a non-finite entry: no eigenvalues"]
+
+    @staticmethod
+    def exits_three_with_one_line(tmp_path, capsys, cfg, lines):
+        """fit, then sparsify at gamma 0.1, on cfg: each exits 3 with no numpy warning and
+        prints one stderr line, lines[command]."""
+        for command, extra in (("fit", {}), ("sparsify", {"gammas": [0.1]})):
+            path = write_config(tmp_path, {**cfg, **extra})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the test
+                assert main([command, "--config", path, "--out", str(tmp_path / command)]) == 3
+            assert capsys.readouterr().err.splitlines() == [lines[command]], command
+
+    def test_overflowing_ridge_inverse_exits_three(self, tmp_path, capsys):
+        # K = [[0, 0], [0, 1]] and lambda*n = 2e-310, so (K + 2e-310 I)^{-1} holds 1/2e-310 = inf. The
+        # dense inverse passed it on: fit died in sym_eig_max with a traceback (exit 1), and sparsify
+        # called it a config error (exit 2)
+        data = write_dataset(tmp_path / "two.csv", [0.0, 1.0], [0.0, 1.0])
+        line = "numeric failure: ridge system with shift 2e-310 has a non-finite solution"
+        self.exits_three_with_one_line(tmp_path, capsys, {
+            "dataset": data, "lambda": 1e-310, "x_kernel": {"variant": "linear"},
+            "y_kernel": {"variant": "linear"}}, {"fit": line, "sparsify": line})
+
+    def test_overflowing_mean_loss_exits_three(self, tmp_path, capsys):
+        # each point's loss is finite, near 1e308, and their sum overflows: fit wrote train_risk=inf
+        # and sparsify test_risk=inf, each with numpy's overflow warning, and both exited 0
+        data = write_dataset(tmp_path / "big.csv", [1.0, 2.0, 3.0], [1e154, -1e154, 5e153])
+        risk = "mean loss inf over 3 test points is not finite"
+        self.exits_three_with_one_line(tmp_path, capsys, {
+            "dataset": data, "lambda": 1.0, "x_kernel": GAUSS, "y_kernel": {"variant": "linear"}},
+            {"fit": f"numeric failure: {risk}", "sparsify": f"numeric failure: gamma=0.1: {risk}"})
 
     def test_singular_system_exits_three(self, tmp_path):
         # linear kernel on identical points: the ridge shift underflows into

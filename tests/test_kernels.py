@@ -286,11 +286,14 @@ def test_eval_symmetry_property(a, b, bw):
     for spec in (KernelSpec("gaussian", bw), KernelSpec("linear")):
         assert pair(spec, a, b) == pair(spec, b, a)
     # 0 < v holds only where exp does not underflow; a subnormal v may differ from
-    # math.exp's in more than its last bit, so below the smallest normal the match is absolute
+    # math.exp's in more than its last bit, so below the smallest normal the match is absolute.
+    # Each side rounds its exponent a few times (scipy's squared difference may be an ulp off
+    # Python's), and exp scales the exponent's relative error by |exponent|
     exponent = -((a - b) ** 2) / (2 * bw**2)
     v = pair(KernelSpec("gaussian", bw), a, b)
     assert 0.0 <= v <= 1.0
-    assert v == pytest.approx(math.exp(exponent), rel=1e-15, abs=sys.float_info.min)
+    rel = 4 * sys.float_info.epsilon * max(1.0, abs(exponent))
+    assert v == pytest.approx(math.exp(exponent), rel=rel, abs=sys.float_info.min)
     if exponent > -700:
         assert v > 0.0
 

@@ -8,7 +8,7 @@ from cmereg import linalg
 from cmereg.errors import InputError, NumericalError
 from cmereg.embedding import fit, ridge_coefficients
 from cmereg.kernels import KernelSpec, cross_gram, gram
-from cmereg.linalg import blas_threads, class_ridge_inverse, matmul, ridge_inverse, solve_spd, sym_eig_max
+from cmereg.linalg import blas_threads, class_ridge_inverse, matmul, solve_spd, sym_eig_max
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.sparse import PENALTIES
 
@@ -64,11 +64,13 @@ class TestSolveSpd:
     def test_ridge_inverse_matches_cho_solve(self, variant, n):
         rng = np.random.default_rng(n)
         if variant == "gaussian":
-            K, shift = gram(KernelSpec("gaussian", 1.0), rng.standard_normal((n, 2))), 1e-3 * n
+            spec = KernelSpec("gaussian", 1.0)
+            K, shift = gram(spec, rng.standard_normal((n, 2))), 1e-3 * n
         else:
-            K, shift = gram(KernelSpec("delta"), list(rng.integers(0, 4, n))), n**0.5
+            spec = KernelSpec("delta")
+            K, shift = gram(spec, list(rng.integers(0, 4, n))), n**0.5
         before = K.copy()
-        W = ridge_inverse(K, shift)
+        W = ridge_coefficients(spec, K, shift)
         ref = scipy.linalg.cho_solve(scipy.linalg.cho_factor(K + shift * np.eye(n)), np.eye(n))
         assert np.linalg.norm(W - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(W, W.T)
@@ -97,6 +99,16 @@ class TestSolveSpd:
             g = np.diagonal(solve_spd(np.diag(np.array([1, 2, 3]) + shift)).solution)
             assert np.array_equal(A, B * g[[0, 1, 1, 2, 2, 2]][:, None]), shift
             assert np.all(np.isfinite(A)) and not np.any(A[:, 3]) and not np.any(np.signbit(A))
+
+    @pytest.mark.parametrize("spec,points", [(KernelSpec("linear"), [0.0, 1.0]), (KernelSpec("delta"), [0, 1, 1])],
+                             ids=["dense", "class"])
+    def test_overflowing_inverse_raises_naming_the_shift(self, spec, points):
+        # 1/shift overflows at a subnormal shift, so either path's inverse holds inf or NaN;
+        # ridge_coefficients, the one check, raises, with no numpy warning on the way
+        K = gram(spec, points)
+        with np.errstate(all="raise"):
+            with pytest.raises(NumericalError, match="^ridge system with shift 2e-310 has a non-finite solution$"):
+                ridge_coefficients(spec, K, 2e-310)
 
     def test_singular_names_pivot(self):
         A = np.diag([1.0, 0.0, 2.0])
@@ -206,14 +218,16 @@ class TestSymEigMax:
         assert sym_eig_max(A) == self.eigh_evd_max(A)
         assert sym_eig_max(W) == self.eigh_evd_max(W)
 
-    @pytest.mark.parametrize("A", [np.array([[1.0, np.nan], [np.nan, 1.0]]), np.diag([1.0, np.inf]),
-                                   np.ones((3, 2)), np.ones(3)], ids=["nan", "inf", "3x2", "vector"])
-    def test_bad_input_raises_what_scipy_eigh_raised(self, A):
-        with pytest.raises(Exception) as expected:
+    # scipy's eigh raises ValueError for each of these; sym_eig_max rejects the same inputs with
+    # the errors the CLI maps to exits 2 and 3. A NaN must not reach dsyevd: max(0.0, nan) is 0.0
+    @pytest.mark.parametrize("A,error", [
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), NumericalError), (np.diag([1.0, np.inf]), NumericalError),
+        (np.ones((3, 2)), InputError), (np.ones(3), InputError)], ids=["nan", "inf", "3x2", "vector"])
+    def test_bad_input_raises_what_scipy_eigh_raised(self, A, error):
+        with pytest.raises(ValueError):
             scipy.linalg.eigh(A, eigvals_only=True, driver="evd")
-        with pytest.raises(Exception) as got:
+        with pytest.raises(error):
             sym_eig_max(A)
-        assert type(got.value) is type(expected.value) is ValueError
 
 
 def operand(rng, shape, layout):

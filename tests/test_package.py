@@ -224,8 +224,7 @@ MAPPED = {"InputError", "NumericalError"}
 OTHER_RAISES = {
     ("cli.py", name, "ValueError"): "a schema check: main turns the ValueError _fill passes on into InputError"
     for name in ("_is", "_real", "_list", "_fill")
-} | {("cli.py", "read_dataset", "ValueError"): "a ragged row: read_dataset's own handler words it as InputError",
-      ("linalg.py", "sym_eig_max", "ValueError"): "scipy's eigh raised it for a non-square matrix; kept as it was"}
+} | {("cli.py", "read_dataset", "ValueError"): "a ragged row: read_dataset's own handler words it as InputError"}
 
 
 def unmapped_raises(module: str, source: str, allowed) -> list:
