@@ -244,11 +244,14 @@ def write_csv(path: str, header, rows):
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _kernel(variant: str, bandwidth, points) -> KernelSpec:
-    """The kernel (variant, bandwidth); bandwidth "median" means median_bandwidth(points)."""
-    if bandwidth == "median":
-        bandwidth = median_bandwidth(points)
-    return KernelSpec(variant, bandwidth)
+def _data(cfg: dict):
+    """(training set, x kernel, y kernel) of a command whose table holds _DATA."""
+    return read_dataset(cfg["dataset"]), KernelSpec(**cfg["x_kernel"]), KernelSpec(**cfg["y_kernel"])
+
+
+def _gaussian(bandwidth, points) -> KernelSpec:
+    """The gaussian kernel of a bandwidth key; "median" means median_bandwidth(points)."""
+    return KernelSpec("gaussian", median_bandwidth(points) if bandwidth == "median" else bandwidth)
 
 
 # ---------------------------------------------------------------- commands
@@ -258,9 +261,7 @@ def _kernel(variant: str, bandwidth, points) -> KernelSpec:
 
 def run_fit(cfg: dict, out: str):
     lam = cfg["lambda"]
-    train = read_dataset(cfg["dataset"])
-    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
-    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
+    train, kspec, lspec = _data(cfg)
     model = embedding.fit(train, kspec, lspec, lam)
     opnorm = sym_eig_max(model.W)  # W = (K + lam*n*I)^{-1} is symmetric positive definite
     bound = 1.0 / (lam * train.n)
@@ -277,9 +278,7 @@ def run_fit(cfg: dict, out: str):
 
 
 def run_cv(cfg: dict, out: str):
-    train = read_dataset(cfg["dataset"])
-    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
-    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
+    train, kspec, lspec = _data(cfg)
     grid = [(lam, bw) for lam in cfg["lambdas"] for bw in cfg["bandwidths"]]
     folds = cfg["folds"]  # cross_validate rejects folds > n
     report = embedding.cross_validate(train, kspec, lspec, grid, folds, cfg["seed"])
@@ -290,10 +289,8 @@ def run_cv(cfg: dict, out: str):
 
 
 def run_sparsify(cfg: dict, out: str):
-    train = read_dataset(cfg["dataset"])
+    train, kspec, lspec = _data(cfg)
     test = train if cfg["test_dataset"] is None else read_dataset(cfg["test_dataset"])
-    kspec = _kernel(**cfg["x_kernel"], points=train.xs)
-    lspec = _kernel(**cfg["y_kernel"], points=train.ys)
     model = embedding.fit(train, kspec, lspec, cfg["lambda"])
     rows = sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"], cfg["max_iter"], cfg["tol"])
     write_csv(os.path.join(out, "sparsify.csv"),
@@ -316,8 +313,7 @@ def run_compare(cfg: dict, out: str):
     if max(cfg["ranks"]) > train.n:
         raise InputError(f"compare: rank {max(cfg['ranks'])} exceeds n={train.n}")
     lam = cfg["lambda"]
-    kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
-    lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
+    kspec, lspec = _gaussian(cfg["x_bandwidth"], train.xs), _gaussian(cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, lam)
     rows = [["lasso", r.gamma, r.nnz_fraction, r.kl_distance, r.test_risk, int(r.converged), r.gap]
             for r in sparse.sparsity_sweep(model, test, cfg["gammas"], cfg["penalty"],
@@ -352,8 +348,7 @@ def run_pendulum(cfg: dict, out: str):
     params = pendulum.PendulumParams(**{k: cfg[k] for k in _PARAMS})
     seed = cfg["seed"]
     train = pendulum.collect_dataset(params, cfg["n"], seed)
-    kspec = _kernel("gaussian", cfg["x_bandwidth"], train.xs)
-    lspec = _kernel("gaussian", cfg["y_bandwidth"], train.ys)
+    kspec, lspec = _gaussian(cfg["x_bandwidth"], train.xs), _gaussian(cfg["y_bandwidth"], train.ys)
     model = embedding.fit(train, kspec, lspec, cfg["lambda"])
     policy = pendulum.policy_iteration(model, params, sweeps=cfg["sweeps"])
     episodes, horizon = cfg["episodes"], cfg["horizon"]

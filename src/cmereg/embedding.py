@@ -198,9 +198,11 @@ def cross_validate(
             # bound through the next fit: freed first, its pages could go back to the system and fault in again
             model = fit(rest, ks, lspec, lam)
             errors[g, f] = empirical_risk(model, held)
-    means = errors.mean(axis=1)
-    best = 0
-    for g in range(1, len(grid)):
-        if means[g] < means[best] or (means[g] == means[best] and grid[g][0] > grid[best][0]):
-            best = g
+    with np.errstate(over="ignore"):  # finite fold errors near the largest float can overflow their sum
+        means = errors.mean(axis=1)
+    bad = ~np.isfinite(means)
+    if np.any(bad):
+        g = int(np.argmax(bad))
+        raise NumericalError(f"mean fold error {means[g]} at grid point {g} is not finite")
+    best = min(range(len(grid)), key=lambda g: (means[g], -grid[g][0]))
     return CvReport(grid=grid, fold_errors=errors, best=best)

@@ -103,7 +103,10 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
         return _delta(R, C)
     if spec.variant == "linear":
         return _linear(R, C.T)
-    scale = -2.0 * spec.bandwidth**2
+    try:
+        scale = -2.0 * spec.bandwidth**2
+    except OverflowError:
+        raise NumericalError(f"gaussian bandwidth {spec.bandwidth} overflows when squared") from None
     if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
     with np.errstate(over="ignore"):  # a tiny sigma^2 can send d2 / scale to -inf, whose exp is the right 0
@@ -142,14 +145,12 @@ _MEDIAN_SEED = 0
 
 
 def median_bandwidth(points) -> float:
-    """Median pairwise distance heuristic for picking a gaussian bandwidth. Points
-    that are all one (or fewer than two) give 1.0; a non-finite point raises
-    InputError, since its distances have no median."""
-    arr = np.asarray(points, dtype=float)
+    """Median pairwise distance heuristic for picking a gaussian bandwidth, over points
+    in the kernels' format. Points that are all one (or fewer than two) give 1.0; a
+    non-finite point raises InputError, since its distances have no median."""
+    arr = _as_array(points)
     if not np.all(np.isfinite(arr)):
         raise InputError("median_bandwidth needs finite points")
-    if arr.ndim < 2:  # scalar points, as in _as_array
-        arr = arr.reshape(-1, 1)
     n = arr.shape[0]
     if n > _MEDIAN_MAX_POINTS:
         idx = default_rng(_MEDIAN_SEED).choice(n, size=_MEDIAN_MAX_POINTS, replace=False)

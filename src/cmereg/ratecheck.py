@@ -64,15 +64,11 @@ def sample(dist: DiscreteDistribution, n: int, seed: int) -> TrainingSet:
     return TrainingSet(xi, yi)
 
 
-def _require_delta(model: EmbeddingModel):
-    if model.kspec.variant != "delta" or model.lspec.variant != "delta":
-        raise InputError("exact risk evaluation needs delta kernels on both sides")
-
-
 def conditional_table(dist: DiscreteDistribution, model: EmbeddingModel) -> np.ndarray:
     """Model-predicted coefficient on each y symbol, per x symbol: row x is the
     predicted vector mu_hat(x) in simplex coordinates, for a model fitted on sample's codes."""
-    _require_delta(model)
+    if model.kspec.variant != "delta" or model.lspec.variant != "delta":
+        raise InputError("exact risk evaluation needs delta kernels on both sides")
     A = alpha_batch(model, np.arange(len(dist.px)))  # (|X|, n)
     table = np.zeros(dist.pyx.shape)
     # unbuffered, in index order: the sums of a loop over the training outputs
@@ -111,7 +107,10 @@ def rate_experiment(
     dspec = KernelSpec("delta")
     results = []
     for n in n_grid:
-        lam = a * n ** (-beta)
+        try:
+            lam = a * n ** (-beta)
+        except OverflowError:
+            raise NumericalError(f"rate schedule a * n^(-beta) overflows at n={n}") from None
         for seed in seeds:
             # the model lives only inside conditional_table: freed before the next fit, so the peak holds one
             try:

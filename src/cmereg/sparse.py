@@ -61,12 +61,6 @@ PENALTIES = {
 }
 
 
-def _penalty(name: str):
-    if not isinstance(name, str) or name not in PENALTIES:
-        raise InputError(f"unknown penalty {name!r}")
-    return PENALTIES[name]
-
-
 @dataclass(frozen=True)
 class SparseProblem:
     K: np.ndarray
@@ -85,7 +79,8 @@ class SparseProblem:
             raise InputError("K, L, W must be finite-valued")
         if self.gamma < 0:
             raise InputError("gamma must be nonnegative")
-        _penalty(self.penalty)
+        if not isinstance(self.penalty, str) or self.penalty not in PENALTIES:
+            raise InputError(f"unknown penalty {self.penalty!r}")
 
 
 @dataclass(frozen=True)
@@ -95,10 +90,6 @@ class SparseSolution:
     iterations: int
     converged: bool  # the relative-objective rule fired before max_iter ran out
     gap: float  # relative duality gap at M (duality_gap)
-
-
-def penalty_value(penalty: str, M: np.ndarray) -> float:
-    return float(_penalty(penalty)[0](M))
 
 
 def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
@@ -115,7 +106,7 @@ def _shaped(problem: SparseProblem, M) -> np.ndarray:
 
 def lasso_objective(problem: SparseProblem, M: np.ndarray) -> float:
     M = _shaped(problem, M)
-    return smooth_part(problem, M) + problem.gamma * penalty_value(problem.penalty, M)
+    return smooth_part(problem, M) + problem.gamma * float(PENALTIES[problem.penalty][0](M))
 
 
 def grad_smooth(problem: SparseProblem, M: np.ndarray) -> np.ndarray:
@@ -140,7 +131,7 @@ def duality_gap(problem: SparseProblem, M, KDL) -> float:
     bounds F - min F. Reads 0 where F <= 0, since no M does better.
     """
     M = _shaped(problem, M)
-    value, _, dual_norm = _penalty(problem.penalty)
+    value, _, dual_norm = PENALTIES[problem.penalty]
     gamma, kdl = problem.gamma, np.ravel(KDL)
     h = float(blas.ddot(np.ravel(M - problem.W), kdl))
     F = h + gamma * float(value(M))
@@ -226,7 +217,7 @@ def fista_solve(
         obj = objective()
         if not math.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
-        if obj == obj_prev or abs(obj - obj_prev) <= tol * abs(obj_prev):
+        if abs(obj - obj_prev) <= tol * abs(obj_prev):
             converged = True
             break
         obj_prev = obj

@@ -5,6 +5,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -341,6 +342,19 @@ class TestCv:
         assert len(best) == 1
         assert means[best.pop()] <= 1.1 * min(means.values())
 
+    def test_non_finite_mean_fold_error_exits_three(self, tmp_path, capsys):
+        # each fold error is finite, near 1e308, and their sum overflows: the run printed numpy's
+        # overflow warning, let the inf mean pick the best grid point and exited 0
+        data = write_dataset(tmp_path / "big.csv", [1.0, 2.0, 3.0], [1e154, -1e154, 5e153])
+        cfg = write_config(tmp_path, {"dataset": data, "lambdas": [1.0], "folds": 3, "seed": 0,
+                                      "x_kernel": GAUSS, "y_kernel": {"variant": "linear"}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            assert main(["cv", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: mean fold error inf at grid point 0 is not finite"]
+        assert os.listdir(tmp_path / "out") == []
+
     def test_folds_validation(self, tmp_path, tiny_dataset):
         cfg = self.base_cfg(tiny_dataset)
         cfg["folds"] = 1
@@ -547,18 +561,12 @@ class TestRate:
         for name in ("rate.csv", "slope.txt"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    # These shifts once exited 3 (each id keeps the line), and before that wrote inf, 6e88 or NaN:
-    # W k_x cancelled entries of size 1/(lambda n), or 1/(lambda n) overflowed. alpha from the class
-    # solve has no 1/(lambda n), so the run writes the round-off of an excess below 1e-100.
-    @pytest.mark.parametrize("a", [
-        pytest.param(1e-200, id="1e-200-rate fit at n=10, seed=0, lambda*n=3.16228e-200: "
-                                "excess inf is not <= 2, a delta fit's bound"),
-        pytest.param(1e-60, id="1e-60-rate fit at n=10, seed=0, lambda*n=3.16228e-60: "
-                               "excess 6.01761e+88 is not <= 2, a delta fit's bound"),
-        pytest.param(1e-320, id="1e-320-rate fit at n=10, seed=0, lambda*n=3.16202e-320: "
-                                "ridge inverse with shift 3.16202e-320 has a non-finite entry"),
-    ])
-    def test_non_finite_fit_exits_three_with_one_line(self, tmp_path, a):
+    # At these a the run wrote inf, 6e88 or NaN (W k_x cancelled entries of size 1/(lambda n), or
+    # 1/(lambda n) overflowed), then exited 3 with "excess inf is not <= 2", "excess 6.01761e+88 is
+    # not <= 2" and "ridge inverse with shift 3.16202e-320 has a non-finite entry". alpha from the
+    # class solve has no 1/(lambda n), so the run writes the round-off of an excess below 1e-100.
+    @pytest.mark.parametrize("a", [1e-200, 1e-60, 1e-320], ids=str)
+    def test_tiny_shift_writes_a_round_off_excess(self, tmp_path, a):
         cfg = write_config(tmp_path, {"px": [1], "pyx": [[1]], "n_grid": [10, 20, 40], "seeds": [0, 1],
                                       "schedule": {"a": a}})
         out = tmp_path / "out"
@@ -662,6 +670,30 @@ class TestPendulum:
         assert main(["pendulum", "--config", cfg, "--out", str(a)]) == 0
         assert main(["pendulum", "--config", cfg, "--out", str(b), "--seed", "1"]) == 0
         assert (a / "policy.csv").read_bytes() != (b / "policy.csv").read_bytes()
+
+
+# The first line of each file the six commands write, as a regular expression. The byte matrix
+# compares processes of one tree with each other, so only this pins a column's name and place.
+HEADERS = {
+    ("fit", "summary.csv"): "n,lambda,x_variant,x_bandwidth,y_variant,y_bandwidth,train_risk,w_opnorm,"
+                            "w_opnorm_bound,bound_ok",
+    ("fit", "coefficients.csv"): ",".join(f"c{j}" for j in range(300)),  # one column per training point
+    ("cv", "cv.csv"): "grid_index,lambda,bandwidth,fold,error,best",
+    ("sparsify", "sparsify.csv"): "gamma,nnz_fraction,row_occupancy,kl_distance,test_risk,iterations,"
+                                  "converged,gap",
+    ("compare", "compare.csv"): "method,sparsity_level,nnz_fraction,kl_distance,test_risk,converged,gap",
+    ("rate", "rate.csv"): "n,seed,lambda,excess",
+    ("rate", "slope.txt"): r"slope=-?[0-9.]+(e[+-][0-9]+)?",  # one number, as %.12g writes it
+    ("pendulum", "policy.csv"): "index,theta,omega,value,greedy_torque",
+    ("pendulum", "returns.csv"): "policy,mean_return",
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(HEADERS))
+def test_output_header(byte_matrix, command, name):
+    root, _ = byte_matrix
+    first = (root / "reference" / command / name).read_text().split("\n", 1)[0]
+    assert re.fullmatch(HEADERS[command, name], first), first
 
 
 class TestBlasThreads:
@@ -897,9 +929,23 @@ class TestContract:
     def test_negative_seed_flag_exits_two(self, contract_dir):
         assert run_tiny(*contract_dir, "pendulum", lambda cfg: None, ["--seed", "-1"]) == 2
 
-    def test_overflowing_bandwidth_exits_three(self, contract_dir):
-        # 1e300 is a valid bandwidth, but its square overflows in the kernel
-        assert run_tiny(*contract_dir, "fit", setter("x_kernel", "bandwidth", 1e300)) == 3
+    def test_overflowing_bandwidth_exits_three(self, contract_dir, capsys):
+        # 1e300 is a valid bandwidth, but its square overflows in the kernel: the line was
+        # OverflowError's "(34, 'Numerical result out of range')"
+        for command in ("fit", "sparsify"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy warning fails the test
+                assert run_tiny(*contract_dir, command, setter("x_kernel", "bandwidth", 1e300)) == 3
+            assert capsys.readouterr().err.splitlines() == [
+                "numeric failure: gaussian bandwidth 1e+300 overflows when squared"], command
+
+    def test_overflowing_rate_schedule_exits_three(self, contract_dir, capsys):
+        # 16^300 overflows a float: the line was OverflowError's "(34, 'Numerical result out of range')"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            assert run_tiny(*contract_dir, "rate", setter("schedule", "beta", -300)) == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: rate schedule a * n^(-beta) overflows at n=16"]
 
     # 1e-200 is a valid bandwidth, but its square underflows to 0 and every Gram
     # diagonal entry was 0/0 = nan: fit exited 1 from scipy, cv and pendulum

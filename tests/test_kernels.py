@@ -345,6 +345,15 @@ def test_median_bandwidth_scalar_points():
     assert median_bandwidth([0.0, 1.0, 2.0, 3.0]) == median_bandwidth([[0.0], [1.0], [2.0], [3.0]])
 
 
+@pytest.mark.parametrize("points", [3.0, ["a", "b"], np.zeros((2, 2, 2))], ids=["0-d", "strings", "3-d"])
+def test_median_bandwidth_takes_the_kernels_point_format(points):
+    # 3.0 was one scalar point (1.0), strings raised numpy's ValueError, a 3-d array scipy's
+    with pytest.raises(InputError):
+        median_bandwidth(points)
+    with pytest.raises(InputError):
+        diag(KernelSpec("linear"), points)  # as every kernel reads its points
+
+
 def test_delta_gram_of_array_rows_is_row_equality():
     rows = np.random.default_rng(3).integers(0, 2, size=(25, 3)).astype(float)
     spec = KernelSpec("delta")
