@@ -37,8 +37,9 @@ microseconds per iteration of that solve.
 
 "rate_memory" gives the tracemalloc peak of one `ratecheck.rate_experiment` on
 criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
-1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (the two
-Grams, 2 n^2 doubles each model). It runs once: the peak is deterministic.
+1, 0.5, as rate-delta's largest fits), in MB and in n = 1600 models (the bytes
+of one such model's two Grams, K.nbytes + L.nbytes, whatever their dtype). It
+runs once: the peak is deterministic.
 
 "rate_faults" gives the wall time and the minor page faults (`ru_minflt`) of
 the same `rate_experiment`, each run in a fresh process on one BLAS thread:
@@ -204,16 +205,21 @@ def rollout_step(repeats: int) -> dict:
 
 def rate_memory() -> dict:
     import tracemalloc
-    from cmereg.ratecheck import DiscreteDistribution, rate_experiment
+    from cmereg.embedding import fit
+    from cmereg.kernels import KernelSpec
+    from cmereg.ratecheck import DiscreteDistribution, rate_experiment, sample
 
     dist = DiscreteDistribution(*ORACLE)
+    n, spec = RATE_GRID[0][-1], KernelSpec("delta")
+    model = fit(sample(dist, n, 0), spec, spec, n**-0.5)
+    gram_bytes = model.kgram.nbytes + model.lgram.nbytes
     tracemalloc.start()
     try:
         rate_experiment(dist, *RATE_GRID)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / (2 * 1600**2 * 8), 3)}
+    return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / gram_bytes, 3)}
 
 
 # One rate_experiment in a fresh process importing cmereg from argv[1], on one BLAS thread

@@ -12,6 +12,10 @@ points only, scalars or rows, whose width the points give: the two point sets
 of one evaluation must have the same width, else InputError. A kernel value
 that would not be finite (a gaussian sigma^2 that underflows to 0, or linear
 inner products that overflow) raises NumericalError.
+
+Gram and cross-Gram matrices of the delta kernel are bool: exact 0/1, one byte
+an entry, which numpy arithmetic and a float conversion read as exactly 0.0 and
+1.0. Those of the gaussian and linear kernels are float64.
 """
 
 from __future__ import annotations
@@ -66,16 +70,11 @@ def _linear(A, B) -> np.ndarray:
     return products
 
 
-_DELTA_BLOCK = 1 << 18  # entries of the bool temporary that writes a block of delta class rows
-
-
 def _delta(R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Delta kernel values of row points R against column points C. A row depends only
-    on its row point, so one row is written per distinct point (np.unique's classes) and
-    copied to the points of its class; points that never repeat write their rows in
-    place, with no second array. Rows are written by row blocks, so the bool equality
-    temporary stays small; numpy's buffered cast of one n x m equal() straight into
-    float runs 35% slower at n = m = 3200."""
+    """Delta kernel values of row points R against column points C, as a bool matrix:
+    exact 0/1 in one byte an entry. A row depends only on its row point, so one row is
+    written per distinct point (np.unique's classes) and copied to the points of its
+    class; when no point repeats, the comparison is the output, with no copy."""
     if R.shape[1] == 1:  # scalar points: the 1-d unique is about 20x faster than the row form
         reps, cls = np.unique(R[:, 0], return_inverse=True)  # all NaNs in one class, whose row is all 0
         reps = reps[:, None]
@@ -83,14 +82,9 @@ def _delta(R: np.ndarray, C: np.ndarray) -> np.ndarray:
         reps, cls = np.unique(R, axis=0, return_inverse=True)
     distinct = len(reps) == len(R)
     U = R if distinct else reps
-    T = np.empty((len(U), len(C)))
-    step = max(1, _DELTA_BLOCK // len(C))
-    for i in range(0, len(U), step):
-        block = U[i:i + step]
-        same = block[:, [0]] == C[:, 0]
-        for j in range(1, U.shape[1]):
-            same &= block[:, [j]] == C[:, j]
-        T[i:i + step] = same
+    T = U[:, [0]] == C[:, 0]
+    for j in range(1, U.shape[1]):
+        T &= U[:, [j]] == C[:, j]
     return T if distinct else T[cls]
 
 
@@ -114,9 +108,10 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:
-    """Gram matrix over one point set, exactly symmetric by construction: delta compares
-    entries, scipy's sqeuclidean kernel sums a pair's squared differences in one order,
-    numpy's R @ R.T is syrk."""
+    """Gram matrix over one point set: bool for the delta kernel, float64 for the
+    others. Exactly symmetric by construction: delta compares entries, scipy's
+    sqeuclidean kernel sums a pair's squared differences in one order, numpy's
+    R @ R.T is syrk."""
     if len(points) == 0:
         raise InputError("gram() needs a nonempty point sequence")
     R = _as_array(points)  # one buffer on both sides: two conversions would make R @ R.T a dgemm
@@ -124,16 +119,16 @@ def gram(spec: KernelSpec, points) -> np.ndarray:
 
 
 def cross_gram(spec: KernelSpec, rows, cols) -> np.ndarray:
-    """Rectangular kernel matrix between two point sets."""
+    """Rectangular kernel matrix between two point sets, of gram's dtype."""
     if len(rows) == 0 or len(cols) == 0:
         raise InputError("cross_gram() needs nonempty point sequences")
     return _matrix(spec, rows, cols)
 
 
 def diag(spec: KernelSpec, points) -> np.ndarray:
-    """k(p, p) for each point p, bit for bit as cross_gram(spec, [p], [p]) gives it for
-    finite points. A NaN point is the exception under the delta kernel: diag gives 1,
-    cross_gram 0 (a NaN equals nothing)."""
+    """k(p, p) for each point p as float64, bit for bit the value cross_gram(spec, [p], [p])
+    gives for finite points (1.0 for the delta kernel's True). A NaN point is the
+    exception under the delta kernel: diag gives 1, cross_gram 0 (a NaN equals nothing)."""
     P = _as_array(points)
     if spec.variant != "linear":
         return np.ones(len(P))

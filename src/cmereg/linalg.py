@@ -102,6 +102,7 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     one solve_spd of diag(the distinct sizes + shift); c - 1 is an exact count, so
     nothing cancels. Raises InputError when a diagonal entry of K is not 1, as for
     a NaN point, which equals nothing; ridge_coefficients checks what 1/shift gives.
+    K and B are read in their own dtype, bool as kernels builds them, or float.
 
     Given B, a delta cross-Gram of K's points against any queries, returns
     (K + shift*I)^{-1} B instead: column j of B times g of its column sum, the
@@ -109,10 +110,10 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
     An all-0 column (a query no point equals) takes the g of size 1: it scales
     only zeros, where 1/shift could overflow to inf and 0 * inf is NaN.
     """
-    K = np.asarray(K, dtype=float)
+    K = np.asarray(K)  # no float copy: the sums and products below read a bool K exactly
     if not np.all(np.diagonal(K) == 1.0):  # a 0 would be a point outside its own class
         raise InputError("a delta Gram needs 1 on its diagonal: each point must equal itself")
-    C = K if B is None else np.asarray(B, dtype=float)
+    C = K if B is None else np.asarray(B)
     sizes, cls = np.unique(C.sum(axis=0), return_inverse=True)  # column j counts the points equal to j's
     g = np.diagonal(solve_spd(np.diag(np.maximum(sizes, 1.0) + shift)).solution)[cls]
     if B is not None:

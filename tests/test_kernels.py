@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist, pdist
 
-from cmereg import kernels
 from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
 
@@ -153,11 +152,11 @@ def test_delta_matches_tuple_equality_oracle(rows, cols):
 
 
 @pytest.mark.parametrize("block", [1, 17])
-def test_delta_row_blocks_match_tuple_equality_oracle(monkeypatch, block):
-    # the delta kernel writes its rows by blocks of about _DELTA_BLOCK entries: one row
-    # a block, or blocks of 3 rows with a last one of 2, give the same values, also when
-    # the distinct points span several blocks and when no point repeats
-    monkeypatch.setattr(kernels, "_DELTA_BLOCK", block)
+def test_delta_row_blocks_match_tuple_equality_oracle(block):
+    # rows copied from a class's one row, or written in place when no point repeats, give
+    # the oracle's values, for scalar and multi-column points; so do cross_gram calls on
+    # row blocks of the points (one row a block, or a block of 17 rows and the rest), each
+    # of which finds its own classes
     rng = np.random.default_rng(10)
     spec = KernelSpec("delta")
     for rows, cols in (
@@ -167,6 +166,8 @@ def test_delta_row_blocks_match_tuple_equality_oracle(monkeypatch, block):
             (rng.permutation(46).reshape(23, 2), rng.permutation(46)[:10].reshape(5, 2))):
         assert np.array_equal(gram(spec, rows), delta_by_tuples(rows, rows))
         assert np.array_equal(cross_gram(spec, rows, cols), delta_by_tuples(rows, cols))
+        blocks = [cross_gram(spec, rows[i:i + block], rows) for i in range(0, len(rows), block)]
+        assert np.array_equal(np.concatenate(blocks), delta_by_tuples(rows, rows))
 
 
 @pytest.mark.parametrize("points", [
@@ -175,8 +176,9 @@ def test_delta_row_blocks_match_tuple_equality_oracle(monkeypatch, block):
     pytest.param(np.random.default_rng(14).permutation(1000), id="distinct"),
 ])
 def test_delta_gram_peak_memory(points):
-    # one n x n output and small temporaries: class rows copied into the output, or
-    # written in place when no point repeats, never a second n x n array
+    # one n x n bool output (a byte an entry) and small temporaries: class rows copied
+    # into the output, or written in place when no point repeats, never a second n x n
+    # array and never a float one
     n = len(points)
     tracemalloc.start()
     try:
@@ -184,7 +186,7 @@ def test_delta_gram_peak_memory(points):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * n * n * 8, peak / (n * n * 8)
+    assert peak <= 1.25 * n * n, peak / (n * n)
 
 
 def test_gram_delta_identity():

@@ -178,9 +178,10 @@ class TestRateExperiment:
 
     def test_peak_memory_is_one_model(self):
         # each model is freed before the next fit, so the traced peak is about one
-        # n = 400 model (its two Grams, 2 n^2 doubles: no W is formed); a model kept
+        # n = 400 model (its two Grams, bool n x n: no W is formed); a model kept
         # alive through the next fit, or a W, makes it more
-        one_model = 2 * 400**2 * 8
+        model = fit(sample(dist_2x2(), 400, 0), DELTA, DELTA, 0.05)
+        one_model = model.kgram.nbytes + model.lgram.nbytes
         tracemalloc.start()
         try:
             rate_experiment(dist_2x2(), [100, 200, 400], [0, 1])
@@ -189,15 +190,12 @@ class TestRateExperiment:
             tracemalloc.stop()
         assert peak <= 1.25 * one_model, peak / one_model
 
-    # These shifts once raised (each id keeps the message): W k_x cancelled entries of size
-    # 1/(lambda n), or 1/(lambda n) overflowed. alpha from the class solve has no 1/(lambda n),
+    # These shifts once raised "excess inf is not <= 2", "excess 6.01761e+88 is not <= 2" and
+    # "ridge inverse with shift 3.16202e-320 has a non-finite entry": W k_x cancelled entries of
+    # size 1/(lambda n), or 1/(lambda n) overflowed. alpha from the class solve has no 1/(lambda n),
     # so every table row is exact and the excess is round-off of the true (s/(n+s))^2 < 1e-100.
-    @pytest.mark.parametrize("a", [
-        pytest.param(1e-200, id="1e-200-excess inf is not <= 2, a delta fit's bound"),
-        pytest.param(1e-60, id="1e-60-excess 6.01761e+88 is not <= 2, a delta fit's bound"),
-        pytest.param(1e-320, id="1e-320-ridge inverse with shift 3.16202e-320 has a non-finite entry"),
-    ])
-    def test_non_finite_fit_raises_naming_n_seed_and_shift(self, a):
+    @pytest.mark.parametrize("a", [1e-200, 1e-60, 1e-320], ids=str)
+    def test_tiny_shift_gives_six_round_off_excesses(self, a):
         d = DiscreteDistribution(np.array([1.0]), np.array([[1.0]]))
         with np.errstate(all="raise"):  # and no numpy warning on the way
             results = rate_experiment(d, [10, 20, 40], [0, 1], schedule=(a, 0.5))
