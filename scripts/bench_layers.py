@@ -23,6 +23,11 @@ its model. Each case runs once as a warm-up and then --repeats times; the
 result gives min and median milliseconds of wall time and of
 `time.process_time()` (`cpu_`), the CPU of all the process's threads.
 
+For n in 320 and 800, gaussian cases also give "dense_memory": the tracemalloc
+peaks of that `kernels.gram`, of its "ridge_inverse" and of its ridge solve at the
+80 queries' kernel columns (`ridge_coefficients` given B, as a CV fold solves),
+in n^2 floats (8 n^2 bytes). It runs once: the peaks are deterministic.
+
 "rollout_step" gives min and median microseconds (wall and CPU) per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
 timed over the same 1000 seeded states, on plan-pendulum's model: 800
@@ -203,8 +208,30 @@ def rollout_step(repeats: int) -> dict:
             "random": per_call(lambda: run(rand), len(states), repeats)}
 
 
-def rate_memory() -> dict:
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn() runs, by tracemalloc."""
     import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def dense_memory(spec, points, shift, queries) -> dict:
+    from cmereg.embedding import ridge_coefficients
+    from cmereg.kernels import cross_gram, gram
+
+    n = len(points)
+    K, B = gram(spec, points), cross_gram(spec, points, queries)
+    runs = {"gram": lambda: gram(spec, points), "ridge_inverse": lambda: ridge_coefficients(spec, K, shift),
+            "ridge_solve": lambda: ridge_coefficients(spec, K, shift, B)}
+    return {name: round(traced_peak(run) / (8 * n * n), 3) for name, run in runs.items()}
+
+
+def rate_memory() -> dict:
     from cmereg.embedding import fit
     from cmereg.kernels import KernelSpec
     from cmereg.ratecheck import DiscreteDistribution, rate_experiment, sample
@@ -213,12 +240,7 @@ def rate_memory() -> dict:
     n, spec = RATE_GRID[0][-1], KernelSpec("delta")
     model = fit(sample(dist, n, 0), spec, spec, n**-0.5)
     gram_bytes = model.kgram.nbytes + model.lgram.nbytes
-    tracemalloc.start()
-    try:
-        rate_experiment(dist, *RATE_GRID)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: rate_experiment(dist, *RATE_GRID))
     return {"peak_mb": round(peak / 1e6, 2), "models": round(peak / gram_bytes, 3)}
 
 
@@ -337,6 +359,8 @@ def main():
                 if variant == "gaussian":
                     K = gram(spec, points)
                     case["ridge_inverse"] = timed(lambda: ridge_coefficients(spec, K, shift), args.repeats)
+                    if n < 1600:
+                        case["dense_memory"] = dense_memory(spec, points, shift, queries)
                 case["fit"] = timed(lambda: fit(train, spec, spec, shift / n), args.repeats)
                 case["fit_then_score"] = timed(
                     lambda: alpha_batch(fit(train, spec, spec, shift / n), queries), args.repeats)

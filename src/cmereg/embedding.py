@@ -106,9 +106,7 @@ def ridge_coefficients(kspec: KernelSpec, K, shift: float, B=None) -> np.ndarray
     if kspec.variant == "delta":
         X = class_ridge_inverse(K, shift, B)
     else:
-        A = np.array(K, dtype=float)
-        A.flat[:: len(A) + 1] += shift
-        X = solve_spd(A, B).solution
+        X = solve_spd(K, B, shift).solution
     if not np.all(np.isfinite(X)):
         raise NumericalError(f"ridge system with shift {shift:.6g} has a non-finite solution")
     return X

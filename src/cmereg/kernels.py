@@ -103,8 +103,10 @@ def _matrix(spec: KernelSpec, rows, cols) -> np.ndarray:
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} overflows when squared") from None
     if scale == 0.0:  # sigma^2 underflowed: every diagonal entry would be 0/0
         raise NumericalError(f"gaussian bandwidth {spec.bandwidth} underflows when squared")
+    d2 = distance.cdist_sqeuclidean(R, C)
     with np.errstate(over="ignore"):  # a tiny sigma^2 can send d2 / scale to -inf, whose exp is the right 0
-        return np.exp(distance.cdist_sqeuclidean(R, C) / scale)  # exp(-d2 / (2 sigma^2)) bit for bit
+        np.divide(d2, scale, out=d2)  # in place, as the Gram's one n x n array
+        return np.exp(d2, out=d2)  # exp(-d2 / (2 sigma^2)) bit for bit
 
 
 def gram(spec: KernelSpec, points) -> np.ndarray:

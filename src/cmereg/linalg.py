@@ -1,6 +1,8 @@
 """Dense linear algebra on scipy's BLAS/LAPACK, the one BLAS pool of the
-fit -> score -> sparsify path (see README, Conventions), and blas_threads,
-which sets the thread count of scipy's and numpy's bundled OpenBLAS.
+fit -> score -> sparsify path and of policy iteration's sweeps (see README,
+Conventions), and blas_threads, which sets the thread count of scipy's and
+numpy's bundled OpenBLAS. A dense solve allocates its result and one n x n
+work array, the copy of its matrix that LAPACK factors and inverts in place.
 
 The one module that touches scipy: blas, lapack and distance are the three
 compiled modules the package calls (scipy.linalg._fblas, scipy.linalg._flapack
@@ -60,12 +62,16 @@ class SpdSolveResult:
     residual_norm: float
 
 
-def solve_spd(A, B=None) -> SpdSolveResult:
-    """Solution X of A X = B for a symmetric positive definite A: LAPACK dpotrf
-    then dpotrs. Without B, the inverse (B = I) by dpotri, the lower triangle
-    mirrored so X is exactly symmetric. residual_norm is the O(n^2) probe
-    ||A (X 1) - B 1|| / ||B 1|| (the absolute ||A (X 1)|| when B 1 = 0). Raises
-    NumericalError naming the failing pivot when A is not positive definite.
+def solve_spd(A, B=None, shift: float = 0.0) -> SpdSolveResult:
+    """Solution X of (A + shift*I) X = B for a symmetric A that the shift makes
+    positive definite: LAPACK dpotrf then dpotrs. Without B, the inverse (B = I)
+    by dpotri, the lower triangle mirrored so X is exactly symmetric. LAPACK
+    reads A's upper triangle only, from one owned copy that takes the shift on
+    its diagonal and is factored and inverted in place: besides X, one n x n
+    work array. residual_norm is the O(n^2) probe, which reads all of A,
+    ||A (X 1) + shift (X 1) - B 1|| / ||B 1|| (the absolute norm when B 1 = 0).
+    Raises NumericalError naming the failing pivot when A + shift*I is not
+    positive definite.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -74,7 +80,11 @@ def solve_spd(A, B=None) -> SpdSolveResult:
         B = np.asarray(B, dtype=float)
         if B.ndim != 2 or B.shape[0] != A.shape[0]:
             raise InputError("B must be a matrix with one row per row of A")
-    c, info = lapack.dpotrf(A, lower=1)
+    work = np.array(A, order="C")
+    work.flat[:: len(A) + 1] += shift
+    # work.T is Fortran-ordered, so LAPACK factors the copy itself; its lower
+    # triangle is A's upper one, which equals the lower for a symmetric A
+    c, info = lapack.dpotrf(work.T, lower=1, overwrite_a=1)
     if info > 0:
         raise NumericalError(f"non-positive pivot at index {info - 1}")
     if info < 0:
@@ -90,7 +100,9 @@ def solve_spd(A, B=None) -> SpdSolveResult:
         X, _ = lapack.dpotrs(c, B, lower=1)  # its info flags only a bad argument, ruled out above
         B1 = B.sum(axis=1)
         scale = float(blas.dnrm2(B1)) or 1.0
-    AX1 = blas.dgemv(1.0, A.T, X.sum(axis=1), trans=1)  # A.T: a Fortran view, no copy
+    X1 = X.sum(axis=1)
+    AX1 = blas.dgemv(1.0, A.T, X1, trans=1)  # A.T: a Fortran view, no copy
+    AX1 = blas.daxpy(X1, AX1, a=shift)  # BLAS, not numpy: a subnormal shift * X1 raises no underflow
     return SpdSolveResult(solution=X, residual_norm=float(blas.dnrm2(AX1 - B1)) / scale)
 
 
@@ -115,7 +127,7 @@ def class_ridge_inverse(K, shift: float, B=None) -> np.ndarray:
         raise InputError("a delta Gram needs 1 on its diagonal: each point must equal itself")
     C = K if B is None else np.asarray(B)
     sizes, cls = np.unique(C.sum(axis=0), return_inverse=True)  # column j counts the points equal to j's
-    g = np.diagonal(solve_spd(np.diag(np.maximum(sizes, 1.0) + shift)).solution)[cls]
+    g = np.diagonal(solve_spd(np.diag(np.maximum(sizes, 1.0)), shift=shift).solution)[cls]
     if B is not None:
         return C * g
     with np.errstate(over="ignore", invalid="ignore"):  # 1/shift may overflow, and 0 * inf is NaN

@@ -20,6 +20,7 @@ from numpy.random import default_rng
 from .embedding import EmbeddingModel, TrainingSet
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram
+from .linalg import matmul
 
 
 GRAVITY = 9.81  # g/l for the unit mass on the unit length
@@ -174,7 +175,7 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
     V = np.zeros(n)
     deltas = []
     for _ in range(sweeps):
-        q = r + params.discount * (((M.T @ V)[:, None] * T).T @ S)  # (|grid|, n)
+        q = r + params.discount * matmul(((M.T @ V)[:, None] * T).T, S)  # (|grid|, n), on scipy's BLAS pool
         best_u = np.argmax(q, axis=0)  # first max = smallest torque
         V_new = q[best_u, np.arange(n)]
         if np.max(np.abs(V_new)) > v_bound:

@@ -70,6 +70,8 @@ class SparseProblem:
     penalty: str = "entrywise_l1"
 
     def __post_init__(self):
+        for name in ("K", "L", "W"):  # float64 once: a delta model's bool Grams are not converted per product
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         n = self.W.shape[0]
         if self.W.shape != (n, n):
             raise InputError("W must be square")
@@ -172,7 +174,7 @@ def fista_solve(
         raise InputError("max_iter must be >= 1")
     if not tol > 0:
         raise InputError("tol must be positive")
-    W = np.ascontiguousarray(problem.W, dtype=float)
+    W = np.ascontiguousarray(problem.W)
     Z = _aligned(W.shape)
     Z.fill(0.0)
     if start is not None:
@@ -191,8 +193,8 @@ def fista_solve(
     c, thresh = 2.0 * step, gamma * step
     # dgemm forms (K D L)^T = L^T (D^T K^T) from F-ordered operands into
     # F-ordered buffers; its transpose is K D L, C-ordered like every other array.
-    Kt = np.asfortranarray(problem.K.T, dtype=float)
-    Lt = np.asfortranarray(problem.L.T, dtype=float)
+    Kt = np.asfortranarray(problem.K.T)
+    Lt = np.asfortranarray(problem.L.T)
     DK, DKL = _aligned(W.shape, order="F"), _aligned(W.shape, order="F")
     D, V, P, P_prev = (_aligned(W.shape) for _ in range(4))
 

@@ -8,6 +8,7 @@ coordinate descent, so agreement is meaningful.
 import ctypes
 import glob
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -196,3 +197,13 @@ def openblas_pool_threads():
         (path,) = glob.glob(os.path.join(libs, "libscipy_openblas*.so"))
         counts.append(getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads" + suffix)())
     return counts
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn() runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -11,7 +11,9 @@ from cmereg.embedding import TrainingSet, empirical_risk, fit
 from cmereg.kernels import KernelSpec, cross_gram, gram
 from cmereg.linalg import class_ridge_inverse
 from cmereg.lowrank import incomplete_cholesky, subset_refit
-from cmereg.sparse import SparseProblem, fista_solve
+from cmereg.sparse import SparseProblem, fista_solve, kl_distance, lasso_objective, sparsity_sweep
+
+from oracles import traced_peak
 
 DELTA = KernelSpec("delta")
 
@@ -85,3 +87,27 @@ def test_empirical_risk_reads_bool_as_its_float_copy(coefficients):
     if coefficients:  # the sparse path's scoring: a coefficient matrix in place of W
         model = model.with_coefficients(np.where(np.abs(model.W) > 1e-3, model.W, 0.0))
     assert empirical_risk(model, test).hex() == empirical_risk(float_grams(model), test).hex()
+
+
+def test_sparsity_sweep_reads_bool_as_its_float_copy():
+    model, test = delta_model(30, lam=0.1), delta_model(20, seed=2).train
+    got, want = (sparsity_sweep(m, test, [1e-3, 1e-2], max_iter=300) for m in (model, float_grams(model)))
+    assert list(map(repr, got)) == list(map(repr, want))  # repr round-trips every float's bits
+
+
+@pytest.mark.parametrize("run,bound", [
+    pytest.param(lambda p, M: kl_distance(p, M), 3.05, id="kl_distance"),
+    pytest.param(lambda p, M: lasso_objective(p, M), 3.05, id="lasso_objective"),
+    pytest.param(lambda p, M: fista_solve(p, max_iter=3), 8.05, id="fista_solve"),
+])
+def test_sparse_problem_converts_bool_grams_once(run, bound):
+    # the problem holds float64 copies of a delta model's Grams, made when it is built, so
+    # no product converts them again: M - W and two products (4.0 n^2 floats with one
+    # conversion per product), FISTA's seven buffers and one step (10.0 with both converted)
+    n = 400
+    model = delta_model(n)
+    problem = SparseProblem(model.kgram, model.lgram, model.W, 1e-2)
+    assert problem.K.dtype == problem.L.dtype == np.float64
+    M = np.where(np.abs(model.W) > 1e-3, model.W, 0.0)
+    peak = traced_peak(lambda: run(problem, M))
+    assert peak <= bound * 8 * n * n, peak / (8 * n * n)

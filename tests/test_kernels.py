@@ -1,6 +1,5 @@
 import math
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,7 +11,7 @@ from scipy.spatial.distance import cdist, pdist
 from cmereg.errors import InputError, NumericalError
 from cmereg.kernels import KernelSpec, cross_gram, diag, gram, median_bandwidth
 
-from oracles import delta_by_tuples
+from oracles import delta_by_tuples, traced_peak
 
 
 def pair(spec, a, b):
@@ -180,13 +179,17 @@ def test_delta_gram_peak_memory(points):
     # into the output, or written in place when no point repeats, never a second n x n
     # array and never a float one
     n = len(points)
-    tracemalloc.start()
-    try:
-        gram(KernelSpec("delta"), points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: gram(KernelSpec("delta"), points))
     assert peak <= 1.25 * n * n, peak / (n * n)
+
+
+def test_gaussian_gram_peak_memory():
+    # cdist's n x n output is scaled and exponentiated in place: the Gram is the one
+    # n x n array, where a new array for each step would make it 2 x 8n^2 bytes
+    n = 800
+    points = np.random.default_rng(15).standard_normal((n, 4))
+    peak = traced_peak(lambda: gram(KernelSpec("gaussian", 2.0), points))
+    assert peak <= 1.05 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_gram_delta_identity():

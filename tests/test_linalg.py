@@ -12,7 +12,7 @@ from cmereg.linalg import blas_threads, class_ridge_inverse, matmul, solve_spd, 
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.sparse import PENALTIES
 
-from oracles import eig_max_dense, openblas_pool_threads, random_spd
+from oracles import eig_max_dense, openblas_pool_threads, random_spd, traced_peak
 
 
 class TestSolveSpd:
@@ -49,9 +49,45 @@ class TestSolveSpd:
 
     def test_residual_probe_is_relative_row_sum_residual(self):
         A = np.array([[4.0, 1.0], [1.0, 3.0]])
-        res = solve_spd(A)
-        probe = np.linalg.norm(A @ res.solution.sum(axis=1) - 1.0) / np.sqrt(2.0)
-        assert res.residual_norm == pytest.approx(probe, abs=1e-15)
+        for shift in (0.0, 0.5, 7.0):  # the probe is of the shifted system A + shift*I
+            res = solve_spd(A, shift=shift)
+            probe = np.linalg.norm((A + shift * np.eye(2)) @ res.solution.sum(axis=1) - 1.0) / np.sqrt(2.0)
+            assert res.residual_norm == pytest.approx(probe, abs=1e-15), shift
+
+    @pytest.mark.parametrize("rhs", [False, True], ids=["inverse", "solve"])
+    @pytest.mark.parametrize("n", [5, 50, 400])
+    def test_shift_gives_lapack_bits_on_the_shifted_matrix(self, n, rhs):
+        # the shift that solve_spd adds to its own copy gives the bits of LAPACK run on
+        # K + shift*I formed beforehand: dpotrf, then dpotrs or dpotri mirrored
+        rng = np.random.default_rng(n)
+        spec, points = KernelSpec("gaussian", 1.0), rng.standard_normal((n, 2))
+        K, shift = gram(spec, points), 1e-3 * n
+        B = cross_gram(spec, points, rng.standard_normal((9, 2))) if rhs else None
+        A = K.copy()
+        A.flat[:: n + 1] += shift
+        c, info = scipy.linalg.lapack.dpotrf(A, lower=1)
+        assert info == 0
+        if rhs:
+            want = scipy.linalg.lapack.dpotrs(c, B, lower=1)[0]
+        else:
+            low = scipy.linalg.lapack.dpotri(c, lower=1)[0]
+            want = np.tril(low) + np.tril(low, -1).T
+        before = K.copy()
+        got = solve_spd(K, B, shift=shift).solution
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert np.array_equal(K, before)
+
+    @pytest.mark.parametrize("m,bound", [(None, 2.05), (80, 1.15)], ids=["inverse", "solve-80"])
+    def test_dense_ridge_peak_memory(self, m, bound):
+        # one work copy of K, factored (and inverted) in place, and the solution: no
+        # caller-side shifted copy and no LAPACK-side F-ordered copy (3.0 and 2.1 n^2 floats)
+        n, spec = 800, KernelSpec("gaussian", 2.0)
+        rng = np.random.default_rng(16)
+        points = rng.standard_normal((n, 4))
+        K = gram(spec, points)
+        B = None if m is None else cross_gram(spec, points, rng.standard_normal((m, 4)))
+        peak = traced_peak(lambda: ridge_coefficients(spec, K, 1e-3 * n, B))
+        assert peak <= bound * 8 * n * n, peak / (8 * n * n)
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)

@@ -1,4 +1,3 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +15,8 @@ from cmereg.ratecheck import (
     rate_slope,
     sample,
 )
+
+from oracles import traced_peak
 
 DELTA = KernelSpec("delta")
 
@@ -182,12 +183,7 @@ class TestRateExperiment:
         # alive through the next fit, or a W, makes it more
         model = fit(sample(dist_2x2(), 400, 0), DELTA, DELTA, 0.05)
         one_model = model.kgram.nbytes + model.lgram.nbytes
-        tracemalloc.start()
-        try:
-            rate_experiment(dist_2x2(), [100, 200, 400], [0, 1])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: rate_experiment(dist_2x2(), [100, 200, 400], [0, 1]))
         assert peak <= 1.25 * one_model, peak / one_model
 
     # These shifts once raised "excess inf is not <= 2", "excess 6.01761e+88 is not <= 2" and
