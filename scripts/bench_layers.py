@@ -26,13 +26,17 @@ result gives min and median milliseconds of wall time and of
 For n in 320 and 800, gaussian cases also give "dense_memory": the tracemalloc
 peaks of that `kernels.gram`, of its "ridge_inverse" and of its ridge solve at the
 80 queries' kernel columns (`ridge_coefficients` given B, as a CV fold solves),
-in n^2 floats (8 n^2 bytes). It runs once: the peaks are deterministic.
+in n^2 floats (8 n^2 bytes). The "pendulum-400" and "pendulum-800" cases give
+the "dense_memory" of the `pendulum` command's body (`cli.run_pendulum`, seed 1,
+median bandwidths, lambda 1e-4, 2 sweeps, 1 episode of 1 step) on n transitions:
+its fit, ridge inverse and plan, in n^2 floats. Each runs once: the peaks are
+deterministic.
 
 "rollout_step" gives min and median microseconds (wall and CPU) per call of
 `pendulum.Policy.act` (learned) and `RandomTorquePolicy.act` (random), each
 timed over the same 1000 seeded states, on plan-pendulum's model: 800
 transitions (seed 1), median bandwidths, lambda 1e-4, 80 sweeps of
-`policy_iteration`.
+`policy_iteration` on the fitted W.
 
 "fista_per_gamma" gives, for each gamma of criterion 7 (the sparsify-pendulum
 problem: 120 transitions, seed 0, bandwidths 2.0/1.5, lambda 1e-2), the
@@ -194,7 +198,7 @@ def rollout_step(repeats: int) -> dict:
     train = pendulum.collect_dataset(params, 800, 1)
     kspec = KernelSpec("gaussian", median_bandwidth(train.xs))
     lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
-    learned = pendulum.policy_iteration(fit(train, kspec, lspec, 1e-4), params, sweeps=80)
+    learned = pendulum.policy_iteration(train, kspec, fit(train, kspec, lspec, 1e-4).W, params, sweeps=80)
     rand = pendulum.RandomTorquePolicy(params)
     rng = np.random.default_rng(2)
     theta = rng.uniform(-np.pi, np.pi, 1000)
@@ -229,6 +233,16 @@ def dense_memory(spec, points, shift, queries) -> dict:
     runs = {"gram": lambda: gram(spec, points), "ridge_inverse": lambda: ridge_coefficients(spec, K, shift),
             "ridge_solve": lambda: ridge_coefficients(spec, K, shift, B)}
     return {name: round(traced_peak(run) / (8 * n * n), 3) for name, run in runs.items()}
+
+
+def pendulum_memory(n: int) -> dict:
+    """The tracemalloc peak of the pendulum command's body on n transitions, in n^2 floats."""
+    import tempfile
+    from cmereg import cli
+
+    cfg = cli._fill({"n": n, "seed": 1, "sweeps": 2, "episodes": 1, "horizon": 1}, cli.SCHEMAS["pendulum"])
+    with tempfile.TemporaryDirectory() as out:
+        return {"pendulum": round(traced_peak(lambda: cli.run_pendulum(cfg, out)) / (8 * n * n), 3)}
 
 
 def rate_memory() -> dict:
@@ -367,7 +381,8 @@ def main():
                 if variant == "delta":  # its own generator: rng, and so every other case's points, stays as it was
                     distinct = np.random.default_rng(n).permutation(n)
                     case["gram_distinct"] = timed(lambda: gram(spec, distinct), args.repeats)
-        cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats)}
+        cases["pendulum-400"] = {"dense_memory": pendulum_memory(400)}
+        cases["pendulum-800"] = {"rollout_step": rollout_step(args.repeats), "dense_memory": pendulum_memory(800)}
         cases["fista-120"] = {"fista_per_gamma": fista_per_gamma(args.repeats)}
         cases["rate-delta"] = {"rate_memory": rate_memory(), "rate_faults": rate_faults(src, args.repeats)}
     cases["cli_import"] = cli_import(src, args.repeats)

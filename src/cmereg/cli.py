@@ -349,8 +349,13 @@ def run_pendulum(cfg: dict, out: str):
     seed = cfg["seed"]
     train = pendulum.collect_dataset(params, cfg["n"], seed)
     kspec, lspec = _gaussian(cfg["x_bandwidth"], train.xs), _gaussian(cfg["y_bandwidth"], train.ys)
-    model = embedding.fit(train, kspec, lspec, cfg["lambda"])
-    policy = pendulum.policy_iteration(model, params, sweeps=cfg["sweeps"])
+    # Planning reads W and the state Gram alone. The model and its L go before W is formed
+    # (by the call model.W makes, so the same bits), and K before the planner builds S:
+    # at most two n x n arrays are alive at once.
+    K = embedding.fit(train, kspec, lspec, cfg["lambda"]).kgram
+    W = embedding.ridge_coefficients(kspec, K, cfg["lambda"] * train.n)
+    del K
+    policy = pendulum.policy_iteration(train, kspec, W, params, sweeps=cfg["sweeps"])
     episodes, horizon = cfg["episodes"], cfg["horizon"]
     learned = pendulum.evaluate_policy(policy, params, episodes, horizon, seed + 1)
     rand = pendulum.evaluate_policy(pendulum.RandomTorquePolicy(params), params, episodes, horizon, seed + 1)
@@ -361,6 +366,10 @@ def run_pendulum(cfg: dict, out: str):
     write_csv(os.path.join(out, "returns.csv"),
               ["policy", "mean_return"],
               [["learned", learned], ["random", rand]])
+    deltas = policy.sweep_deltas
+    write_csv(os.path.join(out, "planning.csv"),
+              ["sweeps", "last_delta", "tol", "converged"],
+              [[len(deltas), deltas[-1], pendulum.PLAN_TOL, int(deltas[-1] < pendulum.PLAN_TOL)]])
 
 
 COMMANDS = {

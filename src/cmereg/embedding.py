@@ -107,7 +107,8 @@ def ridge_coefficients(kspec: KernelSpec, K, shift: float, B=None) -> np.ndarray
         X = class_ridge_inverse(K, shift, B)
     else:
         X = solve_spd(K, B, shift).solution
-    if not np.all(np.isfinite(X)):
+    # NaN propagates to both extremes, so they are finite exactly when every entry is: no n x n bool array
+    if not (np.isfinite(np.max(X, initial=0.0)) and np.isfinite(np.min(X, initial=0.0))):
         raise NumericalError(f"ridge system with shift {shift:.6g} has a non-finite solution")
     return X
 

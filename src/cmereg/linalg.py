@@ -2,7 +2,8 @@
 fit -> score -> sparsify path and of policy iteration's sweeps (see README,
 Conventions), and blas_threads, which sets the thread count of scipy's and
 numpy's bundled OpenBLAS. A dense solve allocates its result and one n x n
-work array, the copy of its matrix that LAPACK factors and inverts in place.
+work array, the copy of its matrix that LAPACK factors in place; a dense
+inverse is that work array, inverted and mirrored in place.
 
 The one module that touches scipy: blas, lapack and distance are the three
 compiled modules the package calls (scipy.linalg._fblas, scipy.linalg._flapack
@@ -65,10 +66,11 @@ class SpdSolveResult:
 def solve_spd(A, B=None, shift: float = 0.0) -> SpdSolveResult:
     """Solution X of (A + shift*I) X = B for a symmetric A that the shift makes
     positive definite: LAPACK dpotrf then dpotrs. Without B, the inverse (B = I)
-    by dpotri, the lower triangle mirrored so X is exactly symmetric. LAPACK
+    by dpotri, one triangle mirrored in place so X is exactly symmetric. LAPACK
     reads A's upper triangle only, from one owned copy that takes the shift on
-    its diagonal and is factored and inverted in place: besides X, one n x n
-    work array. residual_norm is the O(n^2) probe, which reads all of A,
+    its diagonal and is factored in place: a solve allocates X and that n x n
+    work array, and an inverse only the work array, which it returns as X.
+    residual_norm is the O(n^2) probe, which reads all of A,
     ||A (X 1) + shift (X 1) - B 1|| / ||B 1|| (the absolute norm when B 1 = 0).
     Raises NumericalError naming the failing pivot when A + shift*I is not
     positive definite.
@@ -93,8 +95,10 @@ def solve_spd(A, B=None, shift: float = 0.0) -> SpdSolveResult:
         low, info = lapack.dpotri(c, lower=1, overwrite_c=1)
         if info != 0:
             raise NumericalError("inverse failed")
-        X = low + low.T  # dpotrf zeroed the upper triangle (clean=1): only the diagonal doubles
-        np.fill_diagonal(X, np.diagonal(low))
+        X = low.T  # the work array, C-ordered again: its upper triangle holds the inverse
+        for i in range(1, len(X)):
+            X[i, :i] = X[:i, i]
+        X += 0.0  # -0.0 becomes 0.0, as adding the zeroed triangle (dpotrf's clean=1) gave
         B1, scale = np.ones(len(A)), np.sqrt(len(A))
     else:
         X, _ = lapack.dpotrs(c, B, lower=1)  # its info flags only a bad argument, ruled out above

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import default_rng
 
-from .embedding import EmbeddingModel, TrainingSet
+from .embedding import TrainingSet
 from .errors import InputError, NumericalError
 from .kernels import KernelSpec, cross_gram
 from .linalg import matmul
@@ -26,6 +26,7 @@ from .linalg import matmul
 GRAVITY = 9.81  # g/l for the unit mass on the unit length
 TORQUE_MAX = 5.0  # torques lie in [-TORQUE_MAX, TORQUE_MAX]
 OMEGA_MAX = 7.0  # angular velocity is clamped to [-OMEGA_MAX, OMEGA_MAX]
+PLAN_TOL = 1e-6  # policy_iteration stops once a sweep moves no value by this much
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,13 @@ def collect_dataset(params: PendulumParams, n: int, seed: int) -> TrainingSet:
     return TrainingSet(xs, features(*step(params, theta, omega, u)))
 
 
-def _factors(model: EmbeddingModel, grid) -> np.ndarray:
-    """The torque factor T[i, k] = k(x_i3, u_k) of the gaussian input kernel as a
-    product over (state, torque) inputs, k(x_i, (s, u)) = k(x_i[:3], s) * k(x_i3, u):
-    a gaussian with one bandwidth is the same kernel, model.kspec, at any width."""
-    if model.kspec.variant != "gaussian":
+def _factors(train: TrainingSet, kspec: KernelSpec, grid) -> np.ndarray:
+    """The torque factor T[i, k] = k(x_i3, u_k) of the gaussian input kernel kspec
+    as a product over (state, torque) inputs, k(x_i, (s, u)) = k(x_i[:3], s) * k(x_i3, u):
+    a gaussian with one bandwidth is the same kernel, kspec, at any width."""
+    if kspec.variant != "gaussian":
         raise InputError("the pendulum planner needs a gaussian input kernel")
-    return cross_gram(model.kspec, model.train.xs[:, 3], grid)
+    return cross_gram(kspec, train.xs[:, 3], grid)
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ class Policy:
     """Greedy policy from policy_iteration: the score of torque u_k at state s is
     sum_i weights[i, k] k(states_i, s), the one a sweep backs up, O(n |grid|)."""
 
-    spec: KernelSpec  # the model's gaussian input kernel, read on the state columns
+    spec: KernelSpec  # the gaussian input kernel, read on the state columns
     states: np.ndarray  # (n, 3) training input states sin, cos, omega; C-contiguous
     weights: np.ndarray  # (n, |grid|): (M^T V)_i T[i, k]
     torque_grid: np.ndarray
@@ -151,26 +152,32 @@ class RandomTorquePolicy:
         return float(self._grid[rng.integers(len(self._grid))])  # the draw of rng.choice(grid)
 
 
-def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
-                     tol: float = 1e-6) -> Policy:
+def policy_iteration(train: TrainingSet, kspec: KernelSpec, M, params: PendulumParams, sweeps: int,
+                     tol: float = PLAN_TOL) -> Policy:
     """Approximate value iteration over the training output states through the
     embedded transition model.
 
     The backup is V_i <- max_u [ r(y_i) + discount * alpha(y_i, u) @ V ] where
-    alpha comes from the conditional mean embedding with coefficients M =
-    model.W (a sparse M plans through model.with_coefficients). With the
-    gaussian input kernel as the product S[i, j] * T[i, k] of a state Gram and
-    a torque factor (see _factors), alpha(y_j, u_k) @ V = sum_i (M^T V)_i
-    T[i, k] S[i, j]: the score Policy.act uses. Ties go to the smallest torque.
+    alpha(x) = M k_x comes from the conditional mean embedding of the transitions
+    `train` under the gaussian input kernel kspec, with the n x n coefficients M:
+    the ridge inverse W = (K + lam*n*I)^{-1} of a fit on `train`, or a replacement
+    such as W diag(s).
+    With kspec as the product S[i, j] * T[i, k] of a state Gram and a torque
+    factor (see _factors), alpha(y_j, u_k) @ V = sum_i (M^T V)_i T[i, k] S[i, j]:
+    the score Policy.act uses. Ties go to the smallest torque. Besides M, the
+    plan holds one n x n array, S.
     """
     if sweeps < 1:
         raise InputError("sweeps must be >= 1")
-    M, n = model.W, model.train.n
-    r = reward(*output_state(model.train.ys))
+    n = train.n
+    M = np.asarray(M, dtype=float)
+    if M.shape != (n, n):
+        raise InputError("coefficient matrix has wrong shape")
+    r = reward(*output_state(train.ys))
     grid = params.torque_grid
-    T = _factors(model, grid)
-    states = np.ascontiguousarray(model.train.xs[:, :3])
-    S = cross_gram(model.kspec, states, model.train.ys)  # (n, n): the output rows are the states' features
+    T = _factors(train, kspec, grid)
+    states = np.ascontiguousarray(train.xs[:, :3])
+    S = cross_gram(kspec, states, train.ys)  # (n, n): the output rows are the states' features
     v_bound = 1.0 / (1.0 - params.discount) + 1.0
     V = np.zeros(n)
     deltas = []
@@ -184,7 +191,7 @@ def policy_iteration(model: EmbeddingModel, params: PendulumParams, sweeps: int,
         V = V_new
         if deltas[-1] < tol:
             break
-    return Policy(spec=model.kspec, states=states, weights=(M.T @ V)[:, None] * T, torque_grid=grid,
+    return Policy(spec=kspec, states=states, weights=(M.T @ V)[:, None] * T, torque_grid=grid,
                   values=V, greedy_torque=grid[best_u], sweep_deltas=deltas)
 
 

@@ -89,7 +89,7 @@ def pendulum_returns():
     kspec = KernelSpec("gaussian", median_bandwidth(train.xs))
     lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
     model = fit(train, kspec, lspec, 1e-4)
-    policy = pendulum.policy_iteration(model, params, sweeps=80)
+    policy = pendulum.policy_iteration(train, kspec, model.W, params, sweeps=80)
     learned = pendulum.evaluate_policy(policy, params, 100, 100, seed=1)
     rand = pendulum.evaluate_policy(pendulum.RandomTorquePolicy(params), params, 100, 100, seed=1)
     return learned, rand

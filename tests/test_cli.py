@@ -19,13 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cmereg import cli, ratecheck
+from cmereg import cli, pendulum, ratecheck
 from cmereg.cli import COMMANDS, SCHEMAS, main, read_dataset, write_csv
 from cmereg.linalg import blas_threads
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.ratecheck import RateResult, rate_slope
 
-from oracles import openblas_pool_threads
+from oracles import openblas_pool_threads, traced_peak
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -671,6 +671,29 @@ class TestPendulum:
         assert main(["pendulum", "--config", cfg, "--out", str(b), "--seed", "1"]) == 0
         assert (a / "policy.csv").read_bytes() != (b / "policy.csv").read_bytes()
 
+    @pytest.mark.parametrize("n,sweeps,converged", [(40, 5, 0), (60, 400, 1)], ids=["capped", "converged"])
+    def test_planning_reports_the_last_sweep(self, tmp_path, monkeypatch, n, sweeps, converged):
+        plans, plan = [], pendulum.policy_iteration
+        monkeypatch.setattr(pendulum, "policy_iteration", lambda *a, **kw: plans.append(plan(*a, **kw)) or plans[-1])
+        cfg = write_config(tmp_path, {"n": n, "seed": 0, "sweeps": sweeps, "episodes": 2, "horizon": 2})
+        assert main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        (deltas,) = [p.sweep_deltas for p in plans]
+        assert read_rows(tmp_path / "out" / "planning.csv") == [
+            {"sweeps": str(len(deltas)), "last_delta": f"{deltas[-1]:.12g}", "tol": "1e-06",
+             "converged": str(converged)}]
+        if converged:  # stopped by the tolerance, before the cap
+            assert len(deltas) < sweeps and deltas[-1] < 1e-6
+        else:
+            assert len(deltas) == sweeps and deltas[-1] >= 1e-6
+
+    def test_peak_memory_is_two_arrays(self, tmp_path):
+        # K with the solve's work array, then W with the state Gram S: the model's L goes
+        # before W is formed and K before S is built (4.17 n^2 floats with all four held)
+        n = 400
+        cfg = write_config(tmp_path, {"n": n, "seed": 1, "sweeps": 2, "episodes": 1, "horizon": 1})
+        peak = traced_peak(lambda: main(["pendulum", "--config", cfg, "--out", str(tmp_path / "out")]))
+        assert peak <= 2.3 * 8 * n * n, peak / (8 * n * n)
+
 
 # The first line of each file the six commands write, as a regular expression. The byte matrix
 # compares processes of one tree with each other, so only this pins a column's name and place.
@@ -685,6 +708,7 @@ HEADERS = {
     ("rate", "rate.csv"): "n,seed,lambda,excess",
     ("rate", "slope.txt"): r"slope=-?[0-9.]+(e[+-][0-9]+)?",  # one number, as %.12g writes it
     ("pendulum", "policy.csv"): "index,theta,omega,value,greedy_torque",
+    ("pendulum", "planning.csv"): "sweeps,last_delta,tol,converged",
     ("pendulum", "returns.csv"): "policy,mean_return",
 }
 

@@ -77,10 +77,11 @@ class TestSolveSpd:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert np.array_equal(K, before)
 
-    @pytest.mark.parametrize("m,bound", [(None, 2.05), (80, 1.15)], ids=["inverse", "solve-80"])
+    @pytest.mark.parametrize("m,bound", [(None, 1.1), (80, 1.15)], ids=["inverse", "solve-80"])
     def test_dense_ridge_peak_memory(self, m, bound):
-        # one work copy of K, factored (and inverted) in place, and the solution: no
-        # caller-side shifted copy and no LAPACK-side F-ordered copy (3.0 and 2.1 n^2 floats)
+        # one work copy of K, factored in place, and the solution; an inverse is the work copy
+        # itself, mirrored in place. A separate symmetric result read 2.0 n^2 floats; with a
+        # caller-side shifted copy and a LAPACK-side F-ordered copy too, 3.0 and 2.1
         n, spec = 800, KernelSpec("gaussian", 2.0)
         rng = np.random.default_rng(16)
         points = rng.standard_normal((n, 4))
@@ -88,6 +89,13 @@ class TestSolveSpd:
         B = None if m is None else cross_gram(spec, points, rng.standard_normal((m, 4)))
         peak = traced_peak(lambda: ridge_coefficients(spec, K, 1e-3 * n, B))
         assert peak <= bound * 8 * n * n, peak / (8 * n * n)
+
+    def test_inverse_has_no_negative_zero(self):
+        # points 100 bandwidths apart give K = I, and dpotri leaves a -0.0 off the diagonal of
+        # its inverse; it is written 0.0, as the sum of the two triangles wrote it
+        K = gram(KernelSpec("gaussian", 1.0), 100.0 * np.arange(60.0))
+        X = solve_spd(K, shift=0.06).solution
+        assert np.count_nonzero(X) == 60 and not np.any(np.signbit(X))
 
     def test_exactly_symmetric(self):
         rng = np.random.default_rng(8)

@@ -39,6 +39,11 @@ def fit_transition_model(params, n=60, seed=0, lam=1e-3, bandwidth=None):
     return fit(train, kspec, lspec, lam)
 
 
+def plan(model, params, sweeps, M=None, **kwargs):
+    """policy_iteration on the model's transitions and input kernel, with M = model.W by default."""
+    return policy_iteration(model.train, model.kspec, model.W if M is None else M, params, sweeps, **kwargs)
+
+
 class TestParams:
     @pytest.mark.parametrize("bad", [
         {"dt": -1.0}, {"dt": 0.0}, {"friction": -0.1}, {"friction": float("inf")},
@@ -203,18 +208,18 @@ class TestPolicyIteration:
     def test_discount_zero_collapses_to_reward(self):
         params = PendulumParams(discount=1e-12)
         model = fit_transition_model(params, n=40, seed=1)
-        policy = policy_iteration(model, params, sweeps=1)
+        policy = plan(model, params, sweeps=1)
         r = reward(*output_state(model.train.ys))
         np.testing.assert_allclose(policy.values, r, atol=1e-9)
 
     def test_value_bound(self, params):
         model = fit_transition_model(params, n=60, seed=2)
-        policy = policy_iteration(model, params, sweeps=60)
+        policy = plan(model, params, sweeps=60)
         assert np.max(np.abs(policy.values)) <= 1.0 / (1.0 - params.discount) + 1.0
 
     def test_convergence_log(self, params):
         model = fit_transition_model(params, n=60, seed=3)
-        policy = policy_iteration(model, params, sweeps=400, tol=1e-9)
+        policy = plan(model, params, sweeps=400, tol=1e-9)
         deltas = policy.sweep_deltas
         assert deltas[-1] < 1e-6
         # sup-norm contraction after warm-up, with slack; skip the noise floor
@@ -248,7 +253,7 @@ class TestPolicyIteration:
         if coefficients == "column_scaled":  # M = W diag(s) is not symmetric
             M = model.W * np.random.default_rng(12).uniform(0.5, 1.0, model.train.n)
             assert not np.allclose(M, M.T)
-        policy = policy_iteration(model.with_coefficients(M), params, sweeps=200, tol=1e-9)
+        policy = plan(model, params, sweeps=200, M=M, tol=1e-9)
         V, greedy, sweeps_run = self.tensor_backup(model, M, params, 200, 1e-9)
         np.testing.assert_allclose(policy.values, V, rtol=1e-10, atol=0)
         np.testing.assert_array_equal(policy.greedy_torque, greedy)
@@ -261,7 +266,7 @@ class TestPolicyIteration:
         model = fit_transition_model(params, n=60, seed=2)
         grams = []
         monkeypatch.setattr(pendulum, "cross_gram", lambda *a: grams.append(cross_gram(*a)) or grams[-1])
-        policy_iteration(model, params, sweeps=1)
+        plan(model, params, sweeps=1)
         square = [K for K in grams if K.shape == (60, 60)]
         assert len(square) == 1
         assert np.array_equal(square[0], cross_gram(model.kspec, model.train.xs[:, :3], model.train.ys))
@@ -270,12 +275,17 @@ class TestPolicyIteration:
         # a near-zero ridge leaves the embedded transition model unstable
         model = fit_transition_model(params, n=30, seed=0, lam=1e-12)
         with pytest.raises(NumericalError, match="^value iteration diverged; try a larger ridge parameter$"):
-            policy_iteration(model, params, sweeps=50)
+            plan(model, params, sweeps=50)
 
     def test_sweeps_validation(self, params):
         model = fit_transition_model(params, n=20, seed=4)
         with pytest.raises(InputError):
-            policy_iteration(model, params, sweeps=0)
+            plan(model, params, sweeps=0)
+
+    def test_coefficients_of_another_shape_rejected(self, params):
+        model = fit_transition_model(params, n=20, seed=4)
+        with pytest.raises(InputError, match="^coefficient matrix has wrong shape$"):
+            plan(model, params, sweeps=1, M=np.eye(21))
 
 
 class TestPolicyAct:
@@ -287,7 +297,7 @@ class TestPolicyAct:
 
     def test_matches_direct_scores(self, params):
         model = fit_transition_model(params, n=100, seed=6)
-        policy = policy_iteration(model, params, sweeps=60)
+        policy = plan(model, params, sweeps=60)
         for theta, omega in zip(*random_states(250, 9)):
             expected = self.direct_torque(model, model.W, policy.values, params.torque_grid, theta, omega)
             assert policy.act(theta, omega) == expected
@@ -297,7 +307,7 @@ class TestPolicyAct:
         model = fit_transition_model(params, n=100, seed=6)
         M = model.W * np.random.default_rng(10).uniform(0.5, 1.0, model.train.n)  # W diag(s)
         assert not np.allclose(M, M.T)
-        policy = policy_iteration(model.with_coefficients(M), params, sweeps=60)
+        policy = plan(model, params, sweeps=60, M=M)
         states = list(zip(*random_states(200, 11)))
         torques = [policy.act(theta, omega) for theta, omega in states]
         assert torques == [self.direct_torque(model, M, policy.values, params.torque_grid, theta, omega)
@@ -308,7 +318,7 @@ class TestPolicyAct:
         # act scores the 1 x n kernel row of the query; the n x 1 column of the
         # states against it gives the same torque at every state
         model = fit_transition_model(params, n=200, seed=6)
-        policy = policy_iteration(model, params, sweeps=40)
+        policy = plan(model, params, sweeps=40)
         torques = []
         for theta, omega in zip(*random_states(1000, 13)):
             column = cross_gram(policy.spec, policy.states, features(theta, omega)[None])[:, 0]
@@ -320,7 +330,7 @@ class TestPolicyAct:
         # the policy holds the factors the sweep built; acting derives nothing again
         calls = []
         monkeypatch.setattr(pendulum, "_factors", lambda *a: calls.append(a) or _factors(*a))
-        policy = policy_iteration(fit_transition_model(params, n=40, seed=6), params, sweeps=5)
+        policy = plan(fit_transition_model(params, n=40, seed=6), params, sweeps=5)
         for theta, omega in zip(*random_states(10, 12)):
             policy.act(theta, omega)
         assert len(calls) == 1
@@ -333,7 +343,7 @@ class TestPolicyAct:
     def test_act_rejects_states_of_another_width(self, params, spec):
         # act scores a 3-column state against the policy's states: any other width is an InputError
         model = fit_transition_model(params, n=20, seed=6)
-        policy = policy_iteration(model, params, sweeps=2)
+        policy = plan(model, params, sweeps=2)
         for states in (model.train.xs, policy.states[:, :2]):
             # the query comes first, so the message calls the policy's states "points"
             with pytest.raises(InputError, match=f"^points have dimension {states.shape[1]}, kernel expects 3$"):
@@ -356,7 +366,7 @@ class TestPolicyAct:
         omega = np.concatenate([omega, train_omega[:40], [w for _, w in edges]])
         np.testing.assert_array_equal(features(train_theta, train_omega), model.train.xs[:, :3])
         grid = params.torque_grid
-        T = _factors(model, grid)
+        T = _factors(model.train, model.kspec, grid)
         for t, w in zip(theta, omega):
             expected = cross_gram(model.kspec, model.train.xs, inputs(t, w, grid))
             state = cross_gram(model.kspec, model.train.xs[:, :3], features(t, w)[None])
@@ -367,7 +377,7 @@ class TestPolicyAct:
         data = collect_dataset(params, 30, 15)
         model = fit(data, kspec, KernelSpec("gaussian", 1.0), 1e-2)
         with pytest.raises(InputError, match="^the pendulum planner needs a gaussian input kernel$"):
-            policy_iteration(model, params, sweeps=1)
+            plan(model, params, sweeps=1)
 
 
 class TestRandomTorquePolicy:
@@ -420,7 +430,7 @@ class TestEvaluatePolicy:
 
     def test_lockstep_equals_per_episode_learned(self, params):
         model = fit_transition_model(params, n=80, seed=7)
-        policy = policy_iteration(model, params, sweeps=40)
+        policy = plan(model, params, sweeps=40)
         got = evaluate_policy(policy, params, episodes=12, horizon=30, seed=3)
         assert got == per_episode_return(policy, params, 12, 30, 3)
 
