@@ -26,13 +26,13 @@ def build_config(args):
     }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=200, help="training transitions")
     parser.add_argument("--n-test", type=int, default=300, help="held-out transitions")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default="results/compare")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         json.dump(build_config(args), fh)
         fh.flush()

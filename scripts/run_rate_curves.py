@@ -32,12 +32,12 @@ def build_config(args):
     }
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-grid", type=int, nargs="+", default=[50, 200, 800, 3200])
     parser.add_argument("--seeds", type=int, default=20, help="number of repetitions per n")
     parser.add_argument("--out", default="results/rate")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
         json.dump(build_config(args), fh)
         fh.flush()

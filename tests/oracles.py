@@ -5,6 +5,7 @@ quadruple loops, dense eigendecompositions, finite differences, and
 coordinate descent, so agreement is meaningful.
 """
 
+import csv
 import ctypes
 import glob
 import os
@@ -207,3 +208,9 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def read_rows(path):
+    """A CSV file the CLI wrote, as one dict per row, keyed by its header."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))

@@ -1,8 +1,10 @@
 """End-to-end acceptance gate.
 
 Each test covers one numbered criterion and prints a single PASS/FAIL line
-(visible with ``pytest -s`` or on failure). The heavy fixtures are
-session-scoped so the discrete-oracle and pendulum experiments run once.
+(visible with ``pytest -s`` or on failure). The discrete-oracle fixtures are
+session-scoped so the rate study runs once. Criteria 7 and 9 run the shipped
+commands in-process and read the files they write, so they check the bits the
+CLI produces.
 """
 
 import json
@@ -11,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
-from cmereg import embedding, lowrank, pendulum, ratecheck, sparse
+from cmereg import embedding, lowrank, pendulum, ratecheck
 from cmereg.cli import main as cli_main
 from cmereg.embedding import fit
-from cmereg.kernels import KernelSpec, gram, median_bandwidth
+from cmereg.kernels import KernelSpec, gram
 from cmereg.sparse import fista_solve, grad_smooth, smooth_part
 
-from oracles import cd_lasso, cd_objective, criterion_2_instances, fd_gradient, random_instance
+import run_compare
+from oracles import cd_lasso, cd_objective, criterion_2_instances, fd_gradient, random_instance, read_rows
 
 # ------------------------------------------------------------ shared setup
 
@@ -42,6 +45,12 @@ def report(num: int, ok: bool, detail: str):
     assert ok, line
 
 
+def run_out(main, argv, out):
+    """Run a command's main in-process with `out` as its --out directory; return `out`."""
+    assert main([*argv, "--out", str(out)]) == 0
+    return out
+
+
 @pytest.fixture(scope="session")
 def rate_results():
     return ratecheck.rate_experiment(DIST, N_GRID, SEEDS)
@@ -58,41 +67,6 @@ def table_errors():
             table = ratecheck.conditional_table(DIST, model)
             errs[n].append(np.max(np.abs(table - DIST.pyx)))
     return {n: float(np.mean(v)) for n, v in errs.items()}
-
-
-@pytest.fixture(scope="session")
-def pendulum_compare():
-    """Lasso sweep vs incomplete-Cholesky baseline on n=200 pendulum data."""
-    t0 = time.perf_counter()
-    params = pendulum.PendulumParams()
-    train = pendulum.collect_dataset(params, 200, 0)
-    test = pendulum.collect_dataset(params, 300, 1)
-    kspec = KernelSpec("gaussian", 2.0)
-    lspec = KernelSpec("gaussian", 1.5)
-    model = fit(train, kspec, lspec, 1e-2)
-    gammas = [1.6e-4, 5e-4, 1.6e-3, 5e-3, 1.6e-2, 5e-2, 0.159]
-    lasso = [(r.nnz_fraction, r.kl_distance)
-             for r in sparse.sparsity_sweep(model, test, gammas, max_iter=8000)]
-    chol = []
-    for rank in (10, 25, 40, 60, 80, 110, 140):
-        ic = lowrank.incomplete_cholesky(model.kgram, rank)
-        M = lowrank.subset_refit(model, ic.pivots)
-        nnz, _, kl, _ = sparse.score(model, test, M)
-        chol.append((nnz, kl))
-    return lasso, chol, time.perf_counter() - t0
-
-
-@pytest.fixture(scope="session")
-def pendulum_returns():
-    params = pendulum.PendulumParams()
-    train = pendulum.collect_dataset(params, 200, 0)
-    kspec = KernelSpec("gaussian", median_bandwidth(train.xs))
-    lspec = KernelSpec("gaussian", median_bandwidth(train.ys))
-    model = fit(train, kspec, lspec, 1e-4)
-    policy = pendulum.policy_iteration(train, kspec, model.W, params, sweeps=80)
-    learned = pendulum.evaluate_policy(policy, params, 100, 100, seed=1)
-    rand = pendulum.evaluate_policy(pendulum.RandomTorquePolicy(params), params, 100, 100, seed=1)
-    return learned, rand
 
 
 # ------------------------------------------------------------ criteria
@@ -183,19 +157,29 @@ def test_criterion_6_rate_slope(rate_results):
     report(6, -1.3 <= slope <= -0.5, f"log-log excess-risk slope {slope:.3f} in [-1.3, -0.5]")
 
 
-def test_criterion_7_sparsity_comparison(pendulum_compare):
-    lasso, chol, elapsed = pendulum_compare
+def test_criterion_7_sparsity_comparison(tmp_path):
+    # run_compare.py's defaults are the problem: n=200 pendulum transitions, 300 held out,
+    # lambda 1e-2, bandwidths 2.0 and 1.5, seven gammas against ranks 10-140
+    t0 = time.perf_counter()
+    rows = read_rows(run_out(run_compare.main, ["--seed", "0"], tmp_path) / "compare.csv")
+    elapsed = time.perf_counter() - t0
+    lasso = [r for r in rows if r["method"] == "lasso"]
+    chol = [(float(r["nnz_fraction"]), float(r["kl_distance"])) for r in rows if r["method"] == "cholesky"]
     wins = 0
-    for l_nnz, l_kl in lasso:
+    for row in lasso:
+        l_nnz, l_kl = float(row["nnz_fraction"]), float(row["kl_distance"])
         if not 0.005 <= l_nnz <= 0.95:
             continue
         matched = [c_kl for c_nnz, c_kl in chol
                    if abs(c_nnz - l_nnz) <= 0.02 and 0.005 <= c_nnz <= 0.95]
         if matched and l_kl < min(matched):
             wins += 1
+    converged = sum(r["converged"] == "1" for r in lasso)
+    worst_gap = max(float(r["gap"]) for r in lasso)
     report(7, wins >= 3 and elapsed < 300.0,
-           f"lasso beats incomplete Cholesky at {wins} matched interior "
-           f"sparsity levels in {elapsed:.0f}s")
+           f"run_compare.py --seed 0: lasso beats incomplete Cholesky at {wins} matched interior "
+           f"sparsity levels in {elapsed:.0f}s; {converged} of {len(lasso)} lasso rows converged, "
+           f"worst gap {worst_gap:.3g}")
 
 
 def test_criterion_8_incomplete_cholesky_exactness():
@@ -212,12 +196,19 @@ def test_criterion_8_incomplete_cholesky_exactness():
     report(8, worst <= 1e-8, f"full-rank factorization max rel Frobenius error {worst:.2e}")
 
 
-def test_criterion_9_policy_improvement(pendulum_returns):
-    learned, rand = pendulum_returns
+def test_criterion_9_policy_improvement(tmp_path):
+    cfg = tmp_path / "pendulum.json"
+    cfg.write_text(json.dumps({"n": 200, "seed": 0, "lambda": 1e-4, "sweeps": 80,
+                               "episodes": 100, "horizon": 100}))
+    out = run_out(cli_main, ["pendulum", "--config", str(cfg)], tmp_path / "out")
+    returns = {r["policy"]: float(r["mean_return"]) for r in read_rows(out / "returns.csv")}
+    (plan,) = read_rows(out / "planning.csv")
+    learned, rand = returns["learned"], returns["random"]
     goal = pendulum.reward(0.0, 0.0)
     report(9, learned > rand and goal == 1.0,
-           f"learned policy return {learned:.3f} > random {rand:.3f}; "
-           f"upright reward exactly {goal}")
+           f"cmereg pendulum (n=200, seed 0): learned policy return {learned:.12g} > random "
+           f"{rand:.12g}; upright reward exactly {goal}; value iteration ran {plan['sweeps']} "
+           f"sweeps, last delta {float(plan['last_delta']):.3g}, converged {plan['converged']}")
 
 
 def test_criterion_10_cli_determinism(tmp_path):
@@ -245,12 +236,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     for cmd, cfg in configs.items():
         cfg_path = tmp_path / f"{cmd}.json"
         cfg_path.write_text(json.dumps(cfg))
-        outs = []
-        for run in ("a", "b"):
-            out = tmp_path / cmd / run
-            assert cli_main([cmd, "--config", str(cfg_path), "--out", str(out)]) == 0
-            outs.append(out)
-        a, b = outs
+        a, b = (run_out(cli_main, [cmd, "--config", str(cfg_path)], tmp_path / cmd / run) for run in "ab")
         names = sorted(p.name for p in a.iterdir())
         assert names == sorted(p.name for p in b.iterdir())
         for name in names:

@@ -1,6 +1,5 @@
 import csv
 import ctypes
-import importlib.util
 import inspect
 import json
 import math
@@ -25,7 +24,9 @@ from cmereg.linalg import blas_threads
 from cmereg.pendulum import PendulumParams, collect_dataset
 from cmereg.ratecheck import RateResult, rate_slope
 
-from oracles import openblas_pool_threads, traced_peak
+import run_compare
+import run_rate_curves
+from oracles import openblas_pool_threads, read_rows, traced_peak
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -53,11 +54,6 @@ def write_dataset(path, xs, ys):
 def random_dataset(path, n=20, seed=0):
     rng = np.random.default_rng(seed)
     return write_dataset(path, rng.uniform(0, 3, (n, 2)), rng.uniform(0, 3, (n, 2)))
-
-
-def read_rows(path):
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def cmereg_child(*argvs, threads=1, prelude=""):
@@ -671,7 +667,9 @@ class TestPendulum:
         assert main(["pendulum", "--config", cfg, "--out", str(b), "--seed", "1"]) == 0
         assert (a / "policy.csv").read_bytes() != (b / "policy.csv").read_bytes()
 
-    @pytest.mark.parametrize("n,sweeps,converged", [(40, 5, 0), (60, 400, 1)], ids=["capped", "converged"])
+    # at n = 30 value iteration cycles, neither converging nor diverging: it is reported as capped
+    @pytest.mark.parametrize("n,sweeps,converged", [(40, 5, 0), (60, 400, 1), (30, 300, 0)],
+                             ids=["capped", "converged", "cycling"])
     def test_planning_reports_the_last_sweep(self, tmp_path, monkeypatch, n, sweeps, converged):
         plans, plan = [], pendulum.policy_iteration
         monkeypatch.setattr(pendulum, "policy_iteration", lambda *a, **kw: plans.append(plan(*a, **kw)) or plans[-1])
@@ -1096,24 +1094,13 @@ def test_any_json_value_exits_0_2_or_3(contract_dir, command, data):
 
 
 class TestScripts:
-    @staticmethod
-    def run_main(name, argv, monkeypatch):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", name + ".py")
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        monkeypatch.setattr(sys, "argv", [name, *argv])
-        return module.main()
-
-    def test_run_compare(self, tmp_path, monkeypatch):
+    def test_run_compare(self, tmp_path):
         out = tmp_path / "compare"
-        assert self.run_main("run_compare", ["--n", "20", "--n-test", "20", "--out", str(out)],
-                             monkeypatch) == 0
+        assert run_compare.main(["--n", "20", "--n-test", "20", "--out", str(out)]) == 0
         assert {r["method"] for r in read_rows(out / "compare.csv")} == {"lasso", "cholesky"}
 
-    def test_run_rate_curves(self, tmp_path, monkeypatch):
+    def test_run_rate_curves(self, tmp_path):
         out = tmp_path / "rate"
-        assert self.run_main("run_rate_curves", ["--n-grid", "10", "20", "40", "--seeds", "2",
-                                                 "--out", str(out)], monkeypatch) == 0
+        assert run_rate_curves.main(["--n-grid", "10", "20", "40", "--seeds", "2", "--out", str(out)]) == 0
         assert len(read_rows(out / "rate.csv")) == 6
         assert (out / "slope.txt").exists()

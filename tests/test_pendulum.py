@@ -277,6 +277,14 @@ class TestPolicyIteration:
         with pytest.raises(NumericalError, match="^value iteration diverged; try a larger ridge parameter$"):
             plan(model, params, sweeps=50)
 
+    def test_cycling_runs_to_the_cap(self, params):
+        # neither converging nor diverging: after 100 sweeps every delta stays above 0.2
+        # (0.23-0.86), far from the tolerance and far below the divergence bound
+        model = fit_transition_model(params, n=30, seed=0, lam=1e-4)
+        deltas = plan(model, params, sweeps=300).sweep_deltas
+        assert len(deltas) == 300
+        assert min(deltas[100:]) > 0.2
+
     def test_sweeps_validation(self, params):
         model = fit_transition_model(params, n=20, seed=4)
         with pytest.raises(InputError):
