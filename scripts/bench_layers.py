@@ -40,9 +40,11 @@ transitions (seed 1), median bandwidths, lambda 1e-4, 80 sweeps of
 
 "fista_per_gamma" gives, for each gamma of criterion 7 (the sparsify-pendulum
 problem: 120 transitions, seed 0, bandwidths 2.0/1.5, lambda 1e-2), the
-iterations of `sparse.fista_solve` (max_iter 8000, warm-started from the
-previous gamma's solution, largest gamma first) and min and median
-microseconds per iteration of that solve.
+accepted iterations of `sparse.fista_solve` (max_iter 8000, warm-started from
+the previous gamma's solution, largest gamma first), its products K D L
+(two `dgemm` calls each, counted on a separate run: every trial step and the
+start's product, so the rejected trials are products minus iterations
+minus 1), and min and median microseconds per product of that solve.
 
 "rate_memory" gives the tracemalloc peak of one `ratecheck.rate_experiment` on
 criterion 5's 4x4 oracle at n_grid [800, 1600] and seeds [0, 1] (a, beta =
@@ -327,19 +329,33 @@ def cli_import(src: str, repeats: int) -> dict:
 
 
 def fista_per_gamma(repeats: int) -> dict:
-    from cmereg import pendulum
+    from cmereg import pendulum, sparse
     from cmereg.embedding import fit
     from cmereg.kernels import KernelSpec
     from cmereg.sparse import SparseProblem, fista_solve
 
     train = pendulum.collect_dataset(pendulum.PendulumParams(), 120, 0)
     model = fit(train, KernelSpec("gaussian", 2.0), KernelSpec("gaussian", 1.5), 1e-2)
+    dgemm = sparse.blas.dgemm
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return dgemm(*args, **kwargs)
+
     result, start = {}, None
     for gamma in GAMMAS:
         problem = SparseProblem(model.kgram, model.lgram, model.W, gamma)
         solve = partial(fista_solve, problem, max_iter=8000, start=start)
-        sol = solve()
-        result[f"{gamma:g}"] = {"iterations": sol.iterations, **per_call(solve, sol.iterations, repeats)}
+        calls.clear()
+        sparse.blas.dgemm = counted
+        try:
+            sol = solve()
+        finally:
+            sparse.blas.dgemm = dgemm
+        products = len(calls) // 2
+        result[f"{gamma:g}"] = {"iterations": sol.iterations, "products": products,
+                                **per_call(solve, products, repeats)}
         start = sol.M
     return result
 

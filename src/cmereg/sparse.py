@@ -7,11 +7,16 @@ Penalties: entrywise_l1 (sum |M_ij|), row_group (sum of row l2 norms),
 col_group (sum of column l2 norms). PENALTIES gives each one's value,
 proximal map and dual norm.
 
-The gradient step uses the standard step size 1/Lip with
-Lip = 2 * lammax(K) * lammax(L) and threshold gamma/Lip, the standard
-accelerated proximal-gradient constants for this objective. Every solution
-carries its relative duality gap (duality_gap), which bounds how far F(M)
-lies above the optimum.
+Lip = 2 * lammax(K) * lammax(L) bounds the smooth part's curvature, so 1/Lip
+is the standard step. Along FISTA's path the curvature is mostly far below
+that bound, so each iteration first tries 1.05 times its last accepted step
+and halves it, never below 1/Lip, until a sufficient-decrease test passes
+(backtracking that may also lengthen the step: Scheinberg, Goldfarb & Bai
+2014). tol bounds the relative objective change per unit of 1/Lip, and
+converged means that rule fired before max_iter accepted steps ran out.
+Every solution carries a relative duality gap, (F(M) - D) / F(M) for the
+best dual value D seen along the path, which bounds how far F(M) lies above
+the optimum; duality_gap gives the gap of any M's own dual point.
 """
 
 from __future__ import annotations
@@ -89,9 +94,9 @@ class SparseProblem:
 class SparseSolution:
     M: np.ndarray
     objective: float
-    iterations: int
+    iterations: int  # accepted steps
     converged: bool  # the relative-objective rule fired before max_iter ran out
-    gap: float  # relative duality gap at M (duality_gap)
+    gap: float  # relative duality gap at M against the best dual value of the path
 
 
 def smooth_part(problem: SparseProblem, M: np.ndarray) -> float:
@@ -123,26 +128,36 @@ def kl_distance(problem: SparseProblem, M: np.ndarray) -> float:
     return float(np.sqrt(max(smooth_part(problem, M), 0.0)))
 
 
+def _dual_value(problem: SparseProblem, h: float, KDL) -> float:
+    """Dual value at the dual point built from KDL = K (M - W) L, given h = <M - W, KDL>.
+
+    With G = 2 KDL the gradient at M, Y = -c G with c = min(1, gamma / pen*(G))
+    (pen* the penalty's dual norm) is dual feasible. Its dual value is
+    D = -c <G, W> - c^2 h, which needs no inverse of K or L; every such D is
+    a lower bound on min F.
+    """
+    kdl = np.ravel(KDL)
+    dual = 2.0 * float(PENALTIES[problem.penalty][2](KDL))
+    c = 1.0 if dual <= problem.gamma else problem.gamma / dual
+    return -2.0 * c * float(blas.ddot(kdl, np.ravel(problem.W))) - c * c * h
+
+
+def _relative_gap(F: float, D: float) -> float:
+    """(F - D) / F; 0 where F <= 0, since no M does better."""
+    return (F - D) / F if F > 0 else 0.0
+
+
 def duality_gap(problem: SparseProblem, M, KDL) -> float:
     """Relative duality gap (F - D) / F at M, given KDL = K (M - W) L.
 
-    With h = <M - W, KDL> the smooth part, F = h + gamma * penalty(M) and
-    G = 2 KDL the gradient at M, Y = -c G with c = min(1, gamma / pen*(G))
-    (pen* the penalty's dual norm) is dual feasible. Its dual value is
-    D = -c <G, W> - c^2 h, which needs no inverse of K or L, and F - D >= 0
-    bounds F - min F. Reads 0 where F <= 0, since no M does better.
+    F = h + gamma * penalty(M) with h = <M - W, KDL> the smooth part, and D
+    is the dual value of the point that KDL gives (_dual_value), so F - D >= 0
+    bounds F - min F. Reads 0 where F <= 0.
     """
     M = _shaped(problem, M)
-    value, _, dual_norm = PENALTIES[problem.penalty]
-    gamma, kdl = problem.gamma, np.ravel(KDL)
-    h = float(blas.ddot(np.ravel(M - problem.W), kdl))
-    F = h + gamma * float(value(M))
-    if not F > 0:
-        return 0.0
-    dual = 2.0 * float(dual_norm(KDL))
-    c = 1.0 if dual <= gamma else gamma / dual
-    D = -2.0 * c * float(blas.ddot(kdl, np.ravel(problem.W))) - c * c * h
-    return (F - D) / F
+    h = float(blas.ddot(np.ravel(M - problem.W), np.ravel(KDL)))
+    F = h + problem.gamma * float(PENALTIES[problem.penalty][0](M))
+    return _relative_gap(F, _dual_value(problem, h, KDL))
 
 
 def _aligned(shape, order="C") -> np.ndarray:
@@ -155,20 +170,35 @@ def _aligned(shape, order="C") -> np.ndarray:
     return buf[(-buf.ctypes.data % 64) // 8:][:size].reshape(shape, order=order)
 
 
+_GROWTH = 1.05  # each iteration first tries the last accepted step times this
+_DUAL_EVERY = 10  # accepted iterations between dual values (and one at the stop)
+
+
 def fista_solve(
     problem: SparseProblem, max_iter: int = 20000, tol: float = 1e-8, start=None
 ) -> SparseSolution:
-    """Accelerated proximal gradient descent from M = start (zero by default).
+    """Accelerated proximal gradient descent from M = start (zero by default),
+    with a step that may grow as well as shrink (Scheinberg, Goldfarb & Bai 2014).
 
-    With c = 2/Lip, P(Z) = Z - c K (Z - W) L is the gradient step at Z. P is
-    affine and the extrapolation weights 1 + beta and -beta sum to 1, so the
-    step at the extrapolated point is (1 + beta) P(Z_k) - beta P(Z_{k-1}).
-    Each iteration therefore forms one product K D L on D = Z - W, into
-    buffers allocated once per solve; it gives both the objective
-    <D, K D L> + gamma * penalty(Z) and the next P. Stops when the relative
-    objective change drops below tol (converged) or max_iter is reached;
-    deterministic. At gamma = 0 it returns the minimizer W, converged after 0
-    iterations with gap 0.
+    With G(Z) = K (Z - W) L the smooth part's gradient is 2 G(Z). An iteration
+    tries the step t = s / Lip at s = 1.05 times the last accepted s (s = 1 at
+    the start), halving s, never below 1, until the trial Z+ = prox(Y - 2t G(Y))
+    from the extrapolated point Y = Z + beta (Z - Z_prev) passes the
+    sufficient-decrease test 2t <E, G(Z+) - G(Y)> <= |E|^2, E = Z+ - Y; at
+    s = 1 it passes in exact arithmetic and is taken untested. theta follows the
+    step, theta' = (1 + sqrt(1 + 4 theta^2 s / s')) / 2, and beta = (theta - 1)
+    / theta' for each trial s'. G is affine, so G(Y) = G(Z) + beta (G(Z) -
+    G(Z_prev)) costs no product: each trial forms one product K D L on
+    D = Z+ - W, into buffers allocated once per solve, which gives the
+    objective <D, K D L> + gamma * penalty(Z+), the test and, once accepted,
+    the next G.
+
+    Stops when the objective's relative change per unit of 1/Lip, |F - F_prev|
+    / (s |F_prev|), drops to tol (converged), or after max_iter accepted steps
+    (iterations counts accepted steps, not trials); deterministic. gap is the
+    tightest relative duality gap at the returned M over the dual values taken
+    every 10th accepted iteration and at the stop. At gamma = 0 it returns the
+    minimizer W, converged after 0 iterations with gap 0.
     """
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
@@ -189,47 +219,71 @@ def fista_solve(
     gamma = problem.gamma
     value, shrink, _ = PENALTIES[problem.penalty]
     lip = 2.0 * sym_eig_max(problem.K) * sym_eig_max(problem.L)
-    step = 1.0 / lip if lip > 0 else 1.0
-    c, thresh = 2.0 * step, gamma * step
+    unit = 1.0 / lip if lip > 0 else 1.0  # the global step; 0 where Lip overflows, and then nothing moves
     # dgemm forms (K D L)^T = L^T (D^T K^T) from F-ordered operands into
     # F-ordered buffers; its transpose is K D L, C-ordered like every other array.
+    # G and dG hold G(Z) and G(Z) - G(Z_prev), transposed the same way.
     Kt = np.asfortranarray(problem.K.T)
     Lt = np.asfortranarray(problem.L.T)
-    DK, DKL = _aligned(W.shape, order="F"), _aligned(W.shape, order="F")
-    D, V, P, P_prev = (_aligned(W.shape) for _ in range(4))
+    DK, DKL, G, dG = (_aligned(W.shape, order="F") for _ in range(4))
+    D, dZ, Z_new = (_aligned(W.shape) for _ in range(3))
+    dZ.fill(0.0)
+    dG.fill(0.0)
 
-    def objective() -> float:
-        """F(Z), leaving D = Z - W and (K D L)^T in the buffers."""
+    def smooth(X) -> float:
+        """<X - W, K (X - W) L>, leaving (K (X - W) L)^T in DKL."""
         nonlocal DK, DKL
-        np.subtract(Z, W, out=D)
+        np.subtract(X, W, out=D)
         DK = blas.dgemm(1.0, D.T, Kt, c=DK, overwrite_c=1)
         DKL = blas.dgemm(1.0, Lt, DK, c=DKL, overwrite_c=1)
-        return float(blas.ddot(D.reshape(-1), DKL.T.reshape(-1))) + gamma * float(value(Z))
+        return float(blas.ddot(D.reshape(-1), DKL.T.reshape(-1)))
 
-    obj = obj_prev = objective()
-    np.subtract(Z, c * DKL.T, out=P)
-    P_prev[...] = P
-    theta, beta = 1.0, 0.0
+    h = smooth(Z)
+    obj = obj_prev = h + gamma * float(value(Z))
+    G, DKL = DKL, G
+    theta, s = 1.0, 1.0
+    best_dual = -math.inf
     converged = False
     it = 0
     for it in range(1, max_iter + 1):
-        np.multiply(P, 1.0 + beta, out=V)
-        blas.daxpy(P_prev.reshape(-1), V.reshape(-1), a=-beta)  # in place: V is a C-ordered float buffer
-        shrink(V, thresh, out=Z)
-        obj = objective()
+        trial = _GROWTH * s
+        while True:
+            theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2 * s / trial))
+            beta, t = (theta - 1.0) / theta_new, trial * unit
+            # Y - 2t G(Y) = Z - 2t G(Z) + beta (dZ - 2t dG), in D
+            np.multiply(G.T, -2.0 * t, out=D)
+            D += Z
+            blas.daxpy(dZ.reshape(-1), D.reshape(-1), a=beta)  # in place: C-ordered float buffers
+            blas.daxpy(dG.T.reshape(-1), D.reshape(-1), a=-2.0 * t * beta)
+            shrink(D, gamma * t, out=Z_new)
+            h = smooth(Z_new)
+            if trial == 1.0:
+                break
+            # E = Z+ - Y in D and G(Z+) - G(Y) in DK^T: the test is two dots
+            np.subtract(Z_new, Z, out=D)
+            blas.daxpy(dZ.reshape(-1), D.reshape(-1), a=-beta)
+            np.subtract(DKL.T, G.T, out=DK.T)
+            blas.daxpy(dG.T.reshape(-1), DK.T.reshape(-1), a=-beta)
+            d = D.reshape(-1)
+            if 2.0 * t * float(blas.ddot(d, DK.T.reshape(-1))) <= float(blas.ddot(d, d)):
+                break
+            trial = max(0.5 * trial, 1.0)
+        np.subtract(Z_new, Z, out=dZ)
+        np.subtract(DKL.T, G.T, out=dG.T)
+        Z, Z_new, G, DKL = Z_new, Z, DKL, G
+        theta, s = theta_new, trial
+        obj = h + gamma * float(value(Z))
         if not math.isfinite(obj):
             raise NumericalError(f"objective became non-finite at iteration {it}")
-        if abs(obj - obj_prev) <= tol * abs(obj_prev):
+        if abs(obj - obj_prev) <= tol * abs(obj_prev) * s:
             converged = True
             break
         obj_prev = obj
-        P, P_prev = P_prev, P
-        np.multiply(DKL.T, -c, out=P)
-        P += Z
-        theta_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
-        beta, theta = (theta - 1.0) / theta_new, theta_new
+        if it % _DUAL_EVERY == 0:
+            best_dual = max(best_dual, _dual_value(problem, h, G.T))
+    best_dual = max(best_dual, _dual_value(problem, h, G.T))
     return SparseSolution(M=Z, objective=obj, iterations=it, converged=converged,
-                          gap=duality_gap(problem, Z, DKL.T))
+                          gap=_relative_gap(obj, best_dual))
 
 
 def nnz_fraction(M: np.ndarray) -> float:

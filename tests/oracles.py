@@ -121,29 +121,40 @@ def shrink_oracle(penalty, V, t):
     return V * np.maximum(1.0 - t / np.where(norms > 0, norms, np.inf), 0.0)
 
 
-def fista_three_products(K, L, W, gamma, penalty, iterations, start=None):
+def fista_three_products(K, L, W, gamma, penalty, iterations, start=None, growth=1.05):
     """FISTA's iterates Z_1..Z_iterations in three-product form, the reference
     for fista_solve's forward-step form (the same iterates in exact arithmetic).
 
-    Each iteration takes the gradient step at the extrapolated point Q from
-    2 (K Q L - K W L), forms K Z L for the new iterate Z, and extrapolates
-    K Q L with the weight that extrapolates Q; K W L is formed once. Step
-    1/Lip with Lip = 2 lammax(K) lammax(L), threshold gamma/Lip.
+    Each trial takes the gradient step at the extrapolated point Q from
+    2 (K Q L - K W L), with K Q L extrapolated from the products at the last
+    two iterates, and forms K Z L for each accepted Z; K W L is formed once. The
+    step starts at 1/Lip (Lip = 2 lammax(K) lammax(L)); each iteration tries
+    growth times the last accepted step and halves it, never below 1/Lip,
+    until the trial passes the sufficient-decrease test on K D L, formed
+    explicitly for D = Z - Q. theta follows the step, and Q is re-extrapolated
+    with each trial's theta. growth = 1 gives fixed-step FISTA (Beck & Teboulle
+    2009): its first trial is 1/Lip, taken untested.
     """
-    step = 1.0 / (2.0 * eig_max_dense(K) * eig_max_dense(L))
+    unit = 1.0 / (2.0 * eig_max_dense(K) * eig_max_dense(L))
     KWL = K @ W @ L
     Z = np.zeros_like(W) if start is None else np.array(start, dtype=float)
     KZL = K @ Z @ L
-    Q, KQL, theta = Z, KZL, 1.0
+    Z_prev, KZL_prev, theta, step = Z, KZL, 1.0, unit
     out = []
     for _ in range(iterations):
-        Z_new = shrink_oracle(penalty, Q - 2.0 * step * (KQL - KWL), gamma * step)
-        KZL_new = K @ Z_new @ L
-        theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2))
-        beta = (theta - 1.0) / theta_new
-        Q = Z_new + beta * (Z_new - Z)
-        KQL = KZL_new + beta * (KZL_new - KZL)
-        Z, KZL, theta = Z_new, KZL_new, theta_new
+        trial = growth * step
+        while True:
+            theta_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * theta**2 * step / trial))
+            beta = (theta - 1.0) / theta_new
+            Q = Z + beta * (Z - Z_prev)
+            KQL = KZL + beta * (KZL - KZL_prev)
+            Z_new = shrink_oracle(penalty, Q - 2.0 * trial * (KQL - KWL), gamma * trial)
+            D = Z_new - Q
+            if trial <= unit or 2.0 * trial * np.sum(D * (K @ D @ L)) <= np.sum(D * D):
+                break
+            trial = max(0.5 * trial, unit)
+        Z_prev, KZL_prev = Z, KZL
+        Z, KZL, theta, step = Z_new, K @ Z_new @ L, theta_new, trial
         out.append(Z)
     return out
 

@@ -98,12 +98,13 @@ def test_sparsity_sweep_reads_bool_as_its_float_copy():
 @pytest.mark.parametrize("run,bound", [
     pytest.param(lambda p, M: kl_distance(p, M), 3.05, id="kl_distance"),
     pytest.param(lambda p, M: lasso_objective(p, M), 3.05, id="lasso_objective"),
-    pytest.param(lambda p, M: fista_solve(p, max_iter=3), 8.05, id="fista_solve"),
+    pytest.param(lambda p, M: fista_solve(p, max_iter=3), 9.05, id="fista_solve"),
 ])
 def test_sparse_problem_converts_bool_grams_once(run, bound):
     # the problem holds float64 copies of a delta model's Grams, made when it is built, so
     # no product converts them again: M - W and two products (4.0 n^2 floats with one
-    # conversion per product), FISTA's seven buffers and one step (10.0 with both converted)
+    # conversion per product), FISTA's eight buffers and the dual norm's |G| (11.0 with
+    # both converted)
     n = 400
     model = delta_model(n)
     problem = SparseProblem(model.kgram, model.lgram, model.W, 1e-2)

@@ -174,6 +174,8 @@ TEST_ONLY = {
     "regularized_objective": "the loss the paper says the embedding minimises",
     "lasso_objective": "the objective TestFista checks fista_solve's reported objective against",
     "grad_smooth": "the gradient of criterion 2's optimality check and criterion 3's central differences",
+    "duality_gap": "the gap of any M's own dual point, which certifies the oracle's lasso solutions and bounds "
+                   "the best-dual gap that fista_solve reports",
 }
 
 

@@ -32,6 +32,7 @@ from oracles import (
     lasso_dual_value,
     random_gram_instance,
     random_spd,
+    shrink_oracle,
     smooth_objective_quadloop,
 )
 
@@ -243,8 +244,9 @@ class TestFista:
         start = rng.standard_normal((n, n)) if warm else None
         gamma = dual_norm_oracle(penalty, 2.0 * K @ W @ L) / 2.0  # half the gradient's at zero
         prob = SparseProblem(K, L, W, gamma, penalty)
-        reference = fista_three_products(K, L, W, gamma, penalty, 60, start=start)
-        for k in (1, 2, 3, 10, 60):
+        # by iteration 53 (col_group, cold) the adaptive step has two equal objectives, which stops any tol
+        reference = fista_three_products(K, L, W, gamma, penalty, 40, start=start)
+        for k in (1, 2, 3, 10, 40):
             sol = fista_solve(prob, max_iter=k, tol=1e-300, start=start)
             assert sol.iterations == k and not sol.converged
             assert np.linalg.norm(sol.M - reference[k - 1]) <= 1e-10 * np.linalg.norm(reference[k - 1])
@@ -252,6 +254,32 @@ class TestFista:
         axis = {"row_group": 1, "col_group": 0}.get(penalty)
         zero_groups = zero if axis is None else np.all(zero, axis=axis)  # entries, rows or columns
         assert 0 < np.mean(zero_groups) < 1  # the penalty is active, not all or nothing
+
+    def test_scaled_identity_grams_take_the_fixed_step(self):
+        # K = aI, L = bI: the curvature along every direction is the bound, so no step
+        # longer than 1/Lip passes, and the iterates are fixed-step FISTA's; that step
+        # lands on the minimizer, W shrunk by gamma/Lip, from any point
+        rng = np.random.default_rng(25)
+        n, a, b = 7, 0.7, 2.3
+        K, L, W = a * np.eye(n), b * np.eye(n), rng.standard_normal((n, n))
+        gamma = dual_norm_oracle("entrywise_l1", 2.0 * K @ W @ L) / 2.0
+        prob = SparseProblem(K, L, W, gamma)
+        fixed = fista_three_products(K, L, W, gamma, "entrywise_l1", 3, growth=1.0)
+        assert all(np.array_equal(x, y) for x, y in zip(
+            fixed, fista_three_products(K, L, W, gamma, "entrywise_l1", 3)))
+        np.testing.assert_allclose(fixed[0], shrink_oracle("entrywise_l1", W, gamma / (2 * a * b)), rtol=1e-14)
+        for k in (1, 2, 3):
+            sol = fista_solve(prob, max_iter=k, tol=1e-300)
+            assert sol.iterations == k or sol.converged
+            assert np.linalg.norm(sol.M - fixed[sol.iterations - 1]) <= 1e-14 * np.linalg.norm(fixed[0])
+
+    def test_longer_steps_reach_a_lower_objective_in_as_many_iterations(self):
+        prob, _ = make_problem(seed=26, n=30, gamma=1e-3)
+        sol = fista_solve(prob)
+        fixed = fista_three_products(prob.K, prob.L, prob.W, prob.gamma, "entrywise_l1", sol.iterations,
+                                     growth=1.0)[-1]
+        assert sol.converged
+        assert sol.objective < lasso_objective(prob, fixed)
 
     def test_non_finite_objective_raises(self):
         # finite inputs: the first iterate is W shrunk by 5e199, whose objective overflows to inf
@@ -294,13 +322,29 @@ class TestDualityGap:
 
     @pytest.mark.parametrize("penalty", PENALTY_NAMES)
     def test_solution_reports_gap_at_its_m(self, penalty):
+        # the gap is F(M) against the best dual value seen, so at most the gap of M's own dual point,
+        # and never below how far F(M) lies above the optimum
         prob, _ = make_problem(seed=23, n=6, gamma=0.05, penalty=penalty)
+        best = fista_solve(prob, max_iter=100000, tol=1e-14).objective
+        K, L, W = prob.K, prob.L, prob.W
         for max_iter in (5, 20000):
             sol = fista_solve(prob, max_iter=max_iter)
-            K, L, W = prob.K, prob.L, prob.W
-            assert sol.gap == pytest.approx(duality_gap(prob, sol.M, K @ (sol.M - W) @ L), rel=1e-9, abs=1e-15)
-            assert sol.gap >= 0.0
+            assert 0.0 <= sol.gap <= duality_gap(prob, sol.M, K @ (sol.M - W) @ L) * (1 + 1e-9) + 1e-15
+            assert sol.objective * (1.0 - sol.gap) <= best * (1 + 1e-12)
         assert fista_solve(prob, max_iter=5).gap > sol.gap
+
+    @pytest.mark.parametrize("penalty", PENALTY_NAMES)
+    def test_gap_takes_the_best_dual_value_of_every_tenth_iterate(self, penalty):
+        prob, _ = make_problem(seed=27, n=8, gamma=0.005, penalty=penalty)
+        K, L, W = prob.K, prob.L, prob.W
+
+        def dual(sol):  # the dual value of the point built from sol.M's gradient
+            return sol.objective * (1.0 - duality_gap(prob, sol.M, K @ (sol.M - W) @ L))
+
+        sol = fista_solve(prob, max_iter=25, tol=1e-300)
+        duals = [dual(fista_solve(prob, max_iter=k, tol=1e-300)) for k in (10, 20)] + [dual(sol)]
+        assert sol.gap == pytest.approx((sol.objective - max(duals)) / sol.objective, rel=1e-9)
+        assert sol.gap < duality_gap(prob, sol.M, K @ (sol.M - W) @ L)  # an earlier dual value is the best here
 
     def test_zero_at_gamma_zero_and_at_the_zero_solution(self):
         prob, _ = make_problem(seed=24, n=5, gamma=0.0)
